@@ -19,11 +19,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .cells import zero_state
-from .model import ModelConfig, ModelParams, step
+from .model import ModelConfig, ModelParams, forward_batch, readout
+from .numkit import check_finite
 
 ACC_KS = (1, 5, 10, 15, 20)
 COHORTS = ("all", "cold")
+# users per padded forward batch, and ranked instances per readout block
+EVAL_CHUNK = 64
 
 
 class EmptyCohortError(ValueError):
@@ -91,10 +93,31 @@ def rank_of(logits, target: int, exclude=()) -> int:
     return 1 + higher + tied_before
 
 
+def _ranks(logits, targets, visited=None) -> np.ndarray:
+    """``rank_of`` for every row of a (R, V) logit block at once.
+
+    ``visited`` is an optional (R, V) mask of excluded candidates; the
+    target itself is never counted, so it is never excluded either.
+    """
+    lt = logits[np.arange(len(targets)), targets][:, None]
+    ahead = (logits > lt) | ((logits == lt)
+                             & (np.arange(logits.shape[1]) < targets[:, None]))
+    if visited is not None:
+        ahead &= ~visited
+    return 1 + ahead.sum(axis=1)
+
+
 def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
                   cohort: str = "all", cold_threshold: int = 5,
                   exclude_visited: bool = False) -> list:
-    """One RankingResult per test transition of every cohort user."""
+    """One RankingResult per test transition of every cohort user.
+
+    Users run ``EVAL_CHUNK`` at a time as a padded batch through the
+    cache-free forward, each over its training inputs then its test inputs;
+    the readout runs only on the hidden states at test positions.  The
+    tiled kernels make every rank equal the one-user-at-a-time ``step`` and
+    ``rank_of`` path bit for bit.
+    """
     if cohort not in COHORTS:
         raise ValueError(f"unknown cohort {cohort!r}; expected one of {COHORTS}")
     if cfg.vocab != corpus.n_pois:
@@ -102,27 +125,35 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
             f"vocabulary size mismatch: model has {cfg.vocab}, corpus has "
             f"{corpus.n_pois}"
         )
+    check_finite(params.tensors(), "collect_ranks")
+    users = [u for u in corpus.users
+             if len(u.pois) > u.n_train
+             and (cohort == "all" or u.n_train < cold_threshold)]
     results = []
-    for u in corpus.users:
-        if cohort == "cold" and u.n_train >= cold_threshold:
-            continue
-        state = zero_state(cfg.n_c)
-        visited = set()
-        train_in, train_dt, train_dd, _ = u.train_steps()
-        for t in range(len(train_in)):
-            _, state = step(params, cfg, state, int(train_in[t]),
-                            train_dt[t], train_dd[t])
-            visited.add(int(train_in[t]))
-        test_in, test_dt, test_dd, test_tg = u.test_steps()
-        for t in range(len(test_in)):
-            logits, state = step(params, cfg, state, int(test_in[t]),
-                                 test_dt[t], test_dd[t])
-            visited.add(int(test_in[t]))
-            exclude = visited if exclude_visited else ()
-            results.append(RankingResult(
-                user=u.user, step=t,
-                rank=rank_of(logits, int(test_tg[t]), exclude),
-            ))
+    for c0 in range(0, len(users), EVAL_CHUNK):
+        chunk = users[c0:c0 + EVAL_CHUNK]
+        hs = forward_batch(params, cfg,
+                           [(u.pois[:-1], u.dts, u.dds) for u in chunk])
+        # one instance per test input position s of user row b; its test
+        # step is s - n_train + 1 and its target the POI visited next
+        rows = [(b, s) for b, u in enumerate(chunk)
+                for s in range(u.n_train - 1, len(u.pois) - 1)]
+        for r0 in range(0, len(rows), EVAL_CHUNK):
+            block = rows[r0:r0 + EVAL_CHUNK]
+            b_idx, s_idx = np.array(block).T
+            targets = np.array([chunk[b].pois[s + 1] for b, s in block])
+            if targets.min() < 0 or targets.max() >= cfg.vocab:
+                raise IndexError("collect_ranks: target POI out of vocabulary")
+            visited = None
+            if exclude_visited:
+                visited = np.zeros((len(block), cfg.vocab), dtype=bool)
+                for j, (b, s) in enumerate(block):
+                    visited[j, chunk[b].pois[:s + 1]] = True
+            ranks = _ranks(readout(params, hs[b_idx, s_idx]), targets, visited)
+            results.extend(
+                RankingResult(user=chunk[b].user,
+                              step=s - chunk[b].n_train + 1, rank=int(rank))
+                for (b, s), rank in zip(block, ranks))
     return results
 
 

@@ -34,7 +34,7 @@ from .cells import (
     init_params,
     zero_state,
 )
-from .numkit import affine, matmul_rows, softmax_xent_rows
+from .numkit import affine, check_finite, matmul_rows, softmax_xent_rows
 
 CHECKPOINT_KIND = "stpoi-checkpoint"
 
@@ -128,46 +128,92 @@ def _check_ids(pois, vocab, who):
     return pois
 
 
+def readout(params: ModelParams, h) -> np.ndarray:
+    """Logits over the whole vocabulary for a hidden state or a row batch."""
+    return affine(params.w_out, h, params.b_out)
+
+
 def step(params: ModelParams, cfg: ModelConfig, state: CellState,
          poi: int, dt: float, dd: float):
     """Advance one transition and return ``(logits, new_state)``.
 
-    The streaming form of the forward pass: evaluation walks a user's
-    history one triple at a time without keeping caches.
+    The streaming form of the forward pass: one user, one triple, no caches.
+    Its bits equal the same user's row in ``forward_batch``.
     """
     if not 0 <= poi < cfg.vocab:
         raise IndexError(f"step: POI id {poi} out of vocabulary ({cfg.vocab})")
     x = params.embedding[poi]
     new_state, _ = cell_forward(cfg.variant, params.cell, StepInput(x, dt, dd),
                                 state, cfg.ablation)
-    logits = params.w_out @ new_state.h + params.b_out
-    return logits, new_state
+    return readout(params, new_state.h), new_state
+
+
+def _pad(seqs, cfg: ModelConfig, who: str):
+    """Stack ``(pois, dts, dds, ...)`` tuples into zero-padded (B, T) arrays.
+
+    Returns ``(pois, dts, dds, lengths)``.  Padding steps read POI 0 at zero
+    intervals; batch rows are independent, so they never reach a real step.
+    """
+    if not seqs:
+        raise ValueError(f"{who}: empty batch")
+    lengths = []
+    for seq in seqs:
+        _check_ids(seq[0], cfg.vocab, who)
+        if any(len(col) != len(seq[0]) for col in seq[1:]):
+            raise ValueError(f"{who}: ragged sequence tuple")
+        lengths.append(len(seq[0]))
+    B, T = len(seqs), max(lengths)
+    pois = np.zeros((B, T), dtype=np.int64)
+    dts = np.zeros((B, T))
+    dds = np.zeros((B, T))
+    for b, seq in enumerate(seqs):
+        n = lengths[b]
+        pois[b, :n] = seq[0]
+        dts[b, :n] = seq[1]
+        dds[b, :n] = seq[2]
+    return pois, dts, dds, np.array(lengths)
+
+
+def _unroll(params: ModelParams, cfg: ModelConfig, pois, dts, dds):
+    """Run the cell over padded (B, T) inputs from the zero state, yielding
+    ``(state, cache)`` after each step."""
+    state = zero_state(cfg.n_c, batch=pois.shape[0])
+    for t in range(pois.shape[1]):
+        state, cache = cell_forward(
+            cfg.variant, params.cell,
+            StepInput(params.embedding[pois[:, t]], dts[:, t], dds[:, t]),
+            state, cfg.ablation)
+        yield state, cache
+
+
+def forward_batch(params: ModelParams, cfg: ModelConfig, seqs):
+    """Cache-free forward of a batch of ``(pois, dts, dds, ...)`` sequences.
+
+    Returns hs (B, T, n_c), the hidden state after every step of the padded
+    batch; entries past a sequence's length are padding.  Parameters are not checked for finiteness here: callers check
+    once per call.
+    """
+    pois, dts, dds, _ = _pad(seqs, cfg, "forward_batch")
+    hs = np.empty(pois.shape + (cfg.n_c,))
+    for t, (state, _) in enumerate(_unroll(params, cfg, pois, dts, dds)):
+        hs[:, t] = state.h
+    return hs
 
 
 def forward_sequence(params: ModelParams, cfg: ModelConfig, pois, dts, dds):
-    """Unroll one sequence from the zero state.
+    """Unroll one sequence from the zero state, as a batch of one.
 
     Returns ``(logits, final_state, caches)`` with logits (T, vocab); caches
     hold what the backward pass needs and can be discarded by callers that
     only predict.
     """
-    pois = _check_ids(pois, cfg.vocab, "forward_sequence")
-    dts = np.asarray(dts, dtype=float)
-    dds = np.asarray(dds, dtype=float)
-    if dts.shape != pois.shape or dds.shape != pois.shape:
-        raise ValueError("forward_sequence: pois, dts, dds must share a length")
-    state = zero_state(cfg.n_c)
-    caches = []
-    hs = np.empty((len(pois), cfg.n_c))
-    for t in range(len(pois)):
-        x = params.embedding[pois[t]]
-        state, cache = cell_forward(cfg.variant, params.cell,
-                                    StepInput(x, dts[t], dds[t]), state,
-                                    cfg.ablation)
+    pois, dts, dds, _ = _pad([(pois, dts, dds)], cfg, "forward_sequence")
+    hs, caches = [], []
+    for state, cache in _unroll(params, cfg, pois, dts, dds):
+        hs.append(state.h[0])
         caches.append(cache)
-        hs[t] = state.h
-    logits = affine(params.w_out, hs, params.b_out)
-    return logits, state, caches
+    final = CellState(c=state.c[0], h=state.h[0], c_hat=state.c_hat[0])
+    return readout(params, np.array(hs)), final, caches
 
 
 def zero_grads(params: ModelParams) -> dict:
@@ -182,42 +228,24 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     to the longest and masked, the normalizer is the total number of real
     steps across the batch.  Gradient flow from step t to t-1 is severed at
     multiples of ``cfg.bptt_cap`` when a cap is set, so a loss reaches at
-    most ``bptt_cap`` steps backwards.
+    most ``bptt_cap`` steps backwards.  Every parameter tensor is checked
+    for NaN and inf once, up front.
     """
-    if not seqs:
-        raise ValueError("batch_loss_and_grads: empty batch")
-    lengths = []
-    for pois, dts, dds, targets in seqs:
-        pois = _check_ids(pois, cfg.vocab, "batch_loss_and_grads")
-        _check_ids(targets, cfg.vocab, "batch_loss_and_grads")
-        if not len(pois) == len(dts) == len(dds) == len(targets):
-            raise ValueError("batch_loss_and_grads: ragged sequence tuple")
-        lengths.append(len(pois))
-    B, T = len(seqs), max(lengths)
-    pois = np.zeros((B, T), dtype=np.int64)
+    check_finite(params.tensors(), "batch_loss_and_grads")
+    pois, dts, dds, lengths = _pad(seqs, cfg, "batch_loss_and_grads")
+    B, T = pois.shape
     targets = np.zeros((B, T), dtype=np.int64)
-    dts = np.zeros((B, T))
-    dds = np.zeros((B, T))
-    mask = np.zeros((B, T))
-    for b, (p, dt, dd, tg) in enumerate(seqs):
-        n = lengths[b]
-        pois[b, :n] = p
-        dts[b, :n] = dt
-        dds[b, :n] = dd
-        targets[b, :n] = tg
-        mask[b, :n] = 1.0
+    for b, seq in enumerate(seqs):
+        targets[b, :lengths[b]] = _check_ids(seq[3], cfg.vocab,
+                                             "batch_loss_and_grads")
+    mask = (np.arange(T) < lengths[:, None]).astype(float)
 
-    state = zero_state(cfg.n_c, batch=B)
     caches = []
     hs = []
     dlogits = []
     total_loss = 0.0
-    for t in range(T):
-        x = params.embedding[pois[:, t]]
-        state, cache = cell_forward(cfg.variant, params.cell,
-                                    StepInput(x, dts[:, t], dds[:, t]), state,
-                                    cfg.ablation)
-        logits = affine(params.w_out, state.h, params.b_out)
+    for t, (state, cache) in enumerate(_unroll(params, cfg, pois, dts, dds)):
+        logits = readout(params, state.h)
         losses, dlog = softmax_xent_rows(logits, targets[:, t])
         total_loss += float(losses @ mask[:, t])
         dlogits.append(dlog * mask[:, t][:, None])

@@ -3,12 +3,21 @@
 Conventions: a vector is a 1-D float ndarray, a matrix a 2-D C-order float
 ndarray.  Every function also accepts a 2-D row batch where the last axis is
 the vector axis, which the training loop uses to push whole mini-batches
-through one call.  Inputs are validated for shape and finiteness; a NaN or
-inf here means upstream state is already corrupt, so we fail loudly instead
-of letting it spread.
+through one call.  Default precision is float64.
 
-Default precision is float64.  float32 inputs are carried through at
-float32, which is what the optional reduced-precision training mode uses.
+Matrix products over a row batch (``affine``, ``matmul_rows``) run in fixed
+``TILE_ROWS``-row tiles, the last one zero-padded, so every BLAS call has the
+same shape and a row's bits depend neither on the batch size nor on the
+row's place in it.  ``tests/test_numkit.py`` asserts that property against
+the installed BLAS.
+
+Finiteness is checked at boundaries, not inside the matrix kernels:
+``check_finite`` runs once per mini-batch on every parameter tensor
+(``model.batch_loss_and_grads``) and once per evaluation call
+(``eval.collect_ranks``); the cells check state and intervals once per step;
+the public ``sigmoid`` and ``tanh_v`` check their inputs; and ``train.fit``
+aborts on a non-finite loss.  A NaN or inf means upstream state is already
+corrupt, so it fails loudly there instead of spreading.
 """
 
 from __future__ import annotations
@@ -16,6 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 _FLOATS = (np.float32, np.float64)
+
+# rows per BLAS call in affine and matmul_rows
+TILE_ROWS = 16
 
 
 def _as_float(x, name: str) -> np.ndarray:
@@ -52,11 +64,36 @@ def hadamard(a, b) -> np.ndarray:
     return a * b
 
 
+def check_finite(tensors: dict, who: str) -> None:
+    """Raise ValueError naming the first of ``tensors`` (name -> array) that
+    holds a NaN or inf."""
+    for name, arr in tensors.items():
+        _as_float(arr, f"{who}: {name}")
+
+
+def _tiled_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(B, K) @ (K, O) in fixed TILE_ROWS-row tiles, the last one zero-padded.
+
+    A single (B,K)@(K,O) BLAS call picks its blocking from B, so a row's bits
+    would depend on the batch width; every tile here has one shape.
+    """
+    n = a.shape[0]
+    height = -(-n // TILE_ROWS) * TILE_ROWS
+    tiles = np.zeros((height, a.shape[1]))
+    tiles[:n] = a
+    out = np.empty((height, m.shape[1]))
+    for r in range(0, height, TILE_ROWS):
+        np.matmul(tiles[r:r + TILE_ROWS], m, out=out[r:r + TILE_ROWS])
+    return out[:n]
+
+
 def affine(w, x, b) -> np.ndarray:
-    """w @ x + b for a vector x, or x @ w.T + b for a row batch x."""
-    w = _as_float(w, "affine")
-    x = _as_float(x, "affine")
-    b = _as_float(b, "affine")
+    """w @ x + b for a vector x, or x @ w.T + b for a row batch x.
+
+    A vector goes through the same tile as a one-row batch, so its bits equal
+    that row's in any batch.
+    """
+    w, x, b = np.asarray(w), np.asarray(x), np.asarray(b)
     if w.ndim != 2 or b.ndim != 1 or x.ndim not in (1, 2):
         raise ValueError(
             f"affine: expected matrix, vector-or-batch, vector; got "
@@ -66,32 +103,21 @@ def affine(w, x, b) -> np.ndarray:
         raise ValueError(
             f"affine: incompatible shapes w={w.shape} x={x.shape} b={b.shape}"
         )
-    if x.ndim == 1:
-        return w @ x + b
-    # row-by-row so each row goes through the same fixed-shape kernel: the
-    # result for a given row is then bit-identical no matter the batch size,
-    # which keeps batched training paths exactly additive.  A single
-    # (B,K)@(K,O) call is faster but its per-row bits depend on B.
-    out = np.empty((x.shape[0], w.shape[0]))
-    for r in range(x.shape[0]):
-        out[r] = w @ x[r]
+    out = _tiled_matmul(np.atleast_2d(x), w.T)
     out += b
-    return out
+    return out[0] if x.ndim == 1 else out
 
 
 def matmul_rows(a, m) -> np.ndarray:
-    """(B, K) @ (K, O) computed one row at a time.
+    """(B, K) @ (K, O) with batch-size-independent bits per row.
 
-    Same contract as ``a @ m`` but with batch-size-independent bits per row;
-    the backward passes use it wherever a per-row product feeds gradient
-    accumulation (see affine for why).
+    Same contract as ``a @ m``; the backward passes use it wherever a per-row
+    product feeds gradient accumulation.
     """
-    a = _as_float(a, "matmul_rows")
-    m = _as_float(m, "matmul_rows")
-    out = np.empty((a.shape[0], m.shape[1]))
-    for r in range(a.shape[0]):
-        out[r] = a[r] @ m
-    return out
+    a, m = np.asarray(a), np.asarray(m)
+    if a.ndim != 2 or m.ndim != 2 or a.shape[1] != m.shape[0]:
+        raise ValueError(f"matmul_rows: incompatible shapes {a.shape} @ {m.shape}")
+    return _tiled_matmul(a, m)
 
 
 def softmax_xent(logits, target: int):
@@ -128,7 +154,7 @@ def softmax_xent_rows(logits, targets):
     ``logits`` is (B, N), ``targets`` (B,) ints.  Returns ``(losses, grads)``
     with losses (B,) and grads (B, N); used by the mini-batch training path.
     """
-    z = _as_float(logits, "softmax_xent_rows")
+    z = np.asarray(logits)
     t = np.asarray(targets)
     if z.ndim != 2 or t.shape != (z.shape[0],):
         raise ValueError(

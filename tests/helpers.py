@@ -1,10 +1,13 @@
 """Shared test utilities: an unrolled linear-readout loss over the raw cells
-(used as the finite-difference harness) and a generic central-difference
-oracle that perturbs one coordinate at a time."""
+(used as the finite-difference harness), a generic central-difference
+oracle that perturbs one coordinate at a time, and a one-user-at-a-time
+oracle of the batched evaluation."""
 
 import numpy as np
 
 from stpoi import cells
+from stpoi import eval as ev
+from stpoi import model
 
 
 def random_cell_setup(variant, n_i, n_c, steps, rng, ablation=None):
@@ -75,3 +78,29 @@ def rel_err(a, b, floor=1e-3):
     b = np.asarray(b, dtype=float)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def streaming_ranks(params, cfg, corpus, *, cohort="all", cold_threshold=5,
+                    exclude_visited=False):
+    """Oracle of eval.collect_ranks: each cohort user on its own, one
+    model.step per triple over its training then its test inputs, ranked by
+    eval.rank_of at every test step.  Returns (user, step, rank) triples."""
+    out = []
+    for u in corpus.users:
+        if cohort == "cold" and u.n_train >= cold_threshold:
+            continue
+        state = cells.zero_state(cfg.n_c)
+        visited = set()
+        train_in, train_dt, train_dd, _ = u.train_steps()
+        for t in range(len(train_in)):
+            _, state = model.step(params, cfg, state, int(train_in[t]),
+                                  train_dt[t], train_dd[t])
+            visited.add(int(train_in[t]))
+        test_in, test_dt, test_dd, test_tg = u.test_steps()
+        for t in range(len(test_in)):
+            logits, state = model.step(params, cfg, state, int(test_in[t]),
+                                       test_dt[t], test_dd[t])
+            visited.add(int(test_in[t]))
+            exclude = visited if exclude_visited else ()
+            out.append((u.user, t, ev.rank_of(logits, int(test_tg[t]), exclude)))
+    return out

@@ -7,6 +7,8 @@ from stpoi import eval as E
 from stpoi import model as M
 from stpoi.data import CheckIn
 
+from helpers import streaming_ranks
+
 
 def rr(ranks):
     return [E.RankingResult(user="u", step=i, rank=r)
@@ -197,3 +199,47 @@ class TestEvaluate:
         assert lines[0] == "cohort all"
         assert "acc@1 0.250000" in lines
         assert lines[-1] == "map 0.375000"
+
+    @pytest.mark.parametrize("bad", [-1, 20])
+    def test_out_of_vocabulary_target_rejected(self, bad):
+        corpus = data.synth_corpus(5, n_users=6, n_pois=20, length=12)
+        params, cfg = zero_model(corpus.n_pois)
+        corpus.users[2].pois[-1] = bad
+        with pytest.raises(IndexError):
+            E.collect_ranks(params, cfg, corpus)
+
+    def test_nonfinite_parameter_rejected(self):
+        corpus = data.synth_corpus(5, n_users=6, n_pois=20, length=12)
+        cfg = M.ModelConfig(variant="st-clstm", vocab=corpus.n_pois, n_i=4,
+                            n_c=5)
+        params = M.init_model(cfg, np.random.default_rng(3))
+        params.w_out[0, 0] = np.nan
+        with pytest.raises(ValueError, match="w_out"):
+            E.collect_ranks(params, cfg, corpus)
+
+
+class TestBatchedMatchesStreaming:
+    """collect_ranks runs users as a padded batch; its ranks must equal the
+    one-user-at-a-time oracle (model.step + rank_of) bit for bit."""
+
+    @pytest.fixture(scope="class", params=["periodic", "interval"])
+    def corpus(self, request):
+        # more users than one evaluation chunk, some of them cold
+        n_users = E.EVAL_CHUNK + 6
+        return data.synth_corpus(3, n_users=n_users, n_pois=6 * n_users,
+                                 length=12, pattern=request.param, n_short=4)
+
+    @pytest.mark.parametrize("exclude_visited", [False, True])
+    @pytest.mark.parametrize("cohort", ["all", "cold"])
+    @pytest.mark.parametrize("variant", ["lstm", "st-lstm", "st-clstm"])
+    def test_ranks_equal_oracle(self, corpus, variant, cohort,
+                                exclude_visited):
+        cfg = M.ModelConfig(variant=variant, vocab=corpus.n_pois, n_i=6,
+                            n_c=8)
+        params = M.init_model(cfg, np.random.default_rng(1))
+        kw = dict(cohort=cohort, cold_threshold=5,
+                  exclude_visited=exclude_visited)
+        got = [(r.user, r.step, r.rank)
+               for r in E.collect_ranks(params, cfg, corpus, **kw)]
+        want = streaming_ranks(params, cfg, corpus, **kw)
+        assert want and got == want

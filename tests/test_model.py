@@ -93,6 +93,23 @@ class TestForward:
             np.testing.assert_allclose(step_logits, logits[t], atol=1e-12)
         np.testing.assert_allclose(state.h, final.h, atol=1e-12)
 
+    def test_batched_forward_rows_equal_streaming_steps(self):
+        cfg = tiny_cfg("st-lstm")
+        rng = np.random.default_rng(7)
+        params = M.init_model(cfg, rng)
+        seqs = [random_seq(rng, cfg.vocab, n)[:3] for n in (5, 2, 7)]
+        hs = M.forward_batch(params, cfg, seqs)
+        assert hs.shape == (3, 7, cfg.n_c)
+        from stpoi.cells import zero_state
+        for b, (pois, dts, dds) in enumerate(seqs):
+            state = zero_state(cfg.n_c)
+            for t in range(len(pois)):
+                logits, state = M.step(params, cfg, state, int(pois[t]),
+                                       dts[t], dds[t])
+                np.testing.assert_array_equal(hs[b, t], state.h)
+                np.testing.assert_array_equal(M.readout(params, hs[b, t]),
+                                              logits)
+
     def test_id_out_of_vocab(self):
         cfg = tiny_cfg("lstm")
         params = zero_model(cfg)
@@ -134,6 +151,14 @@ class TestGradients:
         assert loss1 == loss2
         for name in g1:
             np.testing.assert_array_equal(g1[name], g2[name])
+
+    def test_nonfinite_parameter_rejected(self):
+        cfg = tiny_cfg("st-clstm")
+        rng = np.random.default_rng(14)
+        params = M.init_model(cfg, rng)
+        params.w_out[0, 0] = np.nan
+        with pytest.raises(ValueError, match="w_out"):
+            M.batch_loss_and_grads(params, cfg, [random_seq(rng, cfg.vocab, 4)])
 
     def test_ragged_batch_matches_weighted_single_runs(self):
         cfg = tiny_cfg("st-lstm")

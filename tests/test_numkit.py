@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stpoi import numkit
 
@@ -124,6 +124,70 @@ class TestAffine:
             numkit.affine(np.ones((2, 3)), np.ones(4), np.ones(2))
         with pytest.raises(ValueError):
             numkit.affine(np.ones((2, 3)), np.ones(3), np.ones(3))
+
+
+class TestTileInvariance:
+    """A row's bits must not depend on the batch it rides in: batched
+    training stays exactly additive and batched evaluation equals the
+    streaming one.  The tiled kernels rely on the BLAS giving each row of a
+    fixed-height tile the same bits wherever it sits; a BLAS that breaks
+    that fails here."""
+
+    POOL = 40
+    # (rows of w, cols of w): toy cell and readout, paper cell and readout
+    SHAPES = [(16, 32), (72, 16), (128, 256), (5000, 128)]
+
+    @staticmethod
+    def _pool(shape, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=shape)
+        b = rng.normal(size=shape[0])
+        x = rng.normal(size=(TestTileInvariance.POOL, shape[1]))
+        up = rng.normal(size=(TestTileInvariance.POOL, shape[0]))
+        # each pool row computed alone, as a batch of one
+        alone_affine = np.stack([numkit.affine(w, x[r:r + 1], b)[0]
+                                 for r in range(len(x))])
+        alone_matmul = np.stack([numkit.matmul_rows(up[r:r + 1], w)[0]
+                                 for r in range(len(up))])
+        return w, b, x, up, alone_affine, alone_matmul
+
+    @pytest.fixture(scope="class")
+    def pools(self):
+        return [self._pool(shape, seed) for seed, shape in enumerate(self.SHAPES)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(which=st.integers(0, len(SHAPES) - 1),
+           rows=st.lists(st.integers(0, POOL - 1), min_size=1, max_size=POOL))
+    def test_rows_bit_identical_across_batch_size_and_position(self, pools,
+                                                               which, rows):
+        w, b, x, up, alone_affine, alone_matmul = pools[which]
+        np.testing.assert_array_equal(numkit.affine(w, x[rows], b),
+                                      alone_affine[rows])
+        np.testing.assert_array_equal(numkit.matmul_rows(up[rows], w),
+                                      alone_matmul[rows])
+
+    @settings(max_examples=20, deadline=None)
+    @given(which=st.integers(0, len(SHAPES) - 1),
+           perm=st.permutations(range(POOL)))
+    def test_rows_bit_identical_under_permutation(self, pools, which, perm):
+        w, b, x, up, alone_affine, alone_matmul = pools[which]
+        np.testing.assert_array_equal(numkit.affine(w, x[perm], b),
+                                      alone_affine[perm])
+        np.testing.assert_array_equal(numkit.matmul_rows(up[perm], w),
+                                      alone_matmul[perm])
+
+    def test_vector_equals_its_row(self, pools):
+        w, b, x, _, alone_affine, _ = pools[1]
+        np.testing.assert_array_equal(numkit.affine(w, x[3], b), alone_affine[3])
+
+
+class TestCheckFinite:
+    def test_names_the_bad_tensor(self):
+        tensors = {"ok": np.ones(3), "bad": np.array([[0.0, 1.0]])}
+        numkit.check_finite(tensors, "who")
+        tensors["bad"][0, 1] = np.inf
+        with pytest.raises(ValueError, match="who: bad"):
+            numkit.check_finite(tensors, "who")
 
 
 class TestSoftmaxXent:
