@@ -1,6 +1,6 @@
 """Gated recurrent cells for check-in sequences.
 
-Three variants share one parameter layout and one backward routine family:
+Three variants share one parameter layout (``CellParams``):
 
 ``lstm``
     The plain cell.  With z = [h_prev, x]:
@@ -36,9 +36,11 @@ Keeping t1/d1 monotonically non-increasing in the interval requires their
 interval weight vectors to stay non-positive; the optimizer's projection
 step maintains that (see optim.project and constrained_names below).
 
-All forwards accept a single step (1-D x, scalar dt/dd) or a row batch
-(2-D x, 1-D dt/dd); caches remember which so backward returns matching
-shapes.  Batch rows are independent sequences.
+One forward (``cell_forward``) and one backward (``cell_backward``) serve
+all three variants.  Both work on row batches: x is (B, n_i), dt/dd are
+(B,) and states, caches and gradients are (B, n_c).  A 1-D x or state and
+scalar dt/dd are read as a batch of one; lstm ignores dt/dd.  Batch rows
+are independent sequences.
 """
 
 from __future__ import annotations
@@ -117,90 +119,58 @@ class CellState:
     c_hat: np.ndarray
 
 
-@dataclass
-class LstmParams:
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_c: np.ndarray
-    w_o: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
+class CellParams(dict):
+    """One variant's tensors as an ordered name -> array mapping.
 
-    @property
-    def n_c(self) -> int:
-        return self.w_i.shape[0]
-
-    @property
-    def n_i(self) -> int:
-        return self.w_i.shape[1] - self.w_i.shape[0]
-
-    def tensors(self) -> dict:
-        return {
-            "w_i": self.w_i, "b_i": self.b_i,
-            "w_f": self.w_f, "b_f": self.b_f,
-            "w_c": self.w_c, "b_c": self.b_c,
-            "w_o": self.w_o, "b_o": self.b_o,
-        }
-
-
-@dataclass
-class StLstmParams:
-    """Parameters of the spatio-temporal variants.
-
-    w_f/b_f are None for the coupled variant (st-clstm), which has no
-    forget gate by construction.
+    Construction checks the names and shapes against ``_tensor_shapes`` and
+    stores the tensors in that order, which fixes the iteration order of the
+    optimizer and the clipping norm and the checkpoint layout.  Tensors also
+    read as attributes (``p.w_i``).
     """
 
-    w_i: np.ndarray
-    w_c: np.ndarray
-    w_o: np.ndarray
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-    # interval gates: per-gate input matrix, interval weight vector, bias
-    w_xt1: np.ndarray
-    w_t1: np.ndarray
-    b_t1: np.ndarray
-    w_xt2: np.ndarray
-    w_t2: np.ndarray
-    b_t2: np.ndarray
-    w_xd1: np.ndarray
-    w_d1: np.ndarray
-    b_d1: np.ndarray
-    w_xd2: np.ndarray
-    w_d2: np.ndarray
-    b_d2: np.ndarray
-    # direct interval terms of the output gate
-    w_to: np.ndarray
-    w_do: np.ndarray
-    w_f: Optional[np.ndarray] = None
-    b_f: Optional[np.ndarray] = None
+    def __init__(self, variant: str, tensors: dict):
+        w_i = tensors.get("w_i")
+        if w_i is None or np.ndim(w_i) != 2 or w_i.shape[1] <= w_i.shape[0]:
+            raise ValueError(f"{variant} params: w_i must be an (n_c, n_c + n_i) matrix")
+        n_c = w_i.shape[0]
+        shapes = _tensor_shapes(variant, w_i.shape[1] - n_c, n_c)
+        check_shapes(tensors, shapes, f"{variant} params")
+        super().__init__((name, tensors[name]) for name in shapes)
+        self.variant = variant
+
+    def __getattr__(self, name):
+        try:
+            return self[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     @property
     def n_c(self) -> int:
-        return self.w_i.shape[0]
+        return self["w_i"].shape[0]
 
     @property
     def n_i(self) -> int:
-        return self.w_i.shape[1] - self.w_i.shape[0]
+        return self["w_i"].shape[1] - self["w_i"].shape[0]
 
-    def tensors(self) -> dict:
-        out = {"w_i": self.w_i, "b_i": self.b_i}
-        if self.w_f is not None:
-            out["w_f"] = self.w_f
-            out["b_f"] = self.b_f
-        out.update({
-            "w_c": self.w_c, "b_c": self.b_c,
-            "w_o": self.w_o, "b_o": self.b_o,
-            "w_xt1": self.w_xt1, "w_t1": self.w_t1, "b_t1": self.b_t1,
-            "w_xt2": self.w_xt2, "w_t2": self.w_t2, "b_t2": self.b_t2,
-            "w_xd1": self.w_xd1, "w_d1": self.w_d1, "b_d1": self.b_d1,
-            "w_xd2": self.w_xd2, "w_d2": self.w_d2, "b_d2": self.b_d2,
-            "w_to": self.w_to, "w_do": self.w_do,
-        })
-        return out
+
+def LstmParams(**tensors) -> CellParams:
+    """The plain cell's eight tensors as CellParams."""
+    return CellParams("lstm", tensors)
+
+
+def check_shapes(tensors: dict, shapes: dict, who: str) -> None:
+    """Raise ValueError unless ``tensors`` holds exactly the names of
+    ``shapes`` (name -> shape), each with its shape."""
+    missing = [name for name in shapes if name not in tensors]
+    if missing:
+        raise ValueError(f"{who}: missing tensors {', '.join(missing)}")
+    extra = [name for name in tensors if name not in shapes]
+    if extra:
+        raise ValueError(f"{who}: unexpected tensors {', '.join(extra)}")
+    for name, shape in shapes.items():
+        if np.shape(tensors[name]) != shape:
+            raise ValueError(f"{who}: tensor {name} has shape "
+                             f"{np.shape(tensors[name])}, expected {shape}")
 
 
 @dataclass
@@ -208,11 +178,10 @@ class StepCache:
     """Everything the backward pass needs from one forward step."""
 
     variant: str
-    single: bool
     ablation: GateAblation
     x: np.ndarray
-    dt: np.ndarray
-    dd: np.ndarray
+    dt: Optional[np.ndarray]    # None for lstm, which reads no intervals
+    dd: Optional[np.ndarray]
     z: np.ndarray
     i: np.ndarray
     g: np.ndarray
@@ -280,9 +249,7 @@ def init_params(variant, n_i, n_c, rng, constraint_target="interval"):
             arrays[name] = rng.uniform(-scale, scale, size=shape)
     for name in constrained_names(variant, constraint_target):
         np.minimum(arrays[name], 0.0, out=arrays[name])
-    if variant == "lstm":
-        return LstmParams(**arrays)
-    return StLstmParams(**arrays)
+    return CellParams(variant, arrays)
 
 
 def count_params(variant: str, n_i: int, n_c: int, n_o: int = 0) -> int:
@@ -314,160 +281,94 @@ def formula_param_count(variant: str, n_i: int, n_c: int, n_o: int = 0):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def zero_state(n_c: int, batch: Optional[int] = None, dtype=np.float64) -> CellState:
-    shape = (n_c,) if batch is None else (batch, n_c)
-    return CellState(
-        c=np.zeros(shape, dtype), h=np.zeros(shape, dtype), c_hat=np.zeros(shape, dtype)
-    )
+def zero_state(n_c: int, batch: int = 1) -> CellState:
+    shape = (batch, n_c)
+    return CellState(c=np.zeros(shape), h=np.zeros(shape), c_hat=np.zeros(shape))
 
 
-def _promote(p, x, dt, dd, prev, needs_intervals):
-    """Normalize inputs to batch form; returns arrays plus the single flag."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if x.ndim not in (1, 2) or x.shape[-1] != p.n_i:
-        raise ValueError(f"cell forward: x has shape {x.shape}, expected (*, {p.n_i})")
-    xb = x[None, :] if single else x
-    b = xb.shape[0]
-    c_prev = np.asarray(prev.c, dtype=float)
-    h_prev = np.asarray(prev.h, dtype=float)
-    if single:
-        c_prev, h_prev = c_prev[None, :], h_prev[None, :]
+def _promote(p, step, prev, needs_intervals):
+    """Read a step and its previous state as a row batch; returns
+    ``(x, dt, dd, c_prev, h_prev)``, dt/dd None unless ``needs_intervals``."""
+    x = np.atleast_2d(np.asarray(step.x, dtype=float))
+    if x.ndim != 2 or x.shape[1] != p.n_i:
+        raise ValueError(
+            f"cell forward: x has shape {np.shape(step.x)}, expected (B, {p.n_i})"
+        )
+    b = x.shape[0]
+    c_prev = np.atleast_2d(np.asarray(prev.c, dtype=float))
+    h_prev = np.atleast_2d(np.asarray(prev.h, dtype=float))
     if c_prev.shape != (b, p.n_c) or h_prev.shape != (b, p.n_c):
         raise ValueError(
-            f"cell forward: state shapes {prev.c.shape}/{prev.h.shape} do not match "
-            f"batch {b} x n_c {p.n_c}"
+            f"cell forward: state shapes {np.shape(prev.c)}/{np.shape(prev.h)} do "
+            f"not match batch {b} x n_c {p.n_c}"
         )
     if not (np.all(np.isfinite(c_prev)) and np.all(np.isfinite(h_prev))):
         raise ValueError("cell forward: previous state contains NaN or inf")
-    dtb = ddb = None
-    if needs_intervals:
-        dtb = np.atleast_1d(np.asarray(dt, dtype=float))
-        ddb = np.atleast_1d(np.asarray(dd, dtype=float))
-        if dtb.shape != (b,) or ddb.shape != (b,):
-            raise ValueError(
-                f"cell forward: dt/dd shapes {dtb.shape}/{ddb.shape} do not match batch {b}"
-            )
-        if not (np.all(np.isfinite(dtb)) and np.all(np.isfinite(ddb))):
-            raise ValueError("cell forward: dt/dd contain NaN or inf")
-        if np.any(dtb < 0) or np.any(ddb < 0):
-            raise ValueError("cell forward: dt and dd must be non-negative")
-    return xb, dtb, ddb, c_prev, h_prev, single
+    if not needs_intervals:
+        return x, None, None, c_prev, h_prev
+    dt = np.atleast_1d(np.asarray(step.dt, dtype=float))
+    dd = np.atleast_1d(np.asarray(step.dd, dtype=float))
+    if dt.shape != (b,) or dd.shape != (b,):
+        raise ValueError(
+            f"cell forward: dt/dd shapes {dt.shape}/{dd.shape} do not match batch {b}"
+        )
+    if not (np.all(np.isfinite(dt)) and np.all(np.isfinite(dd))):
+        raise ValueError("cell forward: dt/dd contain NaN or inf")
+    if np.any(dt < 0) or np.any(dd < 0):
+        raise ValueError("cell forward: dt and dd must be non-negative")
+    return x, dt, dd, c_prev, h_prev
 
 
-def _maybe_single_state(c, h, c_hat, single) -> CellState:
-    if single:
-        return CellState(c=c[0], h=h[0], c_hat=c_hat[0])
-    return CellState(c=c, h=h, c_hat=c_hat)
-
-
-def lstm_forward(p: LstmParams, x, prev: CellState):
-    """One plain LSTM step; returns (CellState, StepCache)."""
-    xb, _, _, c_prev, h_prev, single = _promote(p, x, None, None, prev, False)
-    z = np.concatenate([h_prev, xb], axis=1)
-    i = numkit.sigmoid(numkit.affine(p.w_i, z, p.b_i))
-    f = numkit.sigmoid(numkit.affine(p.w_f, z, p.b_f))
-    g = numkit.tanh_v(numkit.affine(p.w_c, z, p.b_c))
-    o = numkit.sigmoid(numkit.affine(p.w_o, z, p.b_o))
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    cache = StepCache(
-        variant="lstm", single=single, ablation=GateAblation(),
-        x=xb, dt=np.zeros(xb.shape[0]), dd=np.zeros(xb.shape[0]),
-        z=z, i=i, f=f, g=g, o=o, c_prev=c_prev, c=c, c_hat=c, tanh_c_hat=tc,
-    )
-    return _maybe_single_state(c, h, c, single), cache
-
-
-def _interval_gate(p, gate, xb, u):
+def _interval_gate(p, gate, x, u):
     """gate = sigmoid(w_x x + sigmoid(u * w_u) + b); returns (value, inner)."""
-    w_x = getattr(p, f"w_x{gate}")
-    w_u = getattr(p, f"w_{gate}")
-    b = getattr(p, f"b_{gate}")
-    inner = numkit.sigmoid(u[:, None] * w_u[None, :])
-    value = numkit.sigmoid(numkit.affine(w_x, xb, b) + inner)
+    inner = numkit.sigmoid(u[:, None] * p[f"w_{gate}"][None, :])
+    value = numkit.sigmoid(numkit.affine(p[f"w_x{gate}"], x, p[f"b_{gate}"]) + inner)
     return value, inner
 
 
-def _st_common(p, xb, dtb, ddb, h_prev, ablation):
-    """Shared pieces of both spatio-temporal forwards."""
-    z = np.concatenate([h_prev, xb], axis=1)
-    i = numkit.sigmoid(numkit.affine(p.w_i, z, p.b_i))
-    g = numkit.tanh_v(numkit.affine(p.w_c, z, p.b_c))
-    ones = np.ones((xb.shape[0], p.n_c))
-    gates = {}
-    for gate, which in _GATE_SPECS:
-        if getattr(ablation, f"fix_{gate}"):
-            gates[gate] = (ones, None)
-        else:
-            u = dtb if which == "dt" else ddb
-            gates[gate] = _interval_gate(p, gate, xb, u)
-    a_o = numkit.affine(p.w_o, z, p.b_o) + dtb[:, None] * p.w_to + ddb[:, None] * p.w_do
-    o = numkit.sigmoid(a_o)
-    return z, i, g, gates, o
-
-
-def stlstm_forward(p: StLstmParams, step: StepInput, prev: CellState,
-                   ablation: Optional[GateAblation] = None):
-    """One st-lstm step; returns (CellState, StepCache)."""
-    if p.w_f is None:
-        raise ValueError("stlstm_forward: params lack a forget gate (coupled variant?)")
-    ablation = ablation or GateAblation()
-    xb, dtb, ddb, c_prev, h_prev, single = _promote(
-        p, step.x, step.dt, step.dd, prev, True
-    )
-    z, i, g, gates, o = _st_common(p, xb, dtb, ddb, h_prev, ablation)
-    f = numkit.sigmoid(numkit.affine(p.w_f, z, p.b_f))
-    t1, d1 = gates["t1"][0], gates["d1"][0]
-    t2, d2 = gates["t2"][0], gates["d2"][0]
-    c_hat = f * c_prev + i * t1 * d1 * g
-    c = f * c_prev + i * t2 * d2 * g
-    tch = np.tanh(c_hat)
-    h = o * tch
-    cache = StepCache(
-        variant="st-lstm", single=single, ablation=ablation,
-        x=xb, dt=dtb, dd=ddb, z=z, i=i, f=f, g=g, o=o,
-        c_prev=c_prev, c=c, c_hat=c_hat, tanh_c_hat=tch, gates=gates,
-    )
-    return _maybe_single_state(c, h, c_hat, single), cache
-
-
-def stclstm_forward(p: StLstmParams, step: StepInput, prev: CellState,
-                    ablation: Optional[GateAblation] = None):
-    """One coupled st-clstm step; returns (CellState, StepCache)."""
-    if p.w_f is not None:
-        raise ValueError("stclstm_forward: params carry a forget gate, wrong variant")
-    ablation = ablation or GateAblation()
-    xb, dtb, ddb, c_prev, h_prev, single = _promote(
-        p, step.x, step.dt, step.dd, prev, True
-    )
-    z, i, g, gates, o = _st_common(p, xb, dtb, ddb, h_prev, ablation)
-    t1, d1 = gates["t1"][0], gates["d1"][0]
-    t2, d2 = gates["t2"][0], gates["d2"][0]
-    p1 = i * t1 * d1
-    c_hat = (1.0 - p1) * c_prev + p1 * g
-    c = (1.0 - i) * c_prev + i * t2 * d2 * g
-    tch = np.tanh(c_hat)
-    h = o * tch
-    cache = StepCache(
-        variant="st-clstm", single=single, ablation=ablation,
-        x=xb, dt=dtb, dd=ddb, z=z, i=i, f=None, g=g, o=o,
-        c_prev=c_prev, c=c, c_hat=c_hat, tanh_c_hat=tch, gates=gates,
-    )
-    return _maybe_single_state(c, h, c_hat, single), cache
-
-
-def cell_forward(variant, p, step: StepInput, prev: CellState,
+def cell_forward(variant, p: CellParams, step: StepInput, prev: CellState,
                  ablation: Optional[GateAblation] = None):
-    """Variant dispatcher used by the sequence model."""
+    """One step of ``variant`` over a row batch; returns (CellState, StepCache)."""
+    if p.variant != variant:
+        raise ValueError(f"cell_forward: params hold the {p.variant} tensors, "
+                         f"not those of {variant!r}")
+    ablation = ablation or GateAblation()
+    x, dt, dd, c_prev, h_prev = _promote(p, step, prev, variant != "lstm")
+    z = np.concatenate([h_prev, x], axis=1)
+    i = numkit.sigmoid(numkit.affine(p["w_i"], z, p["b_i"]))
+    g = numkit.tanh_v(numkit.affine(p["w_c"], z, p["b_c"]))
+    a_o = numkit.affine(p["w_o"], z, p["b_o"])
+    f = None
+    if variant != "st-clstm":
+        f = numkit.sigmoid(numkit.affine(p["w_f"], z, p["b_f"]))
+    gates = {}
     if variant == "lstm":
-        return lstm_forward(p, step.x, prev)
-    if variant == "st-lstm":
-        return stlstm_forward(p, step, prev, ablation)
-    if variant == "st-clstm":
-        return stclstm_forward(p, step, prev, ablation)
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        o = numkit.sigmoid(a_o)
+        c = c_hat = f * c_prev + i * g
+    else:
+        ones = np.ones((x.shape[0], p.n_c))
+        for gate, which in _GATE_SPECS:
+            if getattr(ablation, f"fix_{gate}"):
+                gates[gate] = (ones, None)
+            else:
+                gates[gate] = _interval_gate(p, gate, x, dt if which == "dt" else dd)
+        o = numkit.sigmoid(a_o + dt[:, None] * p["w_to"] + dd[:, None] * p["w_do"])
+        t1, d1 = gates["t1"][0], gates["d1"][0]
+        t2, d2 = gates["t2"][0], gates["d2"][0]
+        if variant == "st-lstm":
+            c_hat = f * c_prev + i * t1 * d1 * g
+            c = f * c_prev + i * t2 * d2 * g
+        else:
+            p1 = i * t1 * d1
+            c_hat = (1.0 - p1) * c_prev + p1 * g
+            c = (1.0 - i) * c_prev + i * t2 * d2 * g
+    tch = np.tanh(c_hat)
+    h = o * tch
+    cache = StepCache(
+        variant=variant, ablation=ablation, x=x, dt=dt, dd=dd, z=z, i=i, f=f,
+        g=g, o=o, c_prev=c_prev, c=c, c_hat=c_hat, tanh_c_hat=tch, gates=gates,
+    )
+    return CellState(c=c, h=h, c_hat=c_hat), cache
 
 
 def _gate_backward(p, gate, dgate, cache, grads, dx, du_dt, du_dd, which):
@@ -477,11 +378,11 @@ def _gate_backward(p, gate, dgate, cache, grads, dx, du_dt, du_dd, which):
     dpre = dgate * value * (1.0 - value)
     grads[f"w_x{gate}"] += dpre.T @ cache.x
     grads[f"b_{gate}"] += dpre.sum(axis=0)
-    dx += numkit.matmul_rows(dpre, getattr(p, f"w_x{gate}"))
+    dx += numkit.matmul_rows(dpre, p[f"w_x{gate}"])
     dinner = dpre * inner * (1.0 - inner)
     u = cache.dt if which == "dt" else cache.dd
     grads[f"w_{gate}"] += (u[:, None] * dinner).sum(axis=0)
-    du = dinner @ getattr(p, f"w_{gate}")
+    du = dinner @ p[f"w_{gate}"]
     if which == "dt":
         du_dt += du
     else:
@@ -494,8 +395,9 @@ def cell_backward(variant: str, p, cache: StepCache, grad_h, grad_c):
     ``grad_h``/``grad_c`` are the loss gradients at this step's h output and
     carried c.  Returns ``(grads, grad_h_prev, grad_c_prev, grad_x, grad_dt,
     grad_dd)`` where grads maps every tensor name of the variant to its
-    gradient (exactly zero for pinned gates).  Shapes mirror the forward:
-    scalars/vectors for a single step, batches otherwise.
+    gradient (exactly zero for pinned gates).  The upstream gradients and
+    every per-row output are batches shaped like the step: (B, n_c) for
+    h and c, (B, n_i) for x and (B,) for dt and dd.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -505,8 +407,6 @@ def cell_backward(variant: str, p, cache: StepCache, grad_h, grad_c):
         )
     gh = np.asarray(grad_h, dtype=float)
     gc = np.asarray(grad_c, dtype=float)
-    if cache.single:
-        gh, gc = gh[None, :], gc[None, :]
     if gh.shape != cache.i.shape or gc.shape != cache.i.shape:
         raise ValueError(
             f"cell_backward: upstream gradient shapes {gh.shape}/{gc.shape} do not "
@@ -514,7 +414,7 @@ def cell_backward(variant: str, p, cache: StepCache, grad_h, grad_c):
         )
 
     n_c = p.n_c
-    grads = {name: np.zeros(arr.shape) for name, arr in p.tensors().items()}
+    grads = {name: np.zeros(arr.shape) for name, arr in p.items()}
     i, g, o = cache.i, cache.g, cache.o
     tch = cache.tanh_c_hat
 
@@ -542,8 +442,8 @@ def cell_backward(variant: str, p, cache: StepCache, grad_h, grad_c):
         d1 = cache.gates["d1"][0]
         d2 = cache.gates["d2"][0]
         dx = np.zeros_like(cache.x)
-        du_dt = da_o @ p.w_to
-        du_dd = da_o @ p.w_do
+        du_dt = da_o @ p["w_to"]
+        du_dd = da_o @ p["w_do"]
         grads["w_to"] += (cache.dt[:, None] * da_o).sum(axis=0)
         grads["w_do"] += (cache.dd[:, None] * da_o).sum(axis=0)
         if variant == "st-lstm":
@@ -586,13 +486,11 @@ def cell_backward(variant: str, p, cache: StepCache, grad_h, grad_c):
     grads["w_o"] += da_o.T @ cache.z
     grads["b_o"] += da_o.sum(axis=0)
 
-    dz = (numkit.matmul_rows(da_i, p.w_i) + numkit.matmul_rows(da_g, p.w_c)
-          + numkit.matmul_rows(da_o, p.w_o))
+    dz = (numkit.matmul_rows(da_i, p["w_i"]) + numkit.matmul_rows(da_g, p["w_c"])
+          + numkit.matmul_rows(da_o, p["w_o"]))
     if da_f is not None:
-        dz += numkit.matmul_rows(da_f, p.w_f)
+        dz += numkit.matmul_rows(da_f, p["w_f"])
     dh_prev = dz[:, :n_c]
     dx += dz[:, n_c:]
 
-    if cache.single:
-        return grads, dh_prev[0], dc_prev[0], dx[0], float(du_dt[0]), float(du_dd[0])
     return grads, dh_prev, dc_prev, dx, du_dt, du_dd

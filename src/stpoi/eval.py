@@ -4,8 +4,8 @@ Every test transition of every user is one instance: the model state is
 warmed on the user's training inputs, then rolled through the test inputs
 with ground-truth history (teacher forcing), ranking the true next POI at
 each position.  Rank is 1-based: 1 + the number of strictly higher logits +
-the number of equal logits at lower ids, matching the deterministic
-tie-break of the top-k predictor.
+the number of equal logits at lower ids, so ties go to the lower id; this
+is the package's one tie-break rule (``_ranks``).
 
 The ``cold`` cohort keeps users with fewer than ``cold_threshold`` training
 records.  MAP uses one relevant item per instance, so it reduces to the mean
@@ -76,25 +76,9 @@ def mean_ap(results: Iterable[RankingResult]) -> float:
     return sum(1.0 / r for r in ranks) / len(ranks)
 
 
-def rank_of(logits, target: int, exclude=()) -> int:
-    """1-based rank of ``target`` under logit-descending, id-ascending order.
-
-    ``exclude`` removes candidate ids from the ranking; the target itself is
-    never excluded.
-    """
-    logits = np.asarray(logits, dtype=float)
-    keep = np.ones(logits.shape[0], dtype=bool)
-    for poi in exclude:
-        keep[poi] = False
-    keep[target] = True
-    lt = logits[target]
-    higher = int(np.sum(keep & (logits > lt)))
-    tied_before = int(np.sum(keep[:target] & (logits[:target] == lt)))
-    return 1 + higher + tied_before
-
-
 def _ranks(logits, targets, visited=None) -> np.ndarray:
-    """``rank_of`` for every row of a (R, V) logit block at once.
+    """1-based rank of ``targets[r]`` in row r of a (R, V) logit block,
+    logit descending and ties to the lower id.
 
     ``visited`` is an optional (R, V) mask of excluded candidates; the
     target itself is never counted, so it is never excluded either.
@@ -115,8 +99,8 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
     Users run ``EVAL_CHUNK`` at a time as a padded batch through the
     cache-free forward, each over its training inputs then its test inputs;
     the readout runs only on the hidden states at test positions.  The
-    tiled kernels make every rank equal the one-user-at-a-time ``step`` and
-    ``rank_of`` path bit for bit.
+    tiled kernels make every rank equal, bit for bit, to stepping each user
+    alone (``tests/helpers.py`` keeps that oracle).
     """
     if cohort not in COHORTS:
         raise ValueError(f"unknown cohort {cohort!r}; expected one of {COHORTS}")

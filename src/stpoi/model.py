@@ -15,20 +15,20 @@ path agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import container
 from .cells import (
-    CellState,
+    CellParams,
     GateAblation,
-    LstmParams,
     StepInput,
-    StLstmParams,
     VARIANTS,
+    _tensor_shapes,
     cell_backward,
     cell_forward,
+    check_shapes,
     count_params,
     formula_param_count,
     init_params,
@@ -80,13 +80,13 @@ class ModelConfig:
 @dataclass
 class ModelParams:
     embedding: np.ndarray                       # (vocab, n_i)
-    cell: Union[LstmParams, StLstmParams]
+    cell: CellParams
     w_out: np.ndarray                           # (vocab, n_c)
     b_out: np.ndarray                           # (vocab,)
 
     def tensors(self) -> dict:
         out = {"embedding": self.embedding}
-        out.update(self.cell.tensors())
+        out.update(self.cell)
         out["w_out"] = self.w_out
         out["b_out"] = self.b_out
         return out
@@ -133,21 +133,6 @@ def readout(params: ModelParams, h) -> np.ndarray:
     return affine(params.w_out, h, params.b_out)
 
 
-def step(params: ModelParams, cfg: ModelConfig, state: CellState,
-         poi: int, dt: float, dd: float):
-    """Advance one transition and return ``(logits, new_state)``.
-
-    The streaming form of the forward pass: one user, one triple, no caches.
-    Its bits equal the same user's row in ``forward_batch``.
-    """
-    if not 0 <= poi < cfg.vocab:
-        raise IndexError(f"step: POI id {poi} out of vocabulary ({cfg.vocab})")
-    x = params.embedding[poi]
-    new_state, _ = cell_forward(cfg.variant, params.cell, StepInput(x, dt, dd),
-                                state, cfg.ablation)
-    return readout(params, new_state.h), new_state
-
-
 def _pad(seqs, cfg: ModelConfig, who: str):
     """Stack ``(pois, dts, dds, ...)`` tuples into zero-padded (B, T) arrays.
 
@@ -190,30 +175,14 @@ def forward_batch(params: ModelParams, cfg: ModelConfig, seqs):
     """Cache-free forward of a batch of ``(pois, dts, dds, ...)`` sequences.
 
     Returns hs (B, T, n_c), the hidden state after every step of the padded
-    batch; entries past a sequence's length are padding.  Parameters are not checked for finiteness here: callers check
-    once per call.
+    batch; entries past a sequence's length are padding.  Parameters are
+    not checked for finiteness here: callers check once per call.
     """
     pois, dts, dds, _ = _pad(seqs, cfg, "forward_batch")
     hs = np.empty(pois.shape + (cfg.n_c,))
     for t, (state, _) in enumerate(_unroll(params, cfg, pois, dts, dds)):
         hs[:, t] = state.h
     return hs
-
-
-def forward_sequence(params: ModelParams, cfg: ModelConfig, pois, dts, dds):
-    """Unroll one sequence from the zero state, as a batch of one.
-
-    Returns ``(logits, final_state, caches)`` with logits (T, vocab); caches
-    hold what the backward pass needs and can be discarded by callers that
-    only predict.
-    """
-    pois, dts, dds, _ = _pad([(pois, dts, dds)], cfg, "forward_sequence")
-    hs, caches = [], []
-    for state, cache in _unroll(params, cfg, pois, dts, dds):
-        hs.append(state.h[0])
-        caches.append(cache)
-    final = CellState(c=state.c[0], h=state.h[0], c_hat=state.c_hat[0])
-    return readout(params, np.array(hs)), final, caches
 
 
 def zero_grads(params: ModelParams) -> dict:
@@ -291,32 +260,6 @@ def loss_and_grads(params: ModelParams, cfg: ModelConfig, pois, dts, dds, target
     return batch_loss_and_grads(params, cfg, [(pois, dts, dds, targets)])
 
 
-def predict_topk(params: ModelParams, cfg: ModelConfig, pois, dts, dds,
-                 k: int, exclude=()):
-    """Rank the next POI after a non-empty history.
-
-    Candidates are ordered by final-step logit descending, ties by ascending
-    id.  ``exclude`` removes candidate ids (already-visited mode); k must
-    not exceed what remains.
-    """
-    logits, _, _ = forward_sequence(params, cfg, pois, dts, dds)
-    return rank_topk(logits[-1], k, exclude)
-
-
-def rank_topk(logits, k: int, exclude=()):
-    """Top-k ids from one logit vector; logit descending, ties ascending id."""
-    logits = np.asarray(logits, dtype=float)
-    keep = np.ones(logits.shape[0], dtype=bool)
-    for poi in exclude:
-        keep[poi] = False
-    ids = np.flatnonzero(keep)
-    if k > len(ids):
-        raise ValueError(f"rank_topk: k={k} exceeds {len(ids)} candidates")
-    # lexsort uses the last key as primary; ids ascending settles ties
-    order = np.lexsort((ids, -logits[ids]))
-    return ids[order[:k]]
-
-
 def save_checkpoint(path, params: ModelParams, cfg: ModelConfig, adam=None):
     """Persist model (and optionally optimizer state) for exact resume."""
     meta = {"kind": CHECKPOINT_KIND, "config": cfg.to_dict()}
@@ -337,15 +280,19 @@ def load_checkpoint(path):
     if meta.get("kind") != CHECKPOINT_KIND:
         raise ValueError(f"{path}: not a model checkpoint")
     cfg = ModelConfig.from_dict(meta["config"])
+    shapes = {
+        "embedding": (cfg.vocab, cfg.n_i),
+        **_tensor_shapes(cfg.variant, cfg.n_i, cfg.n_c),
+        "w_out": (cfg.vocab, cfg.n_c),
+        "b_out": (cfg.vocab,),
+    }
     tensors = {k[len("param."):]: v for k, v in arrays.items()
                if k.startswith("param.")}
+    check_shapes(tensors, shapes, str(path))
     embedding = tensors.pop("embedding")
     w_out = tensors.pop("w_out")
     b_out = tensors.pop("b_out")
-    cell_cls = LstmParams if cfg.variant == "lstm" else StLstmParams
-    params = ModelParams(embedding, cell_cls(**tensors), w_out, b_out)
-    if params.embedding.shape != (cfg.vocab, cfg.n_i):
-        raise ValueError(f"{path}: tensor shapes disagree with recorded config")
+    params = ModelParams(embedding, CellParams(cfg.variant, tensors), w_out, b_out)
     adam = None
     if "adam" in meta:
         a = meta["adam"]
@@ -355,4 +302,6 @@ def load_checkpoint(path):
                             if k.startswith("adam.m.")},
                          v={k[len("adam.v."):]: v for k, v in arrays.items()
                             if k.startswith("adam.v.")})
+        check_shapes(adam.m, shapes, f"{path}: adam first moments")
+        check_shapes(adam.v, shapes, f"{path}: adam second moments")
     return params, cfg, adam

@@ -1,9 +1,9 @@
 """Dense numerical kernels for the recurrent cells.
 
-Conventions: a vector is a 1-D float ndarray, a matrix a 2-D C-order float
-ndarray.  Every function also accepts a 2-D row batch where the last axis is
-the vector axis, which the training loop uses to push whole mini-batches
-through one call.  Default precision is float64.
+The cells and the model call these kernels on row batches: (B, K) float
+arrays whose last axis is the vector axis, one row per sequence.  The
+elementwise functions take any shape, and ``affine`` also takes a single
+vector, which it computes as a batch of one.  Default precision is float64.
 
 Matrix products over a row batch (``affine``, ``matmul_rows``) run in fixed
 ``TILE_ROWS``-row tiles, the last one zero-padded, so every BLAS call has the
@@ -42,26 +42,13 @@ def _as_float(x, name: str) -> np.ndarray:
 def sigmoid(x) -> np.ndarray:
     """Elementwise logistic function 1 / (1 + exp(-x)), overflow-safe."""
     a = _as_float(x, "sigmoid")
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ex = np.exp(a[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0, e) / (1.0 + e)
 
 
 def tanh_v(x) -> np.ndarray:
     """Elementwise hyperbolic tangent."""
     return np.tanh(_as_float(x, "tanh_v"))
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Elementwise product of two equal-shape arrays."""
-    a = _as_float(a, "hadamard")
-    b = _as_float(b, "hadamard")
-    if a.shape != b.shape:
-        raise ValueError(f"hadamard: shape mismatch {a.shape} vs {b.shape}")
-    return a * b
 
 
 def check_finite(tensors: dict, who: str) -> None:
@@ -118,34 +105,6 @@ def matmul_rows(a, m) -> np.ndarray:
     if a.ndim != 2 or m.ndim != 2 or a.shape[1] != m.shape[0]:
         raise ValueError(f"matmul_rows: incompatible shapes {a.shape} @ {m.shape}")
     return _tiled_matmul(a, m)
-
-
-def softmax_xent(logits, target: int):
-    """Cross-entropy of softmax(logits) against an integer class.
-
-    Returns ``(loss, grad)`` where grad = softmax(logits) - onehot(target).
-    Uses the max-subtraction trick so large logits stay finite, and computes
-    the loss as logsumexp(shifted) - shifted[target] so that tiny losses
-    (confident correct predictions) keep full precision.
-    """
-    z = _as_float(logits, "softmax_xent")
-    if z.ndim != 1:
-        raise ValueError(f"softmax_xent: logits must be a vector, got {z.shape}")
-    n = z.shape[0]
-    if not 0 <= target < n:
-        raise IndexError(f"softmax_xent: target {target} out of range [0, {n})")
-    m = z.max()
-    ex = np.exp(z - m)
-    total = ex.sum()
-    if z[target] == m:
-        # loss -> 0 here; log1p over the non-target mass keeps precision
-        others = np.delete(ex, target)
-        loss = float(np.log1p(others.sum()))
-    else:
-        loss = float(np.log(total) - (z[target] - m))
-    grad = ex / total
-    grad[target] -= 1.0
-    return loss, grad
 
 
 def softmax_xent_rows(logits, targets):

@@ -1,12 +1,13 @@
 """Shared test utilities: an unrolled linear-readout loss over the raw cells
 (used as the finite-difference harness), a generic central-difference
-oracle that perturbs one coordinate at a time, and a one-user-at-a-time
-oracle of the batched evaluation."""
+oracle that perturbs one coordinate at a time, and plain-loop oracles of
+the batched library paths: a streaming model step, a one-logit-vector rank,
+a one-row softmax cross-entropy, the two-branch sigmoid and a
+one-user-at-a-time evaluation."""
 
 import numpy as np
 
 from stpoi import cells
-from stpoi import eval as ev
 from stpoi import model
 
 
@@ -32,7 +33,7 @@ def unrolled_readout_loss(variant, p, seq, readouts, ablation=None):
     caches = []
     for step, r in zip(seq, readouts):
         state, cache = cells.cell_forward(variant, p, step, state, ablation)
-        loss += float(r @ state.h)
+        loss += float(state.h[0] @ r)
         caches.append(cache)
     return loss, caches
 
@@ -40,9 +41,9 @@ def unrolled_readout_loss(variant, p, seq, readouts, ablation=None):
 def unrolled_readout_grads(variant, p, seq, readouts, ablation=None):
     """Analytic gradients of unrolled_readout_loss via cell_backward."""
     loss, caches = unrolled_readout_loss(variant, p, seq, readouts, ablation)
-    grads = {name: np.zeros(a.shape) for name, a in p.tensors().items()}
-    dh = np.zeros(p.n_c)
-    dc = np.zeros(p.n_c)
+    grads = {name: np.zeros(a.shape) for name, a in p.items()}
+    dh = np.zeros((1, p.n_c))
+    dc = np.zeros((1, p.n_c))
     dxs, ddts, ddds = [], [], []
     for cache, r in zip(reversed(caches), reversed(readouts)):
         step_grads, dh, dc, dx, ddt, ddd = cells.cell_backward(
@@ -50,9 +51,9 @@ def unrolled_readout_grads(variant, p, seq, readouts, ablation=None):
         )
         for k in grads:
             grads[k] += step_grads[k]
-        dxs.append(dx)
-        ddts.append(ddt)
-        ddds.append(ddd)
+        dxs.append(dx[0])
+        ddts.append(float(ddt[0]))
+        ddds.append(float(ddd[0]))
     return loss, grads, dxs[::-1], ddts[::-1], ddds[::-1]
 
 
@@ -80,11 +81,73 @@ def rel_err(a, b, floor=1e-3):
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
+def step(params, cfg, state, poi, dt, dd):
+    """Advance one user by one transition; returns ``(logits, new_state)``
+    with logits (vocab,) and the state a batch of one.  The streaming form
+    of ``model.forward_batch`` followed by ``model.readout``."""
+    if not 0 <= poi < cfg.vocab:
+        raise IndexError(f"step: POI id {poi} out of vocabulary ({cfg.vocab})")
+    x = params.embedding[poi]
+    new_state, _ = cells.cell_forward(cfg.variant, params.cell,
+                                      cells.StepInput(x, dt, dd), state,
+                                      cfg.ablation)
+    return model.readout(params, new_state.h)[0], new_state
+
+
+def rank_of(logits, target, exclude=()):
+    """1-based rank of ``target`` under logit-descending, id-ascending order,
+    without ``exclude`` (never the target itself); oracle of eval._ranks."""
+    logits = np.asarray(logits, dtype=float)
+    keep = np.ones(logits.shape[0], dtype=bool)
+    for poi in exclude:
+        keep[poi] = False
+    keep[target] = True
+    lt = logits[target]
+    higher = int(np.sum(keep & (logits > lt)))
+    tied_before = int(np.sum(keep[:target] & (logits[:target] == lt)))
+    return 1 + higher + tied_before
+
+
+def softmax_xent(logits, target):
+    """Cross-entropy of softmax(logits) against one class; ``(loss, grad)``.
+
+    Oracle of numkit.softmax_xent_rows for one row.  A target at the maximum
+    takes the loss as log1p of the other classes' mass, so tiny losses keep
+    full precision.
+    """
+    z = np.asarray(logits, dtype=float)
+    n = z.shape[0]
+    if not 0 <= target < n:
+        raise IndexError(f"softmax_xent: target {target} out of range [0, {n})")
+    m = z.max()
+    ex = np.exp(z - m)
+    total = ex.sum()
+    if z[target] == m:
+        loss = float(np.log1p(np.delete(ex, target).sum()))
+    else:
+        loss = float(np.log(total) - (z[target] - m))
+    grad = ex / total
+    grad[target] -= 1.0
+    return loss, grad
+
+
+def sigmoid_two_branch(x):
+    """The masked two-branch logistic: 1 / (1 + exp(-x)) where x >= 0 and
+    exp(x) / (1 + exp(x)) elsewhere; oracle of numkit.sigmoid."""
+    a = np.asarray(x, dtype=float)
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ex = np.exp(a[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def streaming_ranks(params, cfg, corpus, *, cohort="all", cold_threshold=5,
                     exclude_visited=False):
     """Oracle of eval.collect_ranks: each cohort user on its own, one
-    model.step per triple over its training then its test inputs, ranked by
-    eval.rank_of at every test step.  Returns (user, step, rank) triples."""
+    ``step`` per triple over its training then its test inputs, ranked by
+    ``rank_of`` at every test step.  Returns (user, step, rank) triples."""
     out = []
     for u in corpus.users:
         if cohort == "cold" and u.n_train >= cold_threshold:
@@ -93,14 +156,14 @@ def streaming_ranks(params, cfg, corpus, *, cohort="all", cold_threshold=5,
         visited = set()
         train_in, train_dt, train_dd, _ = u.train_steps()
         for t in range(len(train_in)):
-            _, state = model.step(params, cfg, state, int(train_in[t]),
-                                  train_dt[t], train_dd[t])
+            _, state = step(params, cfg, state, int(train_in[t]),
+                            train_dt[t], train_dd[t])
             visited.add(int(train_in[t]))
         test_in, test_dt, test_dd, test_tg = u.test_steps()
         for t in range(len(test_in)):
-            logits, state = model.step(params, cfg, state, int(test_in[t]),
-                                       test_dt[t], test_dd[t])
+            logits, state = step(params, cfg, state, int(test_in[t]),
+                                 test_dt[t], test_dd[t])
             visited.add(int(test_in[t]))
             exclude = visited if exclude_visited else ()
-            out.append((u.user, t, ev.rank_of(logits, int(test_tg[t]), exclude)))
+            out.append((u.user, t, rank_of(logits, int(test_tg[t]), exclude)))
     return out

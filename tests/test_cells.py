@@ -20,7 +20,7 @@ SIG_HALF = 1.0 / (1.0 + math.exp(-0.5))   # 0.6224593312018546
 def zero_lstm(n_i=1, n_c=1):
     rng = np.random.default_rng(0)
     p = cells.init_params("lstm", n_i, n_c, rng)
-    for a in p.tensors().values():
+    for a in p.values():
         a[...] = 0.0
     return p
 
@@ -28,7 +28,7 @@ def zero_lstm(n_i=1, n_c=1):
 def zero_st(variant, n_i=1, n_c=1):
     rng = np.random.default_rng(0)
     p = cells.init_params(variant, n_i, n_c, rng)
-    for a in p.tensors().values():
+    for a in p.values():
         a[...] = 0.0
     return p
 
@@ -37,18 +37,19 @@ class TestLstmForward:
     def test_all_zero_params_unit_prev_cell(self):
         p = zero_lstm()
         prev = CellState(c=np.array([1.0]), h=np.array([0.0]), c_hat=np.array([1.0]))
-        state, cache = cells.lstm_forward(p, np.array([0.3]), prev)
+        state, cache = cells.cell_forward("lstm", p, StepInput(np.array([0.3])), prev)
         np.testing.assert_allclose(cache.i, [[0.5]], atol=1e-15)
         np.testing.assert_allclose(cache.f, [[0.5]], atol=1e-15)
         np.testing.assert_allclose(cache.o, [[0.5]], atol=1e-15)
-        np.testing.assert_allclose(state.c, [0.5], atol=1e-15)
-        np.testing.assert_allclose(state.h, [0.5 * math.tanh(0.5)], atol=1e-15)
+        np.testing.assert_allclose(state.c, [[0.5]], atol=1e-15)
+        np.testing.assert_allclose(state.h, [[0.5 * math.tanh(0.5)]], atol=1e-15)
 
     def test_zero_state_zero_input_fixed_point(self):
         p = zero_lstm(n_i=3, n_c=2)
-        state, _ = cells.lstm_forward(p, np.zeros(3), cells.zero_state(2))
-        np.testing.assert_array_equal(state.c, np.zeros(2))
-        np.testing.assert_array_equal(state.h, np.zeros(2))
+        state, _ = cells.cell_forward("lstm", p, StepInput(np.zeros(3)),
+                                      cells.zero_state(2))
+        np.testing.assert_array_equal(state.c, np.zeros((1, 2)))
+        np.testing.assert_array_equal(state.h, np.zeros((1, 2)))
 
     def test_saturated_forget_open_input_closed_preserves_cell(self):
         rng = np.random.default_rng(1)
@@ -58,15 +59,15 @@ class TestLstmForward:
         prev = CellState(
             c=rng.normal(size=4), h=rng.normal(size=4) * 0.1, c_hat=np.zeros(4)
         )
-        state, _ = cells.lstm_forward(p, rng.normal(size=3), prev)
-        np.testing.assert_allclose(state.c, prev.c, atol=1e-6)
+        state, _ = cells.cell_forward("lstm", p, StepInput(rng.normal(size=3)), prev)
+        np.testing.assert_allclose(state.c[0], prev.c, atol=1e-6)
 
     def test_state_shape_mismatch_raises(self):
         p = zero_lstm(n_i=2, n_c=3)
         with pytest.raises(ValueError):
-            cells.lstm_forward(p, np.zeros(2), cells.zero_state(4))
+            cells.cell_forward("lstm", p, StepInput(np.zeros(2)), cells.zero_state(4))
         with pytest.raises(ValueError):
-            cells.lstm_forward(p, np.zeros(5), cells.zero_state(3))
+            cells.cell_forward("lstm", p, StepInput(np.zeros(5)), cells.zero_state(3))
 
     def test_batch_rows_match_single_calls(self):
         rng = np.random.default_rng(2)
@@ -76,35 +77,36 @@ class TestLstmForward:
             c=rng.normal(size=(5, 4)), h=rng.normal(size=(5, 4)),
             c_hat=np.zeros((5, 4)),
         )
-        batch_state, _ = cells.lstm_forward(p, xb, prev_b)
+        batch_state, _ = cells.cell_forward("lstm", p, StepInput(xb), prev_b)
         for r in range(5):
             prev = CellState(c=prev_b.c[r], h=prev_b.h[r], c_hat=prev_b.c_hat[r])
-            st, _ = cells.lstm_forward(p, xb[r], prev)
-            np.testing.assert_allclose(batch_state.c[r], st.c, atol=1e-14)
-            np.testing.assert_allclose(batch_state.h[r], st.h, atol=1e-14)
+            st, _ = cells.cell_forward("lstm", p, StepInput(xb[r]), prev)
+            np.testing.assert_allclose(batch_state.c[r], st.c[0], atol=1e-14)
+            np.testing.assert_allclose(batch_state.h[r], st.h[0], atol=1e-14)
 
 
 class TestStLstmForward:
     def test_all_zero_params_zero_intervals(self):
         p = zero_st("st-lstm")
-        state, cache = cells.stlstm_forward(
-            p, StepInput(x=np.array([0.0]), dt=0.0, dd=0.0), cells.zero_state(1)
+        state, cache = cells.cell_forward(
+            "st-lstm", p, StepInput(x=np.array([0.0]), dt=0.0, dd=0.0),
+            cells.zero_state(1)
         )
         for gate in ("t1", "t2", "d1", "d2"):
             np.testing.assert_allclose(cache.gates[gate][0], [[SIG_HALF]], atol=1e-15)
-        np.testing.assert_array_equal(state.c, [0.0])
-        np.testing.assert_array_equal(state.c_hat, [0.0])
-        np.testing.assert_array_equal(state.h, [0.0])
+        np.testing.assert_array_equal(state.c, [[0.0]])
+        np.testing.assert_array_equal(state.c_hat, [[0.0]])
+        np.testing.assert_array_equal(state.h, [[0.0]])
 
     def test_negative_intervals_rejected(self):
         p = zero_st("st-lstm")
         with pytest.raises(ValueError):
-            cells.stlstm_forward(
-                p, StepInput(x=np.zeros(1), dt=-1.0, dd=0.0), cells.zero_state(1)
+            cells.cell_forward(
+                "st-lstm", p, StepInput(x=np.zeros(1), dt=-1.0, dd=0.0), cells.zero_state(1)
             )
         with pytest.raises(ValueError):
-            cells.stlstm_forward(
-                p, StepInput(x=np.zeros(1), dt=0.0, dd=-0.5), cells.zero_state(1)
+            cells.cell_forward(
+                "st-lstm", p, StepInput(x=np.zeros(1), dt=0.0, dd=-0.5), cells.zero_state(1)
             )
 
     def test_t1_non_increasing_in_dt_under_constraint(self):
@@ -114,18 +116,18 @@ class TestStLstmForward:
         for _ in range(200):
             p = cells.init_params("st-lstm", 3, 4, rng)
             x = rng.uniform(-1, 1, size=3)
-            near, _ = cells.stlstm_forward(
-                p, StepInput(x=x, dt=0.0, dd=1.0), cells.zero_state(4)
+            near, _ = cells.cell_forward(
+                "st-lstm", p, StepInput(x=x, dt=0.0, dd=1.0), cells.zero_state(4)
             )
-            far, _ = cells.stlstm_forward(
-                p, StepInput(x=x, dt=10.0, dd=1.0), cells.zero_state(4)
+            far, _ = cells.cell_forward(
+                "st-lstm", p, StepInput(x=x, dt=10.0, dd=1.0), cells.zero_state(4)
             )
             # compare gate values straight from fresh caches
-            g_near = cells.stlstm_forward(
-                p, StepInput(x=x, dt=0.0, dd=1.0), cells.zero_state(4)
+            g_near = cells.cell_forward(
+                "st-lstm", p, StepInput(x=x, dt=0.0, dd=1.0), cells.zero_state(4)
             )[1].gates["t1"][0]
-            g_far = cells.stlstm_forward(
-                p, StepInput(x=x, dt=10.0, dd=1.0), cells.zero_state(4)
+            g_far = cells.cell_forward(
+                "st-lstm", p, StepInput(x=x, dt=10.0, dd=1.0), cells.zero_state(4)
             )[1].gates["t1"][0]
             assert np.all(g_near >= g_far)
 
@@ -138,7 +140,7 @@ class TestStLstmForward:
                 dt=float(rng.uniform(0, 100)),
                 dd=float(rng.uniform(0, 100)),
             )
-            _, cache = cells.stlstm_forward(p, step, cells.zero_state(4))
+            _, cache = cells.cell_forward("st-lstm", p, step, cells.zero_state(4))
             for gate in ("t1", "t2", "d1", "d2"):
                 v = cache.gates[gate][0]
                 assert np.all(v > 0.0) and np.all(v < 1.0)
@@ -160,16 +162,17 @@ class TestStLstmForward:
                 step = StepInput(
                     x=x, dt=float(rng.uniform(0, 50)), dd=float(rng.uniform(0, 50))
                 )
-                lstm_state, _ = cells.lstm_forward(lstm, x, lstm_state)
-                st_state, _ = cells.stlstm_forward(st, step, st_state, pin_all)
+                lstm_state, _ = cells.cell_forward("lstm", lstm, step, lstm_state)
+                st_state, _ = cells.cell_forward("st-lstm", st, step, st_state,
+                                                 pin_all)
                 np.testing.assert_allclose(st_state.h, lstm_state.h, atol=1e-12)
                 np.testing.assert_allclose(st_state.c, lstm_state.c, atol=1e-12)
 
     def test_forget_gate_required(self):
         p = zero_st("st-clstm")
         with pytest.raises(ValueError):
-            cells.stlstm_forward(
-                p, StepInput(x=np.zeros(1)), cells.zero_state(1)
+            cells.cell_forward(
+                "st-lstm", p, StepInput(x=np.zeros(1)), cells.zero_state(1)
             )
 
 
@@ -177,12 +180,12 @@ class TestStClstmForward:
     def test_all_zero_params_unit_prev_cell(self):
         p = zero_st("st-clstm")
         prev = CellState(c=np.array([1.0]), h=np.array([0.0]), c_hat=np.zeros(1))
-        state, cache = cells.stclstm_forward(
-            p, StepInput(x=np.array([0.0]), dt=0.0, dd=0.0), prev
+        state, cache = cells.cell_forward(
+            "st-clstm", p, StepInput(x=np.array([0.0]), dt=0.0, dd=0.0), prev
         )
         expected_c_hat = 1.0 - 0.5 * SIG_HALF * SIG_HALF
-        np.testing.assert_allclose(state.c_hat, [expected_c_hat], atol=1e-15)
-        np.testing.assert_allclose(state.c, [0.5], atol=1e-15)
+        np.testing.assert_allclose(state.c_hat, [[expected_c_hat]], atol=1e-15)
+        np.testing.assert_allclose(state.c, [[0.5]], atol=1e-15)
 
     def test_input_gate_saturated_open_overwrites_memory(self):
         rng = np.random.default_rng(6)
@@ -191,9 +194,9 @@ class TestStClstmForward:
         prev = CellState(c=rng.normal(size=4), h=np.zeros(4), c_hat=np.zeros(4))
         pin_all = GateAblation(fix_t1=True, fix_t2=True, fix_d1=True, fix_d2=True)
         step = StepInput(x=rng.normal(size=3), dt=1.0, dd=1.0)
-        state, cache = cells.stclstm_forward(p, step, prev, pin_all)
-        np.testing.assert_allclose(state.c_hat, cache.g[0], atol=1e-12)
-        np.testing.assert_allclose(state.c, cache.g[0], atol=1e-12)
+        state, cache = cells.cell_forward("st-clstm", p, step, prev, pin_all)
+        np.testing.assert_allclose(state.c_hat, cache.g, atol=1e-12)
+        np.testing.assert_allclose(state.c, cache.g, atol=1e-12)
 
     def test_input_gate_closed_preserves_memory(self):
         rng = np.random.default_rng(7)
@@ -201,19 +204,20 @@ class TestStClstmForward:
         p.b_i[...] = -50.0
         prev = CellState(c=rng.normal(size=4), h=np.zeros(4), c_hat=np.zeros(4))
         step = StepInput(x=rng.normal(size=3), dt=1.0, dd=1.0)
-        state, _ = cells.stclstm_forward(p, step, prev)
-        np.testing.assert_allclose(state.c, prev.c, atol=1e-12)
-        np.testing.assert_allclose(state.c_hat, prev.c, atol=1e-12)
+        state, _ = cells.cell_forward("st-clstm", p, step, prev)
+        np.testing.assert_allclose(state.c[0], prev.c, atol=1e-12)
+        np.testing.assert_allclose(state.c_hat[0], prev.c, atol=1e-12)
 
     def test_has_no_forget_tensors(self):
         p = zero_st("st-clstm", 3, 4)
-        names = set(p.tensors())
+        names = set(p)
         assert "w_f" not in names and "b_f" not in names
 
     def test_rejects_params_with_forget_gate(self):
         p = zero_st("st-lstm")
         with pytest.raises(ValueError):
-            cells.stclstm_forward(p, StepInput(x=np.zeros(1)), cells.zero_state(1))
+            cells.cell_forward("st-clstm", p, StepInput(x=np.zeros(1)),
+                               cells.zero_state(1))
 
 
 class TestBackward:
@@ -223,13 +227,14 @@ class TestBackward:
             p, seq, _ = random_cell_setup(variant, 3, 4, 1, rng)
             state, cache = cells.cell_forward(variant, p, seq[0], cells.zero_state(4))
             grads, dh, dc, dx, ddt, ddd = cells.cell_backward(
-                variant, p, cache, np.zeros(4), np.zeros(4)
+                variant, p, cache, np.zeros((1, 4)), np.zeros((1, 4))
             )
             for name, g in grads.items():
                 np.testing.assert_array_equal(g, np.zeros_like(g), err_msg=name)
-            np.testing.assert_array_equal(dh, np.zeros(4))
-            np.testing.assert_array_equal(dx, np.zeros(3))
-            assert ddt == 0.0 and ddd == 0.0
+            np.testing.assert_array_equal(dh, np.zeros((1, 4)))
+            np.testing.assert_array_equal(dx, np.zeros((1, 3)))
+            np.testing.assert_array_equal(ddt, [0.0])
+            np.testing.assert_array_equal(ddd, [0.0])
 
     @pytest.mark.parametrize("variant", cells.VARIANTS)
     def test_param_grads_match_finite_differences(self, variant):
@@ -240,7 +245,7 @@ class TestBackward:
         def loss():
             return unrolled_readout_loss(variant, p, seq, readouts)[0]
 
-        for name, arr in p.tensors().items():
+        for name, arr in p.items():
             fd = central_diff(loss, arr)
             assert rel_err(grads[name], fd) <= 1e-6, name
 
@@ -283,7 +288,7 @@ class TestBackward:
             return unrolled_readout_loss(variant, p, seq, readouts, ablation)[0]
 
         for name in ("w_i", "w_xt2", "w_d1", "w_to"):
-            fd = central_diff(loss, p.tensors()[name])
+            fd = central_diff(loss, p[name])
             assert rel_err(grads[name], fd) <= 1e-6, name
 
     def test_interval_grad_zero_when_time_gates_pinned_and_w_to_zero(self):
@@ -297,9 +302,9 @@ class TestBackward:
     def test_cache_variant_mismatch_raises(self):
         rng = np.random.default_rng(13)
         p, seq, _ = random_cell_setup("st-lstm", 3, 4, 1, rng)
-        _, cache = cells.stlstm_forward(p, seq[0], cells.zero_state(4))
+        _, cache = cells.cell_forward("st-lstm", p, seq[0], cells.zero_state(4))
         with pytest.raises(ValueError):
-            cells.cell_backward("lstm", p, cache, np.zeros(4), np.zeros(4))
+            cells.cell_backward("lstm", p, cache, np.zeros((1, 4)), np.zeros((1, 4)))
 
     def test_batch_backward_matches_summed_single_rows(self):
         rng = np.random.default_rng(14)
@@ -313,24 +318,26 @@ class TestBackward:
         )
         gh = rng.normal(size=(5, 4))
         gc = rng.normal(size=(5, 4))
-        _, cache = cells.stclstm_forward(p, StepInput(x=xb, dt=dtb, dd=ddb), prev)
+        _, cache = cells.cell_forward("st-clstm", p, StepInput(x=xb, dt=dtb, dd=ddb),
+                                      prev)
         grads_b, dh_b, dc_b, dx_b, ddt_b, ddd_b = cells.cell_backward(
             "st-clstm", p, cache, gh, gc
         )
         summed = {k: np.zeros_like(v) for k, v in grads_b.items()}
         for r in range(5):
             prev_r = CellState(c=prev.c[r], h=prev.h[r], c_hat=prev.c_hat[r])
-            _, cache_r = cells.stclstm_forward(
-                p, StepInput(x=xb[r], dt=float(dtb[r]), dd=float(ddb[r])), prev_r
+            _, cache_r = cells.cell_forward(
+                "st-clstm", p, StepInput(x=xb[r], dt=float(dtb[r]), dd=float(ddb[r])),
+                prev_r
             )
             grads_r, dh_r, dc_r, dx_r, ddt_r, ddd_r = cells.cell_backward(
-                "st-clstm", p, cache_r, gh[r], gc[r]
+                "st-clstm", p, cache_r, gh[r:r + 1], gc[r:r + 1]
             )
             for k in summed:
                 summed[k] += grads_r[k]
-            np.testing.assert_allclose(dh_b[r], dh_r, atol=1e-12)
-            np.testing.assert_allclose(dx_b[r], dx_r, atol=1e-12)
-            np.testing.assert_allclose(ddt_b[r], ddt_r, atol=1e-12)
+            np.testing.assert_allclose(dh_b[r], dh_r[0], atol=1e-12)
+            np.testing.assert_allclose(dx_b[r], dx_r[0], atol=1e-12)
+            np.testing.assert_allclose(ddt_b[r], ddt_r[0], atol=1e-12)
         for k in summed:
             np.testing.assert_allclose(grads_b[k], summed[k], atol=1e-11, err_msg=k)
 
@@ -343,7 +350,7 @@ class TestStateFlow:
         losses = []
         for t, (step, r) in enumerate(zip(seq, readouts)):
             state, _ = cells.cell_forward(variant, p, step, state)
-            losses.append(float(r @ state.h))
+            losses.append(float(state.h[0] @ r))
             if c_bump is not None and t == c_bump:
                 state = CellState(c=state.c + 0.1, h=state.h, c_hat=state.c_hat)
         return losses
@@ -366,11 +373,11 @@ class TestStateFlow:
         base, bumped = [], []
         for t, (step, r) in enumerate(zip(seq, readouts)):
             state, cache = cells.cell_forward(variant, p, step, state)
-            base.append(float(r @ state.h))
+            base.append(float(state.h[0] @ r))
             if t == t_hit:
                 # recompute this step's h from a bumped c_hat, but hand the
                 # original h/c to the next step: the bump must stay local
-                h_alt = cache.o[0] * np.tanh(state.c_hat + 0.1)
+                h_alt = cache.o[0] * np.tanh(state.c_hat[0] + 0.1)
                 bumped.append(float(r @ h_alt))
             else:
                 bumped.append(base[-1])
@@ -398,7 +405,7 @@ class TestParamCounting:
         rng = np.random.default_rng(17)
         for variant in cells.VARIANTS:
             p = cells.init_params(variant, 5, 7, rng)
-            live = sum(a.size for a in p.tensors().values())
+            live = sum(a.size for a in p.values())
             assert cells.count_params(variant, 5, 7) == live
 
     def test_formula_counts_are_reported_not_reconciled(self):
@@ -420,7 +427,7 @@ class TestInit:
     def test_same_seed_same_params(self):
         a = cells.init_params("st-lstm", 3, 4, np.random.default_rng(42))
         b = cells.init_params("st-lstm", 3, 4, np.random.default_rng(42))
-        for (n1, t1), (n2, t2) in zip(a.tensors().items(), b.tensors().items()):
+        for (n1, t1), (n2, t2) in zip(a.items(), b.items()):
             assert n1 == n2
             np.testing.assert_array_equal(t1, t2)
 
@@ -428,7 +435,7 @@ class TestInit:
         rng = np.random.default_rng(43)
         p = cells.init_params("st-clstm", 6, 9, rng)
         lim = 1.0 / math.sqrt(9)
-        for name, t in p.tensors().items():
+        for name, t in p.items():
             if name.startswith("b_"):
                 np.testing.assert_array_equal(t, np.zeros_like(t))
             else:

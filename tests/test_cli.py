@@ -193,6 +193,30 @@ class TestEval:
         assert rc == 2
         assert "mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, bad, message", [
+        ("w_c", None, "missing tensors w_c"),
+        ("w_out", lambda vocab: np.zeros((vocab, 4)), "w_out"),
+        ("b_out", lambda vocab: np.zeros(vocab + 1), "b_out"),
+    ], ids=["missing-cell-tensor", "w_out-shape", "b_out-shape"])
+    def test_malformed_checkpoint_rejected(self, synth_cache, tmp_path, capsys,
+                                           name, bad, message):
+        from stpoi import container
+
+        vocab = data.load_corpus(synth_cache).n_pois
+        cfg = M.ModelConfig(variant="st-lstm", vocab=vocab, n_i=3, n_c=3)
+        ck = tmp_path / "ck.bin"
+        M.save_checkpoint(ck, M.init_model(cfg, np.random.default_rng(0)), cfg)
+        meta, arrays = container.load(ck)
+        if bad is None:
+            del arrays[f"param.{name}"]
+        else:
+            arrays[f"param.{name}"] = bad(vocab)
+        container.save(ck, meta, arrays)
+        rc = run("eval", "--corpus", str(synth_cache), "--checkpoint", str(ck))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.strip().splitlines()) == 1
+
 
 class TestGrid:
     def test_cross_product_and_determinism(self, synth_cache, tmp_path,

@@ -7,7 +7,7 @@ from stpoi import eval as E
 from stpoi import model as M
 from stpoi.data import CheckIn
 
-from helpers import streaming_ranks
+from helpers import rank_of, streaming_ranks
 
 
 def rr(ranks):
@@ -72,31 +72,40 @@ class TestMetrics:
             assert E.mean_ap(results) == pytest.approx(brute_map)
 
 
+def ranks_of(logits, targets, exclude=()):
+    """eval._ranks with one shared logit vector and exclusion set per row."""
+    logits = np.asarray(logits, dtype=float)
+    visited = np.zeros((len(targets), len(logits)), dtype=bool)
+    visited[:, list(exclude)] = True
+    return E._ranks(np.tile(logits, (len(targets), 1)), np.asarray(targets),
+                    visited).tolist()
+
+
 class TestRankOf:
     def test_hand_example_with_ties(self):
         logits = [0.5, 2.0, 2.0, -1.0]
-        assert E.rank_of(logits, 1) == 1
-        assert E.rank_of(logits, 2) == 2      # tie, higher id loses
-        assert E.rank_of(logits, 0) == 3
-        assert E.rank_of(logits, 3) == 4
+        # tie between ids 1 and 2: the higher id loses
+        assert ranks_of(logits, [1, 2, 0, 3]) == [1, 2, 3, 4]
+        assert [rank_of(logits, t) for t in (1, 2, 0, 3)] == [1, 2, 3, 4]
 
     def test_matches_topk_position(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             v = rng.integers(4, 12)
             logits = rng.integers(-2, 3, size=v).astype(float)  # forces ties
-            order = M.rank_topk(logits, v)
-            for target in range(v):
-                pos = int(np.where(order == target)[0][0]) + 1
-                assert E.rank_of(logits, target) == pos
+            # lexsort's last key is primary; ascending ids settle ties
+            order = np.lexsort((np.arange(v), -logits))
+            pos = [int(np.where(order == t)[0][0]) + 1 for t in range(v)]
+            assert ranks_of(logits, range(v)) == pos
+            assert [rank_of(logits, t) for t in range(v)] == pos
 
     def test_exclusion_shifts_rank(self):
         logits = [3.0, 2.0, 1.0]
-        assert E.rank_of(logits, 2) == 3
-        assert E.rank_of(logits, 2, exclude=[0]) == 2
-        assert E.rank_of(logits, 2, exclude=[0, 1]) == 1
-        # the target itself is never excluded
-        assert E.rank_of(logits, 2, exclude=[0, 1, 2]) == 1
+        for exclude, want in (((), 3), ([0], 2), ([0, 1], 1),
+                              # the target itself is never excluded
+                              ([0, 1, 2], 1)):
+            assert ranks_of(logits, [2], exclude) == [want]
+            assert rank_of(logits, 2, exclude) == want
 
 
 class TestEvaluate:
@@ -220,7 +229,7 @@ class TestEvaluate:
 
 class TestBatchedMatchesStreaming:
     """collect_ranks runs users as a padded batch; its ranks must equal the
-    one-user-at-a-time oracle (model.step + rank_of) bit for bit."""
+    one-user-at-a-time oracle (helpers.step + rank_of) bit for bit."""
 
     @pytest.fixture(scope="class", params=["periodic", "interval"])
     def corpus(self, request):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from stpoi import eval as E
 from stpoi import model as M
-from stpoi.cells import GateAblation
-from stpoi.numkit import softmax_xent
+from stpoi.cells import GateAblation, zero_state
 from stpoi.optim import AdamState, fd_check
+
+from helpers import softmax_xent, step
 
 
 def tiny_cfg(variant, vocab=6, n_i=3, n_c=4, **kw):
@@ -21,6 +23,17 @@ def random_seq(rng, vocab, length):
     return pois, dts, dds, targets
 
 
+def seq_logits(params, cfg, pois, dts, dds):
+    """(T, vocab) logits after every step of one sequence."""
+    return M.readout(params, M.forward_batch(params, cfg, [(pois, dts, dds)])[0])
+
+
+def last_ranks(params, cfg, pois, dts, dds, visited=None):
+    """Rank of every id after the final step (1 = predicted first)."""
+    logits = seq_logits(params, cfg, pois, dts, dds)[-1:].repeat(cfg.vocab, 0)
+    return E._ranks(logits, np.arange(cfg.vocab), visited)
+
+
 def zero_model(cfg):
     params = M.init_model(cfg, np.random.default_rng(0))
     for arr in params.tensors().values():
@@ -32,7 +45,7 @@ class TestForward:
     def test_zero_params_uniform(self):
         cfg = tiny_cfg("st-clstm")
         params = zero_model(cfg)
-        logits, state, _ = M.forward_sequence(params, cfg, [2], [1.0], [3.0])
+        logits = seq_logits(params, cfg, [2], [1.0], [3.0])
         np.testing.assert_array_equal(logits, np.zeros((1, 6)))
         loss, _ = M.loss_and_grads(params, cfg, [2], [1.0], [3.0], [4])
         assert loss == pytest.approx(math.log(6), rel=1e-12)
@@ -42,7 +55,7 @@ class TestForward:
         rng = np.random.default_rng(3)
         params = M.init_model(cfg, rng)
         pois, dts, dds, targets = random_seq(rng, cfg.vocab, 3)
-        logits, _, _ = M.forward_sequence(params, cfg, pois, dts, dds)
+        logits = seq_logits(params, cfg, pois, dts, dds)
         manual = np.mean(
             [softmax_xent(logits[t], targets[t])[0] for t in range(3)]
         )
@@ -54,7 +67,7 @@ class TestForward:
         rng = np.random.default_rng(4)
         params = M.init_model(cfg, rng)
         pois, dts, dds, _ = random_seq(rng, cfg.vocab, 7)
-        logits, _, _ = M.forward_sequence(params, cfg, pois, dts, dds)
+        logits = seq_logits(params, cfg, pois, dts, dds)
 
         perm = rng.permutation(cfg.vocab)          # new id of old id j
         params2 = M.ModelParams(
@@ -64,7 +77,7 @@ class TestForward:
         params2.embedding[perm] = params.embedding
         params2.w_out[perm] = params.w_out
         params2.b_out[perm] = params.b_out
-        logits2, _, _ = M.forward_sequence(params2, cfg, perm[pois], dts, dds)
+        logits2 = seq_logits(params2, cfg, perm[pois], dts, dds)
         np.testing.assert_allclose(logits2[:, perm], logits, atol=1e-12)
 
     def test_softmax_of_final_logits_normalizes(self):
@@ -72,7 +85,7 @@ class TestForward:
         rng = np.random.default_rng(5)
         params = M.init_model(cfg, rng)
         pois, dts, dds, _ = random_seq(rng, cfg.vocab, 9)
-        logits, _, _ = M.forward_sequence(params, cfg, pois, dts, dds)
+        logits = seq_logits(params, cfg, pois, dts, dds)
         e = np.exp(logits[-1] - logits[-1].max())
         assert abs(e.sum() / e.sum() - 1.0) < 1e-9      # exact by construction
         probs = e / e.sum()
@@ -83,15 +96,14 @@ class TestForward:
         rng = np.random.default_rng(6)
         params = M.init_model(cfg, rng)
         pois, dts, dds, _ = random_seq(rng, cfg.vocab, 8)
-        logits, final, _ = M.forward_sequence(params, cfg, pois, dts, dds)
-        state = None
-        from stpoi.cells import zero_state
+        hs = M.forward_batch(params, cfg, [(pois, dts, dds)])[0]
+        logits = M.readout(params, hs)
         state = zero_state(cfg.n_c)
         for t in range(8):
-            step_logits, state = M.step(params, cfg, state, int(pois[t]),
-                                        dts[t], dds[t])
+            step_logits, state = step(params, cfg, state, int(pois[t]),
+                                      dts[t], dds[t])
             np.testing.assert_allclose(step_logits, logits[t], atol=1e-12)
-        np.testing.assert_allclose(state.h, final.h, atol=1e-12)
+        np.testing.assert_allclose(state.h[0], hs[-1], atol=1e-12)
 
     def test_batched_forward_rows_equal_streaming_steps(self):
         cfg = tiny_cfg("st-lstm")
@@ -100,13 +112,12 @@ class TestForward:
         seqs = [random_seq(rng, cfg.vocab, n)[:3] for n in (5, 2, 7)]
         hs = M.forward_batch(params, cfg, seqs)
         assert hs.shape == (3, 7, cfg.n_c)
-        from stpoi.cells import zero_state
         for b, (pois, dts, dds) in enumerate(seqs):
             state = zero_state(cfg.n_c)
             for t in range(len(pois)):
-                logits, state = M.step(params, cfg, state, int(pois[t]),
-                                       dts[t], dds[t])
-                np.testing.assert_array_equal(hs[b, t], state.h)
+                logits, state = step(params, cfg, state, int(pois[t]),
+                                     dts[t], dds[t])
+                np.testing.assert_array_equal(hs[b, t], state.h[0])
                 np.testing.assert_array_equal(M.readout(params, hs[b, t]),
                                               logits)
 
@@ -114,7 +125,7 @@ class TestForward:
         cfg = tiny_cfg("lstm")
         params = zero_model(cfg)
         with pytest.raises(IndexError):
-            M.forward_sequence(params, cfg, [6], [0.0], [0.0])
+            M.forward_batch(params, cfg, [([6], [0.0], [0.0])])
         with pytest.raises(IndexError):
             M.loss_and_grads(params, cfg, [0], [0.0], [0.0], [-1])
 
@@ -122,7 +133,7 @@ class TestForward:
         cfg = tiny_cfg("lstm")
         params = zero_model(cfg)
         with pytest.raises(ValueError):
-            M.forward_sequence(params, cfg, [], [], [])
+            M.forward_batch(params, cfg, [([], [], [])])
 
 
 class TestGradients:
@@ -210,42 +221,44 @@ class TestGradients:
 
 
 class TestPredict:
+    """Ranking after a history: forward_batch, readout, then eval._ranks."""
+
     def test_k_equals_vocab_is_permutation(self):
         cfg = tiny_cfg("st-clstm", vocab=9)
         rng = np.random.default_rng(21)
         params = M.init_model(cfg, rng)
         pois, dts, dds, _ = random_seq(rng, cfg.vocab, 4)
-        top = M.predict_topk(params, cfg, pois, dts, dds, k=9)
-        assert sorted(top.tolist()) == list(range(9))
+        ranks = last_ranks(params, cfg, pois, dts, dds)
+        assert sorted(ranks.tolist()) == list(range(1, 10))
 
     def test_zero_params_ties_break_ascending(self):
         cfg = tiny_cfg("lstm", vocab=7)
         params = zero_model(cfg)
-        top = M.predict_topk(params, cfg, [0, 1], [0.0, 0.0], [0.0, 0.0], k=7)
-        assert top.tolist() == list(range(7))
+        ranks = last_ranks(params, cfg, [0, 1], [0.0, 0.0], [0.0, 0.0])
+        assert ranks.tolist() == list(range(1, 8))
 
     def test_top1_is_argmax(self):
         cfg = tiny_cfg("st-lstm", vocab=11)
         rng = np.random.default_rng(22)
         params = M.init_model(cfg, rng)
         pois, dts, dds, _ = random_seq(rng, cfg.vocab, 5)
-        logits, _, _ = M.forward_sequence(params, cfg, pois, dts, dds)
-        top = M.predict_topk(params, cfg, pois, dts, dds, k=1)
-        assert top[0] == int(np.argmax(logits[-1]))
+        logits = seq_logits(params, cfg, pois, dts, dds)
+        ranks = last_ranks(params, cfg, pois, dts, dds)
+        assert ranks.tolist().index(1) == int(np.argmax(logits[-1]))
 
     def test_exclusion(self):
         cfg = tiny_cfg("lstm", vocab=5)
         params = zero_model(cfg)
-        top = M.predict_topk(params, cfg, [0], [0.0], [0.0], k=3, exclude=[0, 1])
-        assert top.tolist() == [2, 3, 4]
-        with pytest.raises(ValueError):
-            M.predict_topk(params, cfg, [0], [0.0], [0.0], k=4, exclude=[0, 1])
+        visited = np.zeros((5, 5), dtype=bool)
+        visited[:, [0, 1]] = True
+        ranks = last_ranks(params, cfg, [0], [0.0], [0.0], visited)
+        assert ranks[2:].tolist() == [1, 2, 3]
 
     def test_empty_history_rejected(self):
         cfg = tiny_cfg("lstm")
         params = zero_model(cfg)
         with pytest.raises(ValueError):
-            M.predict_topk(params, cfg, [], [], [], k=1)
+            last_ranks(params, cfg, [], [], [])
 
 
 class TestCheckpoint:
