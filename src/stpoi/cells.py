@@ -32,6 +32,14 @@ Three variants share one parameter layout (``CellParams``):
         c_hat = (1 - i*t1*d1) * c_prev + i*t1*d1 * g
         c     = (1 - i)       * c_prev + i * t2*d2 * g
 
+All three are one update with write gates w1, w2 and keep gates k1, k2:
+
+    c_hat = k1 * c_prev + w1 * g        c = k2 * c_prev + w2 * g
+
+w1 = w2 = i without interval gates (lstm, where c is c_hat), w1 = i*t1*d1
+and w2 = i*t2*d2 with them; k1 = k2 = f with a forget gate, k1 = 1 - w1 and
+k2 = 1 - i without one (st-clstm).
+
 Keeping t1/d1 monotonically non-increasing in the interval requires their
 interval weight vectors to stay non-positive; the optimizer's projection
 step maintains that (see optim.project and constrained_names below).
@@ -178,7 +186,6 @@ class StepCache:
     """Everything the backward pass needs from one forward step."""
 
     variant: str
-    ablation: GateAblation
     x: np.ndarray
     dt: Optional[np.ndarray]    # None for lstm, which reads no intervals
     dd: Optional[np.ndarray]
@@ -187,11 +194,13 @@ class StepCache:
     g: np.ndarray
     o: np.ndarray
     c_prev: np.ndarray
-    c: np.ndarray
-    c_hat: np.ndarray
+    w1: np.ndarray              # write and keep gates of c_hat and c
+    w2: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
     tanh_c_hat: np.ndarray
-    f: Optional[np.ndarray] = None
-    gates: dict = field(default_factory=dict)   # name -> (value, inner) for t1,t2,d1,d2
+    f: Optional[np.ndarray] = None      # None for st-clstm, which has no forget gate
+    gates: dict = field(default_factory=dict)   # name -> (value, inner or None if pinned)
 
 
 def _tensor_shapes(variant: str, n_i: int, n_c: int) -> dict:
@@ -272,13 +281,13 @@ def formula_param_count(variant: str, n_i: int, n_c: int, n_o: int = 0):
     bookkeeping of recurrent/input blocks and biases); both figures are
     reported side by side and never forced to agree.  Returns None for
     st-clstm, which has no quoted formula."""
-    if variant == "lstm":
-        return n_c * n_c * 4 + n_i * n_c * 4 + n_c * n_o + n_c * 3
-    if variant == "st-lstm":
-        return n_c * n_c * 5 + n_i * n_c * 8 + n_c * n_o + n_c * 9
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     if variant == "st-clstm":
         return None
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant == "lstm":
+        return n_c * n_c * 4 + n_i * n_c * 4 + n_c * n_o + n_c * 3
+    return n_c * n_c * 5 + n_i * n_c * 8 + n_c * n_o + n_c * 9     # st-lstm
 
 
 def zero_state(n_c: int, batch: int = 1) -> CellState:
@@ -333,78 +342,53 @@ def cell_forward(variant, p: CellParams, step: StepInput, prev: CellState,
         raise ValueError(f"cell_forward: params hold the {p.variant} tensors, "
                          f"not those of {variant!r}")
     ablation = ablation or GateAblation()
-    x, dt, dd, c_prev, h_prev = _promote(p, step, prev, variant != "lstm")
+    has_forget, has_intervals = "w_f" in p, "w_to" in p
+    x, dt, dd, c_prev, h_prev = _promote(p, step, prev, has_intervals)
     z = np.concatenate([h_prev, x], axis=1)
     i = numkit.sigmoid(numkit.affine(p["w_i"], z, p["b_i"]))
     g = numkit.tanh_v(numkit.affine(p["w_c"], z, p["b_c"]))
     a_o = numkit.affine(p["w_o"], z, p["b_o"])
     f = None
-    if variant != "st-clstm":
+    if has_forget:
         f = numkit.sigmoid(numkit.affine(p["w_f"], z, p["b_f"]))
     gates = {}
-    if variant == "lstm":
-        o = numkit.sigmoid(a_o)
-        c = c_hat = f * c_prev + i * g
-    else:
+    w1 = w2 = i
+    if has_intervals:
         ones = np.ones((x.shape[0], p.n_c))
         for gate, which in _GATE_SPECS:
             if getattr(ablation, f"fix_{gate}"):
                 gates[gate] = (ones, None)
             else:
                 gates[gate] = _interval_gate(p, gate, x, dt if which == "dt" else dd)
-        o = numkit.sigmoid(a_o + dt[:, None] * p["w_to"] + dd[:, None] * p["w_do"])
-        t1, d1 = gates["t1"][0], gates["d1"][0]
-        t2, d2 = gates["t2"][0], gates["d2"][0]
-        if variant == "st-lstm":
-            c_hat = f * c_prev + i * t1 * d1 * g
-            c = f * c_prev + i * t2 * d2 * g
-        else:
-            p1 = i * t1 * d1
-            c_hat = (1.0 - p1) * c_prev + p1 * g
-            c = (1.0 - i) * c_prev + i * t2 * d2 * g
+        a_o = a_o + dt[:, None] * p["w_to"] + dd[:, None] * p["w_do"]
+        w1 = i * gates["t1"][0] * gates["d1"][0]
+        w2 = i * gates["t2"][0] * gates["d2"][0]
+    o = numkit.sigmoid(a_o)
+    k1, k2 = (f, f) if has_forget else (1.0 - w1, 1.0 - i)
+    c_hat = k1 * c_prev + w1 * g
+    c = k2 * c_prev + w2 * g if has_intervals else c_hat
     tch = np.tanh(c_hat)
     h = o * tch
     cache = StepCache(
-        variant=variant, ablation=ablation, x=x, dt=dt, dd=dd, z=z, i=i, f=f,
-        g=g, o=o, c_prev=c_prev, c=c, c_hat=c_hat, tanh_c_hat=tch, gates=gates,
+        variant=variant, x=x, dt=dt, dd=dd, z=z, i=i, f=f,
+        g=g, o=o, c_prev=c_prev, w1=w1, w2=w2, k1=k1, k2=k2, tanh_c_hat=tch,
+        gates=gates,
     )
     return CellState(c=c, h=h, c_hat=c_hat), cache
 
 
-def _gate_backward(p, gate, dgate, cache, grads, dx, du_dt, du_dd, which):
-    """Backward through one interval gate; accumulates into grads/dx and
-    returns nothing.  Skipped entirely for pinned gates."""
-    value, inner = cache.gates[gate]
-    dpre = dgate * value * (1.0 - value)
-    grads[f"w_x{gate}"] += dpre.T @ cache.x
-    grads[f"b_{gate}"] += dpre.sum(axis=0)
-    dx += numkit.matmul_rows(dpre, p[f"w_x{gate}"])
-    dinner = dpre * inner * (1.0 - inner)
-    u = cache.dt if which == "dt" else cache.dd
-    grads[f"w_{gate}"] += (u[:, None] * dinner).sum(axis=0)
-    du = dinner @ p[f"w_{gate}"]
-    if which == "dt":
-        du_dt += du
-    else:
-        du_dd += du
-
-
-def cell_backward(variant: str, p, cache: StepCache, grad_h, grad_c):
-    """Backpropagate one step.
+def cell_backward(p, cache: StepCache, grad_h, grad_c, grads):
+    """Backpropagate one step, adding the parameter gradients into ``grads``.
 
     ``grad_h``/``grad_c`` are the loss gradients at this step's h output and
-    carried c.  Returns ``(grads, grad_h_prev, grad_c_prev, grad_x, grad_dt,
-    grad_dd)`` where grads maps every tensor name of the variant to its
-    gradient (exactly zero for pinned gates).  The upstream gradients and
-    every per-row output are batches shaped like the step: (B, n_c) for
-    h and c, (B, n_i) for x and (B,) for dt and dd.
+    carried c, (B, n_c) each.  ``grads`` maps every tensor name of the
+    variant to an accumulator of its shape; each entry is added to in place
+    (pinned gates' entries are left untouched).  Returns ``(grad_h_prev,
+    grad_c_prev, grad_x)``, shaped (B, n_c), (B, n_c) and (B, n_i).
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if cache.variant != variant:
-        raise ValueError(
-            f"cell_backward: cache was built by {cache.variant!r}, not {variant!r}"
-        )
+    if p.variant != cache.variant:
+        raise ValueError(f"cell_backward: cache was built by {cache.variant!r}, "
+                         f"params hold the {p.variant} tensors")
     gh = np.asarray(grad_h, dtype=float)
     gc = np.asarray(grad_c, dtype=float)
     if gh.shape != cache.i.shape or gc.shape != cache.i.shape:
@@ -413,69 +397,37 @@ def cell_backward(variant: str, p, cache: StepCache, grad_h, grad_c):
             f"match step batch/width {cache.i.shape}"
         )
 
-    n_c = p.n_c
-    grads = {name: np.zeros(arr.shape) for name, arr in p.items()}
-    i, g, o = cache.i, cache.g, cache.o
+    i, g, o, f = cache.i, cache.g, cache.o, cache.f
     tch = cache.tanh_c_hat
+    c_prev = cache.c_prev
 
     do = gh * tch
     da_o = do * o * (1.0 - o)
     dch = gh * o * (1.0 - tch * tch)
-    dc = gc
 
-    if variant == "lstm":
-        dct = dch + dc              # c and c_hat are the same array here
-        f = cache.f
-        df = dct * cache.c_prev
-        di = dct * g
-        dg = dct * i
-        dc_prev = dct * f
-        da_f = df * f * (1.0 - f)
-        grads["w_f"] += da_f.T @ cache.z
-        grads["b_f"] += da_f.sum(axis=0)
-        dx = np.zeros_like(cache.x)
-        du_dt = np.zeros(cache.x.shape[0])
-        du_dd = np.zeros(cache.x.shape[0])
-    else:
-        t1 = cache.gates["t1"][0]
-        t2 = cache.gates["t2"][0]
-        d1 = cache.gates["d1"][0]
-        d2 = cache.gates["d2"][0]
-        dx = np.zeros_like(cache.x)
-        du_dt = da_o @ p["w_to"]
-        du_dd = da_o @ p["w_do"]
+    # c_hat = k1 * c_prev + w1 * g  and  c = k2 * c_prev + w2 * g
+    dk1, dw1 = dch * c_prev, dch * g
+    dk2, dw2 = gc * c_prev, gc * g
+    dg = dch * cache.w1 + gc * cache.w2
+    dc_prev = dch * cache.k1 + gc * cache.k2
+    da_f = None
+    dgates = {}
+    if f is not None:           # k1 = k2 = f
+        da_f = (dk1 + dk2) * f * (1.0 - f)
+        di = 0.0
+    else:                       # k1 = 1 - w1, k2 = 1 - i
+        dw1 = dw1 - dk1
+        di = -dk2
+    if not cache.gates:         # w1 = w2 = i
+        di = di + dw1 + dw2
+    else:                       # w1 = i * t1 * d1, w2 = i * t2 * d2
+        t1, d1 = cache.gates["t1"][0], cache.gates["d1"][0]
+        t2, d2 = cache.gates["t2"][0], cache.gates["d2"][0]
+        di = di + dw1 * t1 * d1 + dw2 * t2 * d2
+        dgates = {"t1": dw1 * i * d1, "t2": dw2 * i * d2,
+                  "d1": dw1 * i * t1, "d2": dw2 * i * t2}
         grads["w_to"] += (cache.dt[:, None] * da_o).sum(axis=0)
         grads["w_do"] += (cache.dd[:, None] * da_o).sum(axis=0)
-        if variant == "st-lstm":
-            f = cache.f
-            dct = dch + dc
-            df = dct * cache.c_prev
-            di = dch * t1 * d1 * g + dc * t2 * d2 * g
-            dg = dch * i * t1 * d1 + dc * i * t2 * d2
-            dt1 = dch * i * d1 * g
-            dd1 = dch * i * t1 * g
-            dt2 = dc * i * d2 * g
-            dd2 = dc * i * t2 * g
-            dc_prev = dct * f
-            da_f = df * f * (1.0 - f)
-            grads["w_f"] += da_f.T @ cache.z
-            grads["b_f"] += da_f.sum(axis=0)
-        else:
-            p1 = i * t1 * d1
-            dp1 = dch * (g - cache.c_prev)
-            dg = dch * p1 + dc * i * t2 * d2
-            dc_prev = dch * (1.0 - p1) + dc * (1.0 - i)
-            di = dp1 * t1 * d1 + dc * (t2 * d2 * g - cache.c_prev)
-            dt1 = dp1 * i * d1
-            dd1 = dp1 * i * t1
-            dt2 = dc * i * d2 * g
-            dd2 = dc * i * t2 * g
-            da_f = None
-        for gate, dgate, which in (
-            ("t1", dt1, "dt"), ("t2", dt2, "dt"), ("d1", dd1, "dd"), ("d2", dd2, "dd"),
-        ):
-            if not getattr(cache.ablation, f"fix_{gate}"):
-                _gate_backward(p, gate, dgate, cache, grads, dx, du_dt, du_dd, which)
 
     da_i = di * i * (1.0 - i)
     da_g = dg * (1.0 - g * g)
@@ -489,8 +441,20 @@ def cell_backward(variant: str, p, cache: StepCache, grad_h, grad_c):
     dz = (numkit.matmul_rows(da_i, p["w_i"]) + numkit.matmul_rows(da_g, p["w_c"])
           + numkit.matmul_rows(da_o, p["w_o"]))
     if da_f is not None:
+        grads["w_f"] += da_f.T @ cache.z
+        grads["b_f"] += da_f.sum(axis=0)
         dz += numkit.matmul_rows(da_f, p["w_f"])
-    dh_prev = dz[:, :n_c]
-    dx += dz[:, n_c:]
-
-    return grads, dh_prev, dc_prev, dx, du_dt, du_dd
+    n_c = p.n_c
+    dx = dz[:, n_c:]
+    for gate, dgate in dgates.items():
+        value, inner = cache.gates[gate]
+        if inner is None:           # pinned by the ablation: no parameters to train
+            continue
+        dpre = dgate * value * (1.0 - value)
+        grads[f"w_x{gate}"] += dpre.T @ cache.x
+        grads[f"b_{gate}"] += dpre.sum(axis=0)
+        dx += numkit.matmul_rows(dpre, p[f"w_x{gate}"])
+        dinner = dpre * inner * (1.0 - inner)
+        u = cache.dt if gate[0] == "t" else cache.dd
+        grads[f"w_{gate}"] += (u[:, None] * dinner).sum(axis=0)
+    return dz[:, :n_c], dc_prev, dx

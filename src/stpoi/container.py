@@ -21,16 +21,21 @@ the same header and arrays therefore always produces identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
 import struct
 
 import numpy as np
 
 MAGIC = b"STPK"
 VERSION = 1
+_PREFIX = struct.Struct("<4sIQ")    # magic, version, header length
 
-# dtypes we are willing to round-trip; everything else is a caller bug
-_ALLOWED = {"float32", "float64", "int32", "int64", "uint8"}
+# dtypes we are willing to round-trip; everything else is a caller bug.  A
+# tuple, so that testing an unhashable header value for membership is False.
+_ALLOWED = ("float32", "float64", "int32", "int64", "uint8")
 
 
 class ContainerError(ValueError):
@@ -41,7 +46,9 @@ def save(path, meta: dict, arrays: dict) -> None:
     """Write ``arrays`` (name -> ndarray) with metadata ``meta`` to ``path``.
 
     Tensors are stored sorted by name, so equal content yields equal bytes
-    no matter how the caller's dict was built.
+    no matter how the caller's dict was built.  The bytes go to a temporary
+    file in the same directory that then replaces ``path``, so a failed or
+    interrupted write leaves any earlier file at ``path`` as it was.
     """
     entries = []
     payloads = []
@@ -59,36 +66,75 @@ def save(path, meta: dict, arrays: dict) -> None:
     header = json.dumps(
         {"meta": meta, "tensors": entries}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for blob in payloads:
-            fh.write(blob)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_PREFIX.pack(MAGIC, VERSION, len(header)))
+            fh.write(header)
+            for blob in payloads:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load(path):
     """Read a container, returning ``(meta, arrays)``.
 
-    Raises ContainerError on a bad magic number, unknown version, or
-    truncated payload; FileNotFoundError propagates from open().
+    Raises ContainerError for any file that is not a well-formed container
+    (bad magic, unknown version, malformed header, or sizes that disagree
+    with the file); FileNotFoundError propagates from open().
     """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ContainerError(f"{path}: not a container file (bad magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(_PREFIX.size)
+        if prefix[:4] != MAGIC:
+            raise ContainerError(f"{path}: not a container file (bad magic {prefix[:4]!r})")
+        if len(prefix) < _PREFIX.size:
+            raise ContainerError(f"{path}: truncated before the header")
+        _, version, hlen = _PREFIX.unpack(prefix)
         if version != VERSION:
             raise ContainerError(f"{path}: unsupported container version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        if hlen > size - _PREFIX.size:
+            raise ContainerError(f"{path}: header length {hlen} exceeds the file size")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise ContainerError(f"{path}: unreadable header ({exc})") from None
+        entries = _entries(path, header)
+        if sum(e["nbytes"] for e in entries) != size - _PREFIX.size - hlen:
+            raise ContainerError(f"{path}: payload size does not match the header")
         arrays = {}
-        for entry in header["tensors"]:
-            raw = fh.read(entry["nbytes"])
-            if len(raw) != entry["nbytes"]:
-                raise ContainerError(f"{path}: truncated payload for {entry['name']!r}")
+        for entry in entries:
             dt = np.dtype(entry["dtype"]).newbyteorder("<")
-            arr = np.frombuffer(raw, dtype=dt).reshape(entry["shape"])
+            try:
+                arr = np.frombuffer(fh.read(entry["nbytes"]), dtype=dt).reshape(
+                    entry["shape"])
+            except ValueError as exc:     # numpy's own limits on rank and size
+                raise ContainerError(f"{path}: tensor {entry['name']!r}: {exc}") from None
             arrays[entry["name"]] = arr.astype(entry["dtype"])
     return header["meta"], arrays
+
+
+def _entries(path, header) -> list:
+    """The tensor entries of a parsed header.  Raises ContainerError unless
+    the header is an object with an object ``meta`` and a list ``tensors``
+    of distinct names, each with an allowed dtype, a shape of non-negative
+    ints and ``nbytes`` equal to the shape's size."""
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("tensors"), list)):
+        raise ContainerError(f"{path}: header is not an object with an object "
+                             f"'meta' and a list 'tensors'")
+    names = set()
+    for e in header["tensors"]:
+        if not (isinstance(e, dict) and isinstance(e.get("name"), str)
+                and e["name"] not in names and e.get("dtype") in _ALLOWED
+                and isinstance(e.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in e["shape"])
+                and type(e.get("nbytes")) is int
+                and e["nbytes"] == math.prod(e["shape"]) * np.dtype(e["dtype"]).itemsize):
+            raise ContainerError(f"{path}: malformed tensor entry {e!r:.100}")
+        names.add(e["name"])
+    return header["tensors"]

@@ -129,7 +129,7 @@ def _check_ids(pois, vocab, who):
 
 
 def readout(params: ModelParams, h) -> np.ndarray:
-    """Logits over the whole vocabulary for a hidden state or a row batch."""
+    """Logits over the whole vocabulary for a (B, n_c) row batch of states."""
     return affine(params.w_out, h, params.b_out)
 
 
@@ -231,11 +231,8 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
         grads["w_out"] += dlog.T @ hs[t]
         grads["b_out"] += dlog.sum(axis=0)
         dh = matmul_rows(dlog, params.w_out) + dh_next
-        cell_grads, dh_prev, dc_prev, dx, _, _ = cell_backward(
-            cfg.variant, params.cell, caches[t], dh, dc_next
-        )
-        for name, g in cell_grads.items():
-            grads[name] += g
+        dh_prev, dc_prev, dx = cell_backward(params.cell, caches[t], dh, dc_next,
+                                             grads)
         # reduce duplicate rows within the step before touching the
         # accumulator: each embedding row then receives one delta per step,
         # which keeps a duplicated batch exactly twice the single run

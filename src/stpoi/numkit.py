@@ -2,8 +2,7 @@
 
 The cells and the model call these kernels on row batches: (B, K) float
 arrays whose last axis is the vector axis, one row per sequence.  The
-elementwise functions take any shape, and ``affine`` also takes a single
-vector, which it computes as a batch of one.  Default precision is float64.
+elementwise functions take any shape.  Default precision is float64.
 
 Matrix products over a row batch (``affine``, ``matmul_rows``) run in fixed
 ``TILE_ROWS``-row tiles, the last one zero-padded, so every BLAS call has the
@@ -75,24 +74,20 @@ def _tiled_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def affine(w, x, b) -> np.ndarray:
-    """w @ x + b for a vector x, or x @ w.T + b for a row batch x.
-
-    A vector goes through the same tile as a one-row batch, so its bits equal
-    that row's in any batch.
-    """
+    """x @ w.T + b for a (B, K) row batch x, computed in tiles."""
     w, x, b = np.asarray(w), np.asarray(x), np.asarray(b)
-    if w.ndim != 2 or b.ndim != 1 or x.ndim not in (1, 2):
+    if w.ndim != 2 or b.ndim != 1 or x.ndim != 2:
         raise ValueError(
-            f"affine: expected matrix, vector-or-batch, vector; got "
+            f"affine: expected matrix, row batch, vector; got "
             f"{w.shape}, {x.shape}, {b.shape}"
         )
-    if x.shape[-1] != w.shape[1] or b.shape[0] != w.shape[0]:
+    if x.shape[1] != w.shape[1] or b.shape[0] != w.shape[0]:
         raise ValueError(
             f"affine: incompatible shapes w={w.shape} x={x.shape} b={b.shape}"
         )
-    out = _tiled_matmul(np.atleast_2d(x), w.T)
+    out = _tiled_matmul(x, w.T)
     out += b
-    return out[0] if x.ndim == 1 else out
+    return out
 
 
 def matmul_rows(a, m) -> np.ndarray:
@@ -112,6 +107,8 @@ def softmax_xent_rows(logits, targets):
 
     ``logits`` is (B, N), ``targets`` (B,) ints.  Returns ``(losses, grads)``
     with losses (B,) and grads (B, N); used by the mini-batch training path.
+    A row whose target holds the maximum logit takes its loss as log1p of
+    the other classes' mass, so a tiny loss keeps full precision.
     """
     z = np.asarray(logits)
     t = np.asarray(targets)
@@ -126,6 +123,10 @@ def softmax_xent_rows(logits, targets):
     total = ex.sum(axis=1, keepdims=True)
     rows = np.arange(z.shape[0])
     losses = np.log(total[:, 0]) - (z[rows, t] - m[:, 0])
+    top = np.flatnonzero(z[rows, t] == m[:, 0])     # rows where ex[target] = 1
+    rest = ex[top]
+    rest[np.arange(top.size), t[top]] = 0.0
+    losses[top] = np.log1p(rest.sum(axis=1))
     grads = ex / total
     grads[rows, t] -= 1.0
     return losses, grads

@@ -39,22 +39,17 @@ def unrolled_readout_loss(variant, p, seq, readouts, ablation=None):
 
 
 def unrolled_readout_grads(variant, p, seq, readouts, ablation=None):
-    """Analytic gradients of unrolled_readout_loss via cell_backward."""
+    """Analytic gradients of unrolled_readout_loss via cell_backward;
+    returns ``(loss, grads, dxs)`` with one (n_i,) input gradient per step."""
     loss, caches = unrolled_readout_loss(variant, p, seq, readouts, ablation)
     grads = {name: np.zeros(a.shape) for name, a in p.items()}
     dh = np.zeros((1, p.n_c))
     dc = np.zeros((1, p.n_c))
-    dxs, ddts, ddds = [], [], []
+    dxs = []
     for cache, r in zip(reversed(caches), reversed(readouts)):
-        step_grads, dh, dc, dx, ddt, ddd = cells.cell_backward(
-            variant, p, cache, dh + r, dc
-        )
-        for k in grads:
-            grads[k] += step_grads[k]
+        dh, dc, dx = cells.cell_backward(p, cache, dh + r, dc, grads)
         dxs.append(dx[0])
-        ddts.append(float(ddt[0]))
-        ddds.append(float(ddd[0]))
-    return loss, grads, dxs[::-1], ddts[::-1], ddds[::-1]
+    return loss, grads, dxs[::-1]
 
 
 def central_diff(fn, arr, eps=1e-5):

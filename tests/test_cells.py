@@ -226,21 +226,20 @@ class TestBackward:
         for variant in cells.VARIANTS:
             p, seq, _ = random_cell_setup(variant, 3, 4, 1, rng)
             state, cache = cells.cell_forward(variant, p, seq[0], cells.zero_state(4))
-            grads, dh, dc, dx, ddt, ddd = cells.cell_backward(
-                variant, p, cache, np.zeros((1, 4)), np.zeros((1, 4))
+            grads = {name: np.zeros(a.shape) for name, a in p.items()}
+            dh, dc, dx = cells.cell_backward(
+                p, cache, np.zeros((1, 4)), np.zeros((1, 4)), grads
             )
             for name, g in grads.items():
                 np.testing.assert_array_equal(g, np.zeros_like(g), err_msg=name)
             np.testing.assert_array_equal(dh, np.zeros((1, 4)))
             np.testing.assert_array_equal(dx, np.zeros((1, 3)))
-            np.testing.assert_array_equal(ddt, [0.0])
-            np.testing.assert_array_equal(ddd, [0.0])
 
     @pytest.mark.parametrize("variant", cells.VARIANTS)
     def test_param_grads_match_finite_differences(self, variant):
         rng = np.random.default_rng(9)
         p, seq, readouts = random_cell_setup(variant, 3, 4, 3, rng)
-        _, grads, dxs, ddts, ddds = unrolled_readout_grads(variant, p, seq, readouts)
+        _, grads, _ = unrolled_readout_grads(variant, p, seq, readouts)
 
         def loss():
             return unrolled_readout_loss(variant, p, seq, readouts)[0]
@@ -250,10 +249,10 @@ class TestBackward:
             assert rel_err(grads[name], fd) <= 1e-6, name
 
     @pytest.mark.parametrize("variant", ("st-lstm", "st-clstm"))
-    def test_input_and_interval_grads_match_finite_differences(self, variant):
+    def test_input_grads_match_finite_differences(self, variant):
         rng = np.random.default_rng(10)
         p, seq, readouts = random_cell_setup(variant, 3, 4, 3, rng)
-        _, _, dxs, ddts, ddds = unrolled_readout_grads(variant, p, seq, readouts)
+        _, _, dxs = unrolled_readout_grads(variant, p, seq, readouts)
 
         def loss():
             return unrolled_readout_loss(variant, p, seq, readouts)[0]
@@ -261,23 +260,13 @@ class TestBackward:
         for t, step in enumerate(seq):
             fd_x = central_diff(loss, step.x)
             assert rel_err(dxs[t], fd_x) <= 1e-6
-            for attr, analytic in (("dt", ddts[t]), ("dd", ddds[t])):
-                orig = getattr(step, attr)
-                eps = 1e-5
-                setattr(step, attr, orig + eps)
-                up = loss()
-                setattr(step, attr, orig - eps)
-                down = loss()
-                setattr(step, attr, orig)
-                fd = (up - down) / (2 * eps)
-                assert rel_err(np.array([analytic]), np.array([fd])) <= 1e-6
 
     @pytest.mark.parametrize("variant", ("st-lstm", "st-clstm"))
     def test_pinned_gates_get_exactly_zero_grads(self, variant):
         rng = np.random.default_rng(11)
         ablation = GateAblation(fix_t1=True, fix_d2=True)
         p, seq, readouts = random_cell_setup(variant, 3, 4, 3, rng)
-        _, grads, _, _, _ = unrolled_readout_grads(variant, p, seq, readouts, ablation)
+        _, grads, _ = unrolled_readout_grads(variant, p, seq, readouts, ablation)
         for name in ("w_xt1", "w_t1", "b_t1", "w_xd2", "w_d2", "b_d2"):
             np.testing.assert_array_equal(grads[name], np.zeros_like(grads[name]))
         # the live gates still learn
@@ -291,20 +280,15 @@ class TestBackward:
             fd = central_diff(loss, p[name])
             assert rel_err(grads[name], fd) <= 1e-6, name
 
-    def test_interval_grad_zero_when_time_gates_pinned_and_w_to_zero(self):
-        rng = np.random.default_rng(12)
-        p, seq, readouts = random_cell_setup("st-lstm", 3, 4, 2, rng)
-        p.w_to[...] = 0.0
-        ablation = GateAblation(fix_t1=True, fix_t2=True)
-        _, _, _, ddts, _ = unrolled_readout_grads("st-lstm", p, seq, readouts, ablation)
-        assert all(v == 0.0 for v in ddts)
-
     def test_cache_variant_mismatch_raises(self):
         rng = np.random.default_rng(13)
         p, seq, _ = random_cell_setup("st-lstm", 3, 4, 1, rng)
         _, cache = cells.cell_forward("st-lstm", p, seq[0], cells.zero_state(4))
+        p_lstm = cells.init_params("lstm", 3, 4, rng)
+        grads = {name: np.zeros(a.shape) for name, a in p_lstm.items()}
         with pytest.raises(ValueError):
-            cells.cell_backward("lstm", p, cache, np.zeros((1, 4)), np.zeros((1, 4)))
+            cells.cell_backward(p_lstm, cache, np.zeros((1, 4)), np.zeros((1, 4)),
+                                grads)
 
     def test_batch_backward_matches_summed_single_rows(self):
         rng = np.random.default_rng(14)
@@ -320,24 +304,20 @@ class TestBackward:
         gc = rng.normal(size=(5, 4))
         _, cache = cells.cell_forward("st-clstm", p, StepInput(x=xb, dt=dtb, dd=ddb),
                                       prev)
-        grads_b, dh_b, dc_b, dx_b, ddt_b, ddd_b = cells.cell_backward(
-            "st-clstm", p, cache, gh, gc
-        )
-        summed = {k: np.zeros_like(v) for k, v in grads_b.items()}
+        grads_b = {k: np.zeros_like(v) for k, v in p.items()}
+        dh_b, dc_b, dx_b = cells.cell_backward(p, cache, gh, gc, grads_b)
+        summed = {k: np.zeros_like(v) for k, v in p.items()}
         for r in range(5):
             prev_r = CellState(c=prev.c[r], h=prev.h[r], c_hat=prev.c_hat[r])
             _, cache_r = cells.cell_forward(
                 "st-clstm", p, StepInput(x=xb[r], dt=float(dtb[r]), dd=float(ddb[r])),
                 prev_r
             )
-            grads_r, dh_r, dc_r, dx_r, ddt_r, ddd_r = cells.cell_backward(
-                "st-clstm", p, cache_r, gh[r:r + 1], gc[r:r + 1]
+            dh_r, dc_r, dx_r = cells.cell_backward(
+                p, cache_r, gh[r:r + 1], gc[r:r + 1], summed
             )
-            for k in summed:
-                summed[k] += grads_r[k]
             np.testing.assert_allclose(dh_b[r], dh_r[0], atol=1e-12)
             np.testing.assert_allclose(dx_b[r], dx_r[0], atol=1e-12)
-            np.testing.assert_allclose(ddt_b[r], ddt_r[0], atol=1e-12)
         for k in summed:
             np.testing.assert_allclose(grads_b[k], summed[k], atol=1e-11, err_msg=k)
 

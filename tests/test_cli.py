@@ -217,6 +217,17 @@ class TestEval:
         err = capsys.readouterr().err
         assert message in err and len(err.strip().splitlines()) == 1
 
+    def test_truncated_checkpoint_rejected(self, synth_cache, tmp_path, capsys):
+        vocab = data.load_corpus(synth_cache).n_pois
+        cfg = M.ModelConfig(variant="lstm", vocab=vocab, n_i=3, n_c=3)
+        ck = tmp_path / "ck.bin"
+        M.save_checkpoint(ck, M.init_model(cfg, np.random.default_rng(0)), cfg)
+        ck.write_bytes(ck.read_bytes()[:6])
+        rc = run("eval", "--corpus", str(synth_cache), "--checkpoint", str(ck))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "truncated" in err and len(err.strip().splitlines()) == 1
+
 
 class TestGrid:
     def test_cross_product_and_determinism(self, synth_cache, tmp_path,

@@ -1,5 +1,11 @@
+import errno
+import io
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stpoi import container
 
@@ -60,3 +66,117 @@ def test_rejects_truncation(tmp_path):
     path.write_bytes(blob[: len(blob) - 40])
     with pytest.raises(container.ContainerError):
         container.load(path)
+
+
+def _raw(header, payload=b"", hlen=None, version=1):
+    """A container file built by hand: prefix, header (an object to dump
+    as JSON, or raw bytes) and payload; ``hlen`` overrides the recorded
+    header length."""
+    head = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return (container.MAGIC + struct.pack("<I", version)
+            + struct.pack("<Q", len(head) if hlen is None else hlen) + head + payload)
+
+
+def _entry(**overrides):
+    entry = {"name": "a", "dtype": "float64", "shape": [2], "nbytes": 16}
+    entry.update(overrides)
+    return entry
+
+
+@pytest.mark.parametrize("blob", [
+    b"",
+    container.MAGIC + b"\x01\x00",                            # 6 bytes
+    container.MAGIC + b"\x01\x00\x00\x00\x10\x00\x00\x00",    # 12 bytes
+    _raw({"meta": {}, "tensors": []}, version=2),
+    _raw({"meta": {}, "tensors": []}, hlen=10**12),
+    _raw(b"{not json"),
+    _raw(b"\xff\xfe"),
+    _raw(b"[" * 100000),
+    _raw([]),
+    _raw({}),
+    _raw({"meta": [], "tensors": []}),
+    _raw({"meta": {}, "tensors": {}}),
+    _raw({"meta": {}, "tensors": ["a"]}),
+    _raw({"meta": {}, "tensors": [_entry(dtype="complex128")]}, bytes(16)),
+    _raw({"meta": {}, "tensors": [_entry(dtype="object")]}, bytes(16)),
+    _raw({"meta": {}, "tensors": [_entry(dtype=["float64"])]}, bytes(16)),
+    _raw({"meta": {}, "tensors": [_entry(shape=[-2])]}, bytes(16)),
+    _raw({"meta": {}, "tensors": [_entry(shape=[2.0])]}, bytes(16)),
+    _raw({"meta": {}, "tensors": [_entry(shape="2")]}, bytes(16)),
+    _raw({"meta": {}, "tensors": [_entry(nbytes=8)]}, bytes(8)),
+    _raw({"meta": {}, "tensors": [_entry(nbytes=10**12)]}, bytes(16)),
+    _raw({"meta": {}, "tensors": [_entry(shape=[0, 10**30], nbytes=0)]}),
+    _raw({"meta": {}, "tensors": [_entry(shape=[1] * 100, nbytes=8)]}, bytes(8)),
+    _raw({"meta": {}, "tensors": [_entry(), _entry()]}, bytes(32)),
+    _raw({"meta": {}, "tensors": [_entry()]}, bytes(15)),
+    _raw({"meta": {}, "tensors": [_entry()]}, bytes(17)),
+], ids=["empty", "6-bytes", "12-bytes", "version", "header-length", "bad-json",
+        "bad-utf8", "deep-json", "header-list", "header-empty", "meta-list",
+        "tensors-object", "entry-string", "dtype-complex", "dtype-object", "dtype-list",
+        "negative-dim", "float-dim", "shape-string", "nbytes-short", "nbytes-huge",
+        "dim-too-large", "rank-too-high", "duplicate-name", "payload-short",
+        "payload-long"])
+def test_rejects_malformed(tmp_path, blob):
+    path = tmp_path / "x.bin"
+    path.write_bytes(blob)
+    with pytest.raises(container.ContainerError):
+        container.load(path)
+
+
+def test_hand_built_file_loads(tmp_path):
+    path = tmp_path / "x.bin"
+    path.write_bytes(_raw({"meta": {"k": 1}, "tensors": [_entry()]},
+                          np.array([1.5, -2.0]).astype("<f8").tobytes()))
+    meta, arrays = container.load(path)
+    assert meta == {"k": 1}
+    np.testing.assert_array_equal(arrays["a"], [1.5, -2.0])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "x.bin"
+    container.save(path, {"kind": "t", "n": [1, 2]},
+                   {"f": np.linspace(0, 1, 5), "i": np.arange(3, dtype=np.int32)})
+    return path.parent, path.read_bytes()
+
+
+def test_every_truncation_rejected(fuzz_dir):
+    where, blob = fuzz_dir
+    path = where / "cut.bin"
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(container.ContainerError):
+            container.load(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_flipped_byte_loads_or_raises_container_error(fuzz_dir, data):
+    where, blob = fuzz_dir
+    at = data.draw(st.integers(0, len(blob) - 1))
+    flip = data.draw(st.integers(1, 255))
+    path = where / "flip.bin"
+    path.write_bytes(blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1:])
+    try:
+        container.load(path)
+    except container.ContainerError:
+        pass
+
+
+def test_failed_write_keeps_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "x.bin"
+    container.save(path, {"kind": "t"}, {"a": np.arange(50.0)})
+    before = path.read_bytes()
+
+    class DiskFull(io.BufferedWriter):
+        def write(self, data):
+            super().write(data[:5])
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+    monkeypatch.setattr(container, "open",
+                        lambda name, mode: DiskFull(io.FileIO(name, mode[0])),
+                        raising=False)
+    with pytest.raises(OSError):
+        container.save(path, {"kind": "u"}, {"a": np.ones(50)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]

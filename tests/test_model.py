@@ -118,8 +118,8 @@ class TestForward:
                 logits, state = step(params, cfg, state, int(pois[t]),
                                      dts[t], dds[t])
                 np.testing.assert_array_equal(hs[b, t], state.h[0])
-                np.testing.assert_array_equal(M.readout(params, hs[b, t]),
-                                              logits)
+                np.testing.assert_array_equal(
+                    M.readout(params, hs[b, t:t + 1])[0], logits)
 
     def test_id_out_of_vocab(self):
         cfg = tiny_cfg("lstm")

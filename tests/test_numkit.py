@@ -83,19 +83,19 @@ class TestTanh:
 
 class TestAffine:
     def test_identity(self):
-        x = np.array([2.0, -3.0])
+        x = np.array([[2.0, -3.0]])
         got = numkit.affine(np.eye(2), x, np.zeros(2))
         np.testing.assert_array_equal(got, x)
 
     def test_zero_matrix_returns_bias(self):
         b = np.array([1.5, -0.5, 2.0])
-        got = numkit.affine(np.zeros((3, 4)), np.ones(4), b)
-        np.testing.assert_array_equal(got, b)
+        got = numkit.affine(np.zeros((3, 4)), np.ones((1, 4)), b)
+        np.testing.assert_array_equal(got, [b])
 
     def test_example(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        got = numkit.affine(w, np.array([1.0, 1.0]), np.zeros(2))
-        np.testing.assert_array_equal(got, [3.0, 7.0])
+        got = numkit.affine(w, np.array([[1.0, 1.0]]), np.zeros(2))
+        np.testing.assert_array_equal(got, [[3.0, 7.0]])
 
     def test_batch_rows_match_vector_calls(self):
         rng = np.random.default_rng(3)
@@ -104,13 +104,16 @@ class TestAffine:
         xb = rng.normal(size=(5, 6))
         batch = numkit.affine(w, xb, b)
         for r in range(5):
-            np.testing.assert_allclose(batch[r], numkit.affine(w, xb[r], b), atol=1e-14)
+            np.testing.assert_allclose(batch[r], numkit.affine(w, xb[r:r + 1], b)[0],
+                                       atol=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            numkit.affine(np.ones((2, 3)), np.ones(4), np.ones(2))
+            numkit.affine(np.ones((2, 3)), np.ones((1, 4)), np.ones(2))
         with pytest.raises(ValueError):
-            numkit.affine(np.ones((2, 3)), np.ones(3), np.ones(3))
+            numkit.affine(np.ones((2, 3)), np.ones((1, 3)), np.ones(3))
+        with pytest.raises(ValueError):     # a bare vector is not a batch
+            numkit.affine(np.ones((2, 3)), np.ones(3), np.ones(2))
 
 
 class TestTileInvariance:
@@ -163,10 +166,6 @@ class TestTileInvariance:
         np.testing.assert_array_equal(numkit.matmul_rows(up[perm], w),
                                       alone_matmul[perm])
 
-    def test_vector_equals_its_row(self, pools):
-        w, b, x, _, alone_affine, _ = pools[1]
-        np.testing.assert_array_equal(numkit.affine(w, x[3], b), alone_affine[3])
-
 
 class TestCheckFinite:
     def test_names_the_bad_tensor(self):
@@ -190,8 +189,11 @@ class TestSoftmaxXent:
         np.testing.assert_allclose(grad, [0.25, 0.25, -0.75, 0.25], atol=1e-15)
 
     def test_confident_correct(self):
-        # the one-row oracle keeps a tiny loss to full precision (log1p)
+        # the row function and the one-row oracle keep a tiny loss to full
+        # precision (log1p)
         loss, _ = softmax_xent(np.array([10.0, -10.0]), 0)
+        np.testing.assert_allclose(loss, XENT_10_M10, rtol=1e-9)
+        loss, _ = xent_row(np.array([10.0, -10.0]), 0)
         np.testing.assert_allclose(loss, XENT_10_M10, rtol=1e-9)
 
     def test_shift_invariance(self):
