@@ -309,10 +309,47 @@ def save_corpus(corpus: Corpus, path) -> None:
     container.save(path, meta, arrays)
 
 
+def _check_corpus(meta: dict, arrays: dict, path) -> None:
+    """Raise FormatError unless the corpus header describes the payload:
+    well-formed user entries with ``1 <= n_train <= n``, lengths that sum to
+    the payload's, POI ids inside the vocabulary, and finite non-negative
+    intervals."""
+    users, vocab = meta.get("users"), meta.get("vocab")
+    if not isinstance(users, list) or not isinstance(vocab, list):
+        raise FormatError(f"{path}: corpus header needs 'users' and 'vocab' lists")
+    for name, kinds in (("pois", "iu"), ("dts", "f"), ("dds", "f")):
+        arr = arrays.get(name)
+        if arr is None or arr.ndim != 1 or arr.dtype.kind not in kinds:
+            raise FormatError(f"{path}: corpus payload needs a 1-D "
+                              f"{'integer' if kinds == 'iu' else 'float'} {name!r}")
+    for i, e in enumerate(users):
+        if not (type(e) is dict and type(e.get("user")) is str
+                and type(e.get("n")) is int and type(e.get("n_train")) is int):
+            raise FormatError(f"{path}: corpus user entry {i} is malformed")
+        if not 1 <= e["n_train"] <= e["n"]:
+            raise FormatError(f"{path}: corpus user {i} has n_train "
+                              f"{e['n_train']} outside [1, n = {e['n']}]")
+    n = sum(e["n"] for e in users)
+    sizes = (arrays["pois"].size, arrays["dts"].size, arrays["dds"].size)
+    if sizes != (n, n - len(users), n - len(users)):
+        raise FormatError(f"{path}: corpus users hold {n} records, the payload "
+                          f"{sizes[0]} POIs and {sizes[1]}/{sizes[2]} intervals")
+    pois = arrays["pois"]
+    if pois.size and (pois.min() < 0 or pois.max() >= len(vocab)):
+        raise FormatError(f"{path}: corpus POI id out of vocabulary "
+                          f"(size {len(vocab)})")
+    for name in ("dts", "dds"):
+        iv = arrays[name]
+        if iv.size and not (iv.min() >= 0 and iv.max() < np.inf):  # NaN fails
+            raise FormatError(f"{path}: corpus {name} holds a non-finite or "
+                              f"negative interval")
+
+
 def load_corpus(path) -> Corpus:
     meta, arrays = container.load(path)
     if meta.get("kind") != "corpus":
         raise FormatError(f"{path}: not a corpus cache")
+    _check_corpus(meta, arrays, path)
     users = []
     at_poi = 0
     at_iv = 0

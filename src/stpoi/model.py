@@ -38,6 +38,11 @@ from .numkit import affine, check_finite, matmul_rows, softmax_xent_rows
 
 CHECKPOINT_KIND = "stpoi-checkpoint"
 
+# real (b, t) rows per training readout block (whole tiles)
+READOUT_ROWS = 64
+# w_out rows per block of the w_out/b_out gradient sum
+VOCAB_ROWS = 256
+
 
 @dataclass
 class ModelConfig:
@@ -72,9 +77,36 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Inverse of ``to_dict``; raises ValueError unless ``d`` holds
+        exactly the fields of ``to_dict`` with their JSON types."""
+        _check_fields(d, _CONFIG_TYPES, "config")
+        _check_fields(d["ablation"], dict.fromkeys(GateAblation().to_dict(), bool),
+                      "config.ablation")
         d = dict(d)
         d["ablation"] = GateAblation.from_dict(d["ablation"])
         return cls(**d)
+
+
+# JSON type of every ModelConfig field as to_dict writes it
+_CONFIG_TYPES = {"variant": str, "vocab": int, "n_i": int, "n_c": int,
+                 "ablation": dict, "bptt_cap": (int, type(None)),
+                 "constraint_target": str}
+
+
+def _check_fields(d, types: dict, who: str) -> None:
+    """Raise ValueError unless ``d`` is a dict with exactly the keys of
+    ``types``, each value an instance of its type (a bool is no int)."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{who}: expected an object, got {type(d).__name__}")
+    for name in d:
+        if name not in types:
+            raise ValueError(f"{who}: unknown field {name!r}")
+    for name, kind in types.items():
+        if name not in d:
+            raise ValueError(f"{who}: missing field {name!r}")
+        value = d[name]
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ValueError(f"{who}: field {name!r} has type {type(value).__name__}")
 
 
 @dataclass
@@ -199,6 +231,14 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     multiples of ``cfg.bptt_cap`` when a cap is set, so a loss reaches at
     most ``bptt_cap`` steps backwards.  Every parameter tensor is checked
     for NaN and inf once, up front.
+
+    The readout, its softmax and ``dlog @ w_out`` run once, after the
+    forward, over the real (b, t) rows only, in ``READOUT_ROWS``-row blocks;
+    tile invariance gives each row the bits of a per-step readout.  The loss
+    is summed per step in ascending t.  The ``w_out``/``b_out`` gradient is
+    a rank-B sum per step, added in descending t, one ``VOCAB_ROWS``-row
+    block of the vocabulary at a time so the block of the accumulator stays
+    in cache.
     """
     check_finite(params.tensors(), "batch_loss_and_grads")
     pois, dts, dds, lengths = _pad(seqs, cfg, "batch_loss_and_grads")
@@ -210,27 +250,43 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     mask = (np.arange(T) < lengths[:, None]).astype(float)
 
     caches = []
-    hs = []
-    dlogits = []
-    total_loss = 0.0
+    hs = np.empty((T, B, cfg.n_c))
     for t, (state, cache) in enumerate(_unroll(params, cfg, pois, dts, dds)):
-        logits = readout(params, state.h)
-        losses, dlog = softmax_xent_rows(logits, targets[:, t])
-        total_loss += float(losses @ mask[:, t])
-        dlogits.append(dlog * mask[:, t][:, None])
+        hs[t] = state.h
         caches.append(cache)
-        hs.append(state.h)
+
+    # real rows in step-major order; padded rows keep zero loss, dlog and dh
+    real_t, real_b = np.nonzero(mask.T)
+    losses = np.zeros((T, B))
+    dhs = np.zeros((T, B, cfg.n_c))
+    dlogits = [np.zeros((B, cfg.vocab)) for _ in range(T)]
+    for r in range(0, len(real_t), READOUT_ROWS):
+        ts, bs = real_t[r:r + READOUT_ROWS], real_b[r:r + READOUT_ROWS]
+        logits = readout(params, hs[ts, bs])
+        losses[ts, bs], dlog = softmax_xent_rows(logits, targets[bs, ts])
+        dhs[ts, bs] = matmul_rows(dlog, params.w_out)
+        for t in np.unique(ts):
+            dlogits[t][bs[ts == t]] = dlog[ts == t]
+    total_loss = 0.0
+    for t in range(T):
+        total_loss += float(losses[t] @ mask[:, t])
+
+    grads = zero_grads(params)
+    for v in range(0, cfg.vocab, VOCAB_ROWS):
+        gw = grads["w_out"][v:v + VOCAB_ROWS]
+        gb = grads["b_out"][v:v + VOCAB_ROWS]
+        for t in reversed(range(T)):
+            dlog = dlogits[t][:, v:v + VOCAB_ROWS]
+            gw += dlog.T @ hs[t]
+            gb += dlog.sum(axis=0)
+    del dlogits
 
     n_steps = float(mask.sum())
-    grads = zero_grads(params)
     dh_next = np.zeros((B, cfg.n_c))
     dc_next = np.zeros((B, cfg.n_c))
     cap = cfg.bptt_cap
     for t in reversed(range(T)):
-        dlog = dlogits[t]
-        grads["w_out"] += dlog.T @ hs[t]
-        grads["b_out"] += dlog.sum(axis=0)
-        dh = matmul_rows(dlog, params.w_out) + dh_next
+        dh = dhs[t] + dh_next
         dh_prev, dc_prev, dx = cell_backward(params.cell, caches[t], dh, dc_next,
                                              grads)
         # reduce duplicate rows within the step before touching the
@@ -276,7 +332,10 @@ def load_checkpoint(path):
     meta, arrays = container.load(path)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise ValueError(f"{path}: not a model checkpoint")
-    cfg = ModelConfig.from_dict(meta["config"])
+    try:
+        cfg = ModelConfig.from_dict(meta.get("config"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     shapes = {
         "embedding": (cfg.vocab, cfg.n_i),
         **_tensor_shapes(cfg.variant, cfg.n_i, cfg.n_c),
@@ -293,6 +352,9 @@ def load_checkpoint(path):
     adam = None
     if "adam" in meta:
         a = meta["adam"]
+        real = (int, float)
+        _check_fields(a, {"lr": real, "beta1": real, "beta2": real,
+                          "eps": real, "t": int}, f"{path}: adam")
         adam = AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
                          eps=a["eps"], t=a["t"],
                          m={k[len("adam.m."):]: v for k, v in arrays.items()

@@ -7,8 +7,14 @@ elementwise functions take any shape.  Default precision is float64.
 Matrix products over a row batch (``affine``, ``matmul_rows``) run in fixed
 ``TILE_ROWS``-row tiles, the last one zero-padded, so every BLAS call has the
 same shape and a row's bits depend neither on the batch size nor on the
-row's place in it.  ``tests/test_numkit.py`` asserts that property against
-the installed BLAS.
+row's place in it.  A fixed tile shape alone does not give that when the
+output width is not a multiple of ``TAIL_COLS``: OpenBLAS then computes the
+last ``width % TAIL_COLS`` columns with bits that depend on the row's slot in
+the tile.  So each tile's widest multiple-of-``TAIL_COLS`` column block is
+one product, and the remaining columns come from a product against a
+zero-padded ``TAIL_COLS``-column copy of the matrix.  ``tests/test_numkit.py``
+asserts the property against the installed BLAS, at widths that are and are
+not multiples of ``TAIL_COLS``.
 
 Finiteness is checked at boundaries, not inside the matrix kernels:
 ``check_finite`` runs once per mini-batch on every parameter tensor
@@ -27,6 +33,8 @@ _FLOATS = (np.float32, np.float64)
 
 # rows per BLAS call in affine and matmul_rows
 TILE_ROWS = 16
+# output columns are computed in blocks of a multiple of this width
+TAIL_COLS = 8
 
 
 def _as_float(x, name: str) -> np.ndarray:
@@ -61,15 +69,31 @@ def _tiled_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     """(B, K) @ (K, O) in fixed TILE_ROWS-row tiles, the last one zero-padded.
 
     A single (B,K)@(K,O) BLAS call picks its blocking from B, so a row's bits
-    would depend on the batch width; every tile here has one shape.
+    would depend on the batch width; every tile here has one shape.  The
+    first ``O - O % TAIL_COLS`` columns are one product per tile against a
+    view of ``m``; the last ``O % TAIL_COLS`` columns are one product per
+    tile against those columns of ``m`` zero-padded to ``TAIL_COLS``, so no
+    column falls in the BLAS's width remainder, whose bits vary with the
+    row's slot.  The main block writes straight into the output; the tail
+    passes through one TILE_ROWS x TAIL_COLS buffer.
     """
-    n = a.shape[0]
+    n, k = a.shape
+    width = m.shape[1]
+    main = width - width % TAIL_COLS
     height = -(-n // TILE_ROWS) * TILE_ROWS
-    tiles = np.zeros((height, a.shape[1]))
+    tiles = np.zeros((height, k))
     tiles[:n] = a
-    out = np.empty((height, m.shape[1]))
+    out = np.empty((height, width))
     for r in range(0, height, TILE_ROWS):
-        np.matmul(tiles[r:r + TILE_ROWS], m, out=out[r:r + TILE_ROWS])
+        np.matmul(tiles[r:r + TILE_ROWS], m[:, :main],
+                  out=out[r:r + TILE_ROWS, :main])
+    if main < width:
+        pad = np.zeros((k, TAIL_COLS))
+        pad[:, :width - main] = m[:, main:]
+        tail = np.empty((TILE_ROWS, TAIL_COLS))
+        for r in range(0, height, TILE_ROWS):
+            np.matmul(tiles[r:r + TILE_ROWS], pad, out=tail)
+            out[r:r + TILE_ROWS, main:] = tail[:, :width - main]
     return out[:n]
 
 

@@ -1,14 +1,15 @@
 """Shared test utilities: an unrolled linear-readout loss over the raw cells
 (used as the finite-difference harness), a generic central-difference
 oracle that perturbs one coordinate at a time, and plain-loop oracles of
-the batched library paths: a streaming model step, a one-logit-vector rank,
-a one-row softmax cross-entropy, the two-branch sigmoid and a
-one-user-at-a-time evaluation."""
+the batched library paths: a streaming model step, a per-step training
+readout, a one-logit-vector rank, a one-row softmax cross-entropy, the
+two-branch sigmoid and a one-user-at-a-time evaluation."""
 
 import numpy as np
 
 from stpoi import cells
 from stpoi import model
+from stpoi import numkit
 
 
 def random_cell_setup(variant, n_i, n_c, steps, rng, ablation=None):
@@ -87,6 +88,54 @@ def step(params, cfg, state, poi, dt, dd):
                                       cells.StepInput(x, dt, dd), state,
                                       cfg.ablation)
     return model.readout(params, new_state.h)[0], new_state
+
+
+def per_step_loss_and_grads(params, cfg, seqs):
+    """Oracle of model.batch_loss_and_grads: the readout, softmax and
+    ``dlog @ w_out`` run inside the forward loop on all B rows of each step,
+    padded rows masked, and the whole ``w_out`` accumulator takes each
+    step's rank-B sum in the backward loop."""
+    numkit.check_finite(params.tensors(), "per_step_loss_and_grads")
+    pois, dts, dds, lengths = model._pad(seqs, cfg, "per_step_loss_and_grads")
+    B, T = pois.shape
+    targets = np.zeros((B, T), dtype=np.int64)
+    for b, seq in enumerate(seqs):
+        targets[b, :lengths[b]] = seq[3]
+    mask = (np.arange(T) < lengths[:, None]).astype(float)
+
+    caches, hs, dlogits = [], [], []
+    total_loss = 0.0
+    for t, (state, cache) in enumerate(model._unroll(params, cfg, pois, dts, dds)):
+        losses, dlog = numkit.softmax_xent_rows(model.readout(params, state.h),
+                                                targets[:, t])
+        total_loss += float(losses @ mask[:, t])
+        dlogits.append(dlog * mask[:, t][:, None])
+        caches.append(cache)
+        hs.append(state.h)
+
+    n_steps = float(mask.sum())
+    grads = model.zero_grads(params)
+    dh_next = np.zeros((B, cfg.n_c))
+    dc_next = np.zeros((B, cfg.n_c))
+    for t in reversed(range(T)):
+        dlog = dlogits[t]
+        grads["w_out"] += dlog.T @ hs[t]
+        grads["b_out"] += dlog.sum(axis=0)
+        dh = numkit.matmul_rows(dlog, params.w_out) + dh_next
+        dh_prev, dc_prev, dx = cells.cell_backward(params.cell, caches[t], dh,
+                                                   dc_next, grads)
+        uniq, inv = np.unique(pois[:, t], return_inverse=True)
+        sums = np.zeros((len(uniq), cfg.n_i))
+        np.add.at(sums, inv, dx)
+        grads["embedding"][uniq] += sums
+        if cfg.bptt_cap is not None and t % cfg.bptt_cap == 0:
+            dh_next = np.zeros((B, cfg.n_c))
+            dc_next = np.zeros((B, cfg.n_c))
+        else:
+            dh_next, dc_next = dh_prev, dc_prev
+    for name in grads:
+        grads[name] /= n_steps
+    return total_loss / n_steps, grads
 
 
 def rank_of(logits, target, exclude=()):

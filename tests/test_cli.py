@@ -104,6 +104,19 @@ class TestTrain:
         saved = json.loads((out / "config.json").read_text())
         assert saved["ablation"]["fix_t1"] is True
 
+    def test_corpus_header_mismatch_rejected(self, synth_cache, tmp_path,
+                                             capsys):
+        from stpoi import container
+
+        meta, arrays = container.load(synth_cache)
+        meta["users"][0]["n"] += 5
+        container.save(synth_cache, meta, arrays)
+        rc = run("train", "--corpus", str(synth_cache), "--out-dir",
+                 str(tmp_path / "run"), "--epochs", "1")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "users hold" in err and len(err.strip().splitlines()) == 1
+
     def test_missing_corpus(self, tmp_path, capsys):
         rc = run("train", "--corpus", str(tmp_path / "nope.bin"),
                  "--out-dir", str(tmp_path / "run"))
@@ -211,6 +224,35 @@ class TestEval:
             del arrays[f"param.{name}"]
         else:
             arrays[f"param.{name}"] = bad(vocab)
+        container.save(ck, meta, arrays)
+        rc = run("eval", "--corpus", str(synth_cache), "--checkpoint", str(ck))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["config"].pop("ablation"), "missing field 'ablation'"),
+        (lambda m: m["config"].update(n_c="3"), "field 'n_c' has type str"),
+        (lambda m: m["config"]["ablation"].update(fix_t1=1),
+         "field 'fix_t1' has type int"),
+        (lambda m: m["config"].update(extra=1), "unknown field 'extra'"),
+        (lambda m: m.pop("config"), "expected an object"),
+        (lambda m: m["adam"].pop("lr"), "missing field 'lr'"),
+    ], ids=["missing-ablation", "n_c-string", "ablation-int", "unknown-field",
+            "no-config", "adam-missing-lr"])
+    def test_malformed_config_rejected(self, synth_cache, tmp_path, capsys,
+                                       edit, message):
+        from stpoi import container
+        from stpoi.optim import AdamState
+
+        vocab = data.load_corpus(synth_cache).n_pois
+        cfg = M.ModelConfig(variant="st-lstm", vocab=vocab, n_i=3, n_c=3)
+        params = M.init_model(cfg, np.random.default_rng(0))
+        ck = tmp_path / "ck.bin"
+        M.save_checkpoint(ck, params, cfg,
+                          AdamState.for_tensors(params.tensors()))
+        meta, arrays = container.load(ck)
+        edit(meta)
         container.save(ck, meta, arrays)
         rc = run("eval", "--corpus", str(synth_cache), "--checkpoint", str(ck))
         assert rc == 2

@@ -4,8 +4,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stpoi import data
+from stpoi import container, data
 from stpoi.data import CheckIn
 
 
@@ -271,6 +272,88 @@ class TestCorpusRoundTrip:
         container.save(path, {"kind": "other"}, {"a": np.zeros(1)})
         with pytest.raises(data.FormatError):
             data.load_corpus(path)
+
+
+def _corrupt_user0_n(meta, arrays):
+    meta["users"][0]["n"] += 5
+
+
+def _set(key, value):
+    def edit(meta, arrays):
+        meta["users"][1][key] = value
+    return edit
+
+
+def _poke(name, value):
+    def edit(meta, arrays):
+        arrays[name][3] = value
+    return edit
+
+
+class TestCorpusHeaderChecks:
+    """A corpus cache whose header does not describe its payload raises
+    FormatError instead of loading users that borrow each other's visits."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("header") / "c.bin"
+        data.save_corpus(data.synth_corpus(5, n_users=3, n_pois=20, length=14),
+                         path)
+        return path
+
+    @staticmethod
+    def rewrite(saved, edit):
+        """A copy of the ``saved`` corpus with ``edit(meta, arrays)`` applied."""
+        meta, arrays = container.load(saved)
+        edit(meta, arrays)
+        path = saved.parent / "edit.bin"
+        container.save(path, meta, arrays)
+        return path
+
+    @pytest.mark.parametrize("edit, message", [
+        (_corrupt_user0_n, "users hold"),
+        (_set("n_train", 99), "outside"),
+        (_set("n_train", 0), "outside"),
+        (_set("n", "14"), "malformed"),
+        (_set("n_train", True), "malformed"),
+        (lambda m, a: m.pop("users"), "lists"),
+        (lambda m, a: a.pop("dds"), "'dds'"),
+        (lambda m, a: a.update(pois=a["pois"].astype(float)), "'pois'"),
+        (lambda m, a: m.update(vocab=m["vocab"][:5]), "out of vocabulary"),
+        (_poke("pois", -1), "out of vocabulary"),
+        (_poke("dts", -1.0), "dts"),
+        (_poke("dts", np.nan), "dts"),
+        (_poke("dds", np.inf), "dds"),
+    ], ids=["users0-n-raised", "n_train-99", "n_train-0", "n-string",
+            "n_train-bool", "no-users", "no-dds", "float-pois", "short-vocab",
+            "negative-id", "negative-dt", "nan-dt", "inf-dd"])
+    def test_rejected(self, saved, edit, message):
+        path = self.rewrite(saved, edit)
+        with pytest.raises(data.FormatError, match=message):
+            data.load_corpus(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(field=st.one_of(st.integers(-2, 40), st.none(), st.booleans(),
+                           st.text(max_size=2)),
+           user=st.integers(0, 2), key=st.sampled_from(["n", "n_train"]),
+           vocab_len=st.integers(0, 25), poi=st.integers(-2, 30))
+    def test_header_edit_loads_consistently_or_raises(self, saved, field, user,
+                                                      key, vocab_len, poi):
+        def edit(meta, arrays):
+            meta["users"][user][key] = field
+            meta["vocab"] = meta["vocab"][:vocab_len]
+            arrays["pois"][0] = poi
+
+        try:
+            corpus = data.load_corpus(self.rewrite(saved, edit))
+        except data.FormatError:
+            return
+        records = container.load(saved)[1]["pois"].size
+        assert sum(len(u.pois) for u in corpus.users) == records
+        for u in corpus.users:
+            assert len(u.dts) == len(u.dds) == len(u.pois) - 1
+            assert 1 <= u.n_train <= len(u.pois)
+            assert u.pois.min() >= 0 and u.pois.max() < corpus.n_pois
 
 
 class TestSynth:

@@ -8,7 +8,7 @@ from stpoi import model as M
 from stpoi.cells import GateAblation, zero_state
 from stpoi.optim import AdamState, fd_check
 
-from helpers import softmax_xent, step
+from helpers import per_step_loss_and_grads, softmax_xent, step
 
 
 def tiny_cfg(variant, vocab=6, n_i=3, n_c=4, **kw):
@@ -184,6 +184,27 @@ class TestGradients:
             oracle = (3.0 * ga[name] + 5.0 * gb[name]) / 8.0
             np.testing.assert_allclose(gboth[name], oracle, rtol=1e-12,
                                        atol=1e-15)
+
+    # vocab 520 is a multiple of 8 and 601 is not; both span several
+    # gradient vocabulary blocks.  n_c 12 puts dlog @ w_out on the 8-column
+    # tail too.  13 sequences of up to 12 steps fill more than one readout
+    # block.
+    @pytest.mark.parametrize("variant", ["lstm", "st-lstm", "st-clstm"])
+    @pytest.mark.parametrize("bptt_cap", [None, 3])
+    @pytest.mark.parametrize("vocab", [520, 601])
+    @pytest.mark.parametrize("n_seqs", [10, 13])
+    def test_matches_per_step_readout_oracle(self, variant, bptt_cap, vocab,
+                                             n_seqs):
+        cfg = tiny_cfg(variant, vocab=vocab, n_i=8, n_c=12, bptt_cap=bptt_cap)
+        rng = np.random.default_rng(vocab + n_seqs)
+        params = M.init_model(cfg, rng)
+        seqs = [random_seq(rng, vocab, int(n)) for n in rng.integers(1, 13, n_seqs)]
+        loss, grads = M.batch_loss_and_grads(params, cfg, seqs)
+        want_loss, want = per_step_loss_and_grads(params, cfg, seqs)
+        assert loss == want_loss
+        assert list(grads) == list(want)
+        for name in want:
+            np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
 
     def test_bptt_cap_one_isolates_embedding_rows(self):
         cfg = tiny_cfg("st-clstm", bptt_cap=1)

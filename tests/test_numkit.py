@@ -124,8 +124,11 @@ class TestTileInvariance:
     that fails here."""
 
     POOL = 40
-    # (rows of w, cols of w): toy cell and readout, paper cell and readout
-    SHAPES = [(16, 32), (72, 16), (128, 256), (5000, 128)]
+    # (rows of w, cols of w): toy cell and readout, paper cell and readout,
+    # then a readout whose affine (4937, 128) and whose matmul_rows
+    # (128, 4937) output width is not a multiple of 8
+    SHAPES = [(16, 32), (72, 16), (128, 256), (5000, 128), (4937, 128),
+              (128, 4937)]
 
     @staticmethod
     def _pool(shape, seed):
