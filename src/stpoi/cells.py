@@ -1,6 +1,6 @@
 """Gated recurrent cells for check-in sequences.
 
-Three variants share one parameter layout (``CellParams``):
+Three variants share one parameter layout:
 
 ``lstm``
     The plain cell.  With z = [h_prev, x]:
@@ -44,17 +44,23 @@ Keeping t1/d1 monotonically non-increasing in the interval requires their
 interval weight vectors to stay non-positive; the optimizer's projection
 step maintains that (see optim.project and constrained_names below).
 
+Parameters are one name -> array mapping (``CellParams``) whose gate
+groups are each one stacked block: w_i/w_f/w_o/w_c, their biases, and the
+interval gates' w_x*, w_* and b_*.  The named tensors are views of their
+block, so they are written in place, never replaced.
+
 One forward (``cell_forward``) and one backward (``cell_backward``) serve
-all three variants.  Both work on row batches: x is (B, n_i), dt/dd are
-(B,) and states, caches and gradients are (B, n_c).  A 1-D x or state and
-scalar dt/dd are read as a batch of one; lstm ignores dt/dd.  Batch rows
-are independent sequences.
+all three variants, with one product per gate group in each direction.
+Both work on row batches: x is (B, n_i), dt/dd are (B,) and states, caches
+and gradients are (B, n_c).  A 1-D x or state and scalar dt/dd are read as
+a batch of one; lstm ignores dt/dd.  Batch rows are independent sequences.
 """
 
 from __future__ import annotations
 
+import copyreg
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -64,7 +70,7 @@ from . import numkit
 VARIANTS = ("lstm", "st-lstm", "st-clstm")
 
 # ablation presets: which interval gates get pinned to the all-ones vector
-_ABLATION_PRESETS = {
+ABLATION_PRESETS = {
     "none": (),
     "time-only": ("d1", "d2"),
     "distance-only": ("t1", "t2"),
@@ -88,24 +94,15 @@ class GateAblation:
 
     @classmethod
     def from_name(cls, name: str) -> "GateAblation":
-        if name not in _ABLATION_PRESETS:
+        if name not in ABLATION_PRESETS:
             raise ValueError(
-                f"unknown ablation {name!r}; expected one of {sorted(_ABLATION_PRESETS)}"
+                f"unknown ablation {name!r}; expected one of {sorted(ABLATION_PRESETS)}"
             )
-        fixed = _ABLATION_PRESETS[name]
-        return cls(**{f"fix_{g}": g in fixed for g in ("t1", "t2", "d1", "d2")})
+        fixed = ABLATION_PRESETS[name]
+        return cls(**{f"fix_{g}": g in fixed for g in INTERVAL_GATES})
 
     def to_dict(self) -> dict:
-        return {
-            "fix_t1": self.fix_t1,
-            "fix_t2": self.fix_t2,
-            "fix_d1": self.fix_d1,
-            "fix_d2": self.fix_d2,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GateAblation":
-        return cls(**d)
+        return asdict(self)
 
 
 @dataclass
@@ -130,27 +127,55 @@ class CellState:
 class CellParams(dict):
     """One variant's tensors as an ordered name -> array mapping.
 
-    Construction checks the names and shapes against ``_tensor_shapes`` and
-    stores the tensors in that order, which fixes the iteration order of the
-    optimizer and the clipping norm and the checkpoint layout.  Tensors also
-    read as attributes (``p.w_i``).
+    Construction checks the names and shapes against ``shapes`` (by default
+    ``_tensor_shapes``) and holds the tensors in that order, which fixes the
+    iteration order of the optimizer and the clipping norm and the
+    checkpoint layout.  Each gate group is copied into one stacked array in
+    ``blocks`` (see ``_gate_groups``) and its tensors are views of it; the
+    others are held as given.  Tensors also read as attributes (``p.w_i``).
     """
 
-    def __init__(self, variant: str, tensors: dict):
-        w_i = tensors.get("w_i")
-        if w_i is None or np.ndim(w_i) != 2 or w_i.shape[1] <= w_i.shape[0]:
-            raise ValueError(f"{variant} params: w_i must be an (n_c, n_c + n_i) matrix")
-        n_c = w_i.shape[0]
-        shapes = _tensor_shapes(variant, w_i.shape[1] - n_c, n_c)
+    def __init__(self, variant: str, tensors: dict, shapes: Optional[dict] = None):
+        if shapes is None:
+            w_i = tensors.get("w_i")
+            if w_i is None or np.ndim(w_i) != 2 or w_i.shape[1] <= w_i.shape[0]:
+                raise ValueError(f"{variant} params: w_i must be an (n_c, n_c + n_i) matrix")
+            n_c = w_i.shape[0]
+            shapes = _tensor_shapes(variant, w_i.shape[1] - n_c, n_c)
         check_shapes(tensors, shapes, f"{variant} params")
-        super().__init__((name, tensors[name]) for name in shapes)
+        self.__setstate__((variant, {name: tensors[name] for name in shapes}))
+
+    def __reduce__(self):
+        # a copy is rebuilt whole, since entries cannot be assigned one by one
+        return copyreg.__newobj__, (type(self),), (self.variant, dict(self))
+
+    def __setstate__(self, state):
+        """Hold ``state = (variant, tensors)``, unchecked, in the tensors'
+        order, each gate group as views of its block."""
+        variant, tensors = state
         self.variant = variant
+        self.blocks = {}
+        views = {}
+        for block, members in _gate_groups(variant).items():
+            stacked = self.blocks[block] = np.concatenate([tensors[m] for m in members])
+            views.update(zip(members, stacked.reshape(len(members), -1, *stacked.shape[1:])))
+        dict.update(self, ((name, views.get(name, a)) for name, a in tensors.items()))
+
+    def __setitem__(self, name, value):
+        if name not in self or value is not self[name]:
+            raise TypeError(f"params: tensor {name!r} can only be written in place")
 
     def __getattr__(self, name):
         try:
             return self[name]
         except KeyError:
             raise AttributeError(name) from None
+
+    def zeros_like(self):
+        """Zeros of every tensor, in this mapping's class, order and blocks."""
+        out = dict.__new__(type(self))
+        out.__setstate__((self.variant, {n: np.zeros(a.shape) for n, a in self.items()}))
+        return out
 
     @property
     def n_c(self) -> int:
@@ -187,8 +212,6 @@ class StepCache:
 
     variant: str
     x: np.ndarray
-    dt: Optional[np.ndarray]    # None for lstm, which reads no intervals
-    dd: Optional[np.ndarray]
     z: np.ndarray
     i: np.ndarray
     g: np.ndarray
@@ -200,7 +223,17 @@ class StepCache:
     k2: np.ndarray
     tanh_c_hat: np.ndarray
     f: Optional[np.ndarray] = None      # None for st-clstm, which has no forget gate
-    gates: dict = field(default_factory=dict)   # name -> (value, inner or None if pinned)
+    u: Optional[np.ndarray] = None      # (B, 4, 1) dt, dt, dd, dd; None for lstm
+    iv: Optional[np.ndarray] = None     # (B, 4, n_c) interval gates t1, t2, d1, d2
+    inner: Optional[np.ndarray] = None  # (B, 4, n_c) their sigmoid(u * w_u) terms
+
+    @property
+    def gates(self) -> dict:
+        """Interval gate name -> (value, inner), (B, n_c) views each."""
+        if self.iv is None:
+            return {}
+        return {gate: (self.iv[:, k], self.inner[:, k])
+                for k, gate in enumerate(INTERVAL_GATES)}
 
 
 def _tensor_shapes(variant: str, n_i: int, n_c: int) -> dict:
@@ -213,7 +246,7 @@ def _tensor_shapes(variant: str, n_i: int, n_c: int) -> dict:
         shapes.update({"w_f": zw, "b_f": (n_c,)})
     shapes.update({"w_c": zw, "b_c": (n_c,), "w_o": zw, "b_o": (n_c,)})
     if variant != "lstm":
-        for gate, _ in _GATE_SPECS:
+        for gate in INTERVAL_GATES:
             shapes.update({
                 f"w_x{gate}": (n_c, n_i),
                 f"w_{gate}": (n_c,),
@@ -223,8 +256,20 @@ def _tensor_shapes(variant: str, n_i: int, n_c: int) -> dict:
     return shapes
 
 
-# gate name -> which interval drives it ("dt" or "dd")
-_GATE_SPECS = (("t1", "dt"), ("t2", "dt"), ("d1", "dd"), ("d2", "dd"))
+# interval gates in stacked order; t* read dt and d* read dd
+INTERVAL_GATES = ("t1", "t2", "d1", "d2")
+
+
+def _gate_groups(variant: str) -> dict:
+    """Block name -> the tensors stacked into it, in stacked order; i[, f],
+    o, c, so that one sigmoid covers all z-gates but the candidate."""
+    z = ("i", "o", "c") if variant == "st-clstm" else ("i", "f", "o", "c")
+    groups = {"w_z": tuple(f"w_{g}" for g in z), "b_z": tuple(f"b_{g}" for g in z)}
+    if variant != "lstm":
+        groups.update(w_x=tuple(f"w_x{g}" for g in INTERVAL_GATES),
+                      w_u=tuple(f"w_{g}" for g in INTERVAL_GATES),
+                      b_x=tuple(f"b_{g}" for g in INTERVAL_GATES))
+    return groups
 
 
 def constrained_names(variant: str, constraint_target: str = "interval"):
@@ -246,19 +291,27 @@ def constrained_names(variant: str, constraint_target: str = "interval"):
     )
 
 
-def init_params(variant, n_i, n_c, rng, constraint_target="interval"):
-    """Draw fresh parameters: weights ~ U(-1/sqrt(n_c), 1/sqrt(n_c)),
-    biases zero, constrained tensors clamped to <= 0 after the draw."""
+def draw_tensors(shapes: dict, n_c: int, rng, constrained=()) -> dict:
+    """Fresh tensors for ``shapes`` (name -> shape), drawn in its order:
+    weights ~ U(-1/sqrt(n_c), 1/sqrt(n_c)), biases (``b_*``) zero, the
+    ``constrained`` tensors clamped to <= 0 after the draw."""
     scale = 1.0 / math.sqrt(n_c)
     arrays = {}
-    for name, shape in _tensor_shapes(variant, n_i, n_c).items():
+    for name, shape in shapes.items():
         if name.startswith("b_"):
             arrays[name] = np.zeros(shape)
         else:
             arrays[name] = rng.uniform(-scale, scale, size=shape)
-    for name in constrained_names(variant, constraint_target):
+    for name in constrained:
         np.minimum(arrays[name], 0.0, out=arrays[name])
-    return CellParams(variant, arrays)
+    return arrays
+
+
+def init_params(variant, n_i, n_c, rng, constraint_target="interval"):
+    """Fresh parameters of one cell (see ``draw_tensors``)."""
+    return CellParams(variant, draw_tensors(
+        _tensor_shapes(variant, n_i, n_c), n_c, rng,
+        constrained_names(variant, constraint_target)))
 
 
 def count_params(variant: str, n_i: int, n_c: int, n_o: int = 0) -> int:
@@ -328,51 +381,47 @@ def _promote(p, step, prev, needs_intervals):
     return x, dt, dd, c_prev, h_prev
 
 
-def _interval_gate(p, gate, x, u):
-    """gate = sigmoid(w_x x + sigmoid(u * w_u) + b); returns (value, inner)."""
-    inner = numkit.sigmoid(u[:, None] * p[f"w_{gate}"][None, :])
-    value = numkit.sigmoid(numkit.affine(p[f"w_x{gate}"], x, p[f"b_{gate}"]) + inner)
-    return value, inner
-
-
 def cell_forward(variant, p: CellParams, step: StepInput, prev: CellState,
                  ablation: Optional[GateAblation] = None):
-    """One step of ``variant`` over a row batch; returns (CellState, StepCache)."""
+    """One step of ``variant`` over a row batch; returns (CellState, StepCache).
+    A pinned interval gate is set to exactly 1."""
     if p.variant != variant:
         raise ValueError(f"cell_forward: params hold the {p.variant} tensors, "
                          f"not those of {variant!r}")
     ablation = ablation or GateAblation()
     has_forget, has_intervals = "w_f" in p, "w_to" in p
     x, dt, dd, c_prev, h_prev = _promote(p, step, prev, has_intervals)
+    n = p.n_c
     z = np.concatenate([h_prev, x], axis=1)
-    i = numkit.sigmoid(numkit.affine(p["w_i"], z, p["b_i"]))
-    g = numkit.tanh_v(numkit.affine(p["w_c"], z, p["b_c"]))
-    a_o = numkit.affine(p["w_o"], z, p["b_o"])
-    f = None
-    if has_forget:
-        f = numkit.sigmoid(numkit.affine(p["w_f"], z, p["b_f"]))
-    gates = {}
+    a = numkit.affine(p.blocks["w_z"], z, p.blocks["b_z"])
+    u = iv = inner = None
+    if has_intervals:
+        u = np.stack([dt, dt, dd, dd], axis=1)[:, :, None]
+        a_o = a[:, -2 * n:-n]
+        a_o += u[:, 0] * p["w_to"]
+        a_o += u[:, 2] * p["w_do"]
+        inner = numkit.sigmoid(u * p.blocks["w_u"].reshape(4, n))
+        iv = numkit.sigmoid(numkit.affine(p.blocks["w_x"], x, p.blocks["b_x"])
+                            .reshape(-1, 4, n) + inner)
+        iv[:, [k for k, gate in enumerate(INTERVAL_GATES)
+               if getattr(ablation, f"fix_{gate}")]] = 1.0
+    s = numkit.sigmoid(a[:, :-n])
+    i, o = s[:, :n], s[:, -n:]
+    f = s[:, n:2 * n] if has_forget else None
+    g = numkit.tanh_v(a[:, -n:])
     w1 = w2 = i
     if has_intervals:
-        ones = np.ones((x.shape[0], p.n_c))
-        for gate, which in _GATE_SPECS:
-            if getattr(ablation, f"fix_{gate}"):
-                gates[gate] = (ones, None)
-            else:
-                gates[gate] = _interval_gate(p, gate, x, dt if which == "dt" else dd)
-        a_o = a_o + dt[:, None] * p["w_to"] + dd[:, None] * p["w_do"]
-        w1 = i * gates["t1"][0] * gates["d1"][0]
-        w2 = i * gates["t2"][0] * gates["d2"][0]
-    o = numkit.sigmoid(a_o)
+        t1, t2, d1, d2 = iv.transpose(1, 0, 2)
+        w1 = i * t1 * d1
+        w2 = i * t2 * d2
     k1, k2 = (f, f) if has_forget else (1.0 - w1, 1.0 - i)
     c_hat = k1 * c_prev + w1 * g
     c = k2 * c_prev + w2 * g if has_intervals else c_hat
     tch = np.tanh(c_hat)
     h = o * tch
     cache = StepCache(
-        variant=variant, x=x, dt=dt, dd=dd, z=z, i=i, f=f,
-        g=g, o=o, c_prev=c_prev, w1=w1, w2=w2, k1=k1, k2=k2, tanh_c_hat=tch,
-        gates=gates,
+        variant=variant, x=x, z=z, i=i, f=f, g=g, o=o, c_prev=c_prev,
+        w1=w1, w2=w2, k1=k1, k2=k2, tanh_c_hat=tch, u=u, iv=iv, inner=inner,
     )
     return CellState(c=c, h=h, c_hat=c_hat), cache
 
@@ -381,10 +430,11 @@ def cell_backward(p, cache: StepCache, grad_h, grad_c, grads):
     """Backpropagate one step, adding the parameter gradients into ``grads``.
 
     ``grad_h``/``grad_c`` are the loss gradients at this step's h output and
-    carried c, (B, n_c) each.  ``grads`` maps every tensor name of the
-    variant to an accumulator of its shape; each entry is added to in place
-    (pinned gates' entries are left untouched).  Returns ``(grad_h_prev,
-    grad_c_prev, grad_x)``, shaped (B, n_c), (B, n_c) and (B, n_i).
+    carried c, (B, n_c) each.  ``grads`` is a ``p.zeros_like()``; each gate
+    group's block takes one weight-gradient product and one bias sum, in
+    place.  A pinned gate is exactly 1, so its gradients stay exactly 0.
+    Returns ``(grad_h_prev, grad_c_prev, grad_x)``, shaped (B, n_c),
+    (B, n_c) and (B, n_i).
     """
     if p.variant != cache.variant:
         raise ValueError(f"cell_backward: cache was built by {cache.variant!r}, "
@@ -397,12 +447,16 @@ def cell_backward(p, cache: StepCache, grad_h, grad_c, grads):
             f"match step batch/width {cache.i.shape}"
         )
 
-    i, g, o, f = cache.i, cache.g, cache.o, cache.f
+    i, g, o, f, iv = cache.i, cache.g, cache.o, cache.f, cache.iv
     tch = cache.tanh_c_hat
     c_prev = cache.c_prev
+    B, n = i.shape
+    # pre-activation gradients in the column order of w_z: i[, f], o, c
+    da = np.empty((B, p.blocks["w_z"].shape[0]))
 
     do = gh * tch
-    da_o = do * o * (1.0 - o)
+    da_o = da[:, -2 * n:-n]
+    np.multiply(do * o, 1.0 - o, out=da_o)
     dch = gh * o * (1.0 - tch * tch)
 
     # c_hat = k1 * c_prev + w1 * g  and  c = k2 * c_prev + w2 * g
@@ -410,51 +464,34 @@ def cell_backward(p, cache: StepCache, grad_h, grad_c, grads):
     dk2, dw2 = gc * c_prev, gc * g
     dg = dch * cache.w1 + gc * cache.w2
     dc_prev = dch * cache.k1 + gc * cache.k2
-    da_f = None
-    dgates = {}
     if f is not None:           # k1 = k2 = f
-        da_f = (dk1 + dk2) * f * (1.0 - f)
+        np.multiply((dk1 + dk2) * f, 1.0 - f, out=da[:, n:2 * n])
         di = 0.0
     else:                       # k1 = 1 - w1, k2 = 1 - i
         dw1 = dw1 - dk1
         di = -dk2
-    if not cache.gates:         # w1 = w2 = i
+    if iv is None:              # w1 = w2 = i
         di = di + dw1 + dw2
     else:                       # w1 = i * t1 * d1, w2 = i * t2 * d2
-        t1, d1 = cache.gates["t1"][0], cache.gates["d1"][0]
-        t2, d2 = cache.gates["t2"][0], cache.gates["d2"][0]
+        t1, t2, d1, d2 = iv.transpose(1, 0, 2)
         di = di + dw1 * t1 * d1 + dw2 * t2 * d2
-        dgates = {"t1": dw1 * i * d1, "t2": dw2 * i * d2,
-                  "d1": dw1 * i * t1, "d2": dw2 * i * t2}
-        grads["w_to"] += (cache.dt[:, None] * da_o).sum(axis=0)
-        grads["w_do"] += (cache.dd[:, None] * da_o).sum(axis=0)
+        # d/d(t1, t2, d1, d2) = (dw1 * i * d1, dw2 * i * d2, dw1 * i * t1, dw2 * i * t2)
+        dgate = np.stack([dw1, dw2, dw1, dw2], axis=1) * i[:, None] * iv[:, [2, 3, 0, 1]]
+        dpre = dgate * iv * (1.0 - iv)
+        dinner = dpre * cache.inner * (1.0 - cache.inner)
+        grads.blocks["w_u"] += (cache.u * dinner).sum(axis=0).reshape(-1)
+        dpre = dpre.reshape(B, -1)
+        grads.blocks["w_x"] += dpre.T @ cache.x
+        grads.blocks["b_x"] += dpre.sum(axis=0)
+        grads["w_to"] += (cache.u[:, 0] * da_o).sum(axis=0)
+        grads["w_do"] += (cache.u[:, 2] * da_o).sum(axis=0)
 
-    da_i = di * i * (1.0 - i)
-    da_g = dg * (1.0 - g * g)
-    grads["w_i"] += da_i.T @ cache.z
-    grads["b_i"] += da_i.sum(axis=0)
-    grads["w_c"] += da_g.T @ cache.z
-    grads["b_c"] += da_g.sum(axis=0)
-    grads["w_o"] += da_o.T @ cache.z
-    grads["b_o"] += da_o.sum(axis=0)
-
-    dz = (numkit.matmul_rows(da_i, p["w_i"]) + numkit.matmul_rows(da_g, p["w_c"])
-          + numkit.matmul_rows(da_o, p["w_o"]))
-    if da_f is not None:
-        grads["w_f"] += da_f.T @ cache.z
-        grads["b_f"] += da_f.sum(axis=0)
-        dz += numkit.matmul_rows(da_f, p["w_f"])
-    n_c = p.n_c
-    dx = dz[:, n_c:]
-    for gate, dgate in dgates.items():
-        value, inner = cache.gates[gate]
-        if inner is None:           # pinned by the ablation: no parameters to train
-            continue
-        dpre = dgate * value * (1.0 - value)
-        grads[f"w_x{gate}"] += dpre.T @ cache.x
-        grads[f"b_{gate}"] += dpre.sum(axis=0)
-        dx += numkit.matmul_rows(dpre, p[f"w_x{gate}"])
-        dinner = dpre * inner * (1.0 - inner)
-        u = cache.dt if gate[0] == "t" else cache.dd
-        grads[f"w_{gate}"] += (u[:, None] * dinner).sum(axis=0)
-    return dz[:, :n_c], dc_prev, dx
+    np.multiply(di * i, 1.0 - i, out=da[:, :n])
+    np.multiply(dg, 1.0 - g * g, out=da[:, -n:])
+    grads.blocks["w_z"] += da.T @ cache.z
+    grads.blocks["b_z"] += da.sum(axis=0)
+    dz = numkit.matmul_rows(da, p.blocks["w_z"])
+    dx = dz[:, n:]
+    if iv is not None:
+        dx = dx + numkit.matmul_rows(dpre, p.blocks["w_x"])
+    return dz[:, :n], dc_prev, dx

@@ -32,7 +32,7 @@ import numpy as np
 from . import data
 from . import eval as evalmod
 from . import train as trainmod
-from .cells import GateAblation, VARIANTS
+from .cells import ABLATION_PRESETS, INTERVAL_GATES, GateAblation, VARIANTS
 from .model import (
     ModelConfig,
     init_model,
@@ -45,16 +45,24 @@ from .optim import fd_check
 
 log = logging.getLogger(__name__)
 
-ABLATION_NAMES = ("none", "time-only", "distance-only", "short-only",
-                  "long-only")
-
-
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
             h.update(block)
     return h.hexdigest()
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _positive_ints(text: str):
+    """argparse type: comma-separated integers >= 1."""
+    return [_positive_int(tok) for tok in text.split(",") if tok]
 
 
 def _int_list(text: str):
@@ -67,22 +75,18 @@ def _write_json(path, payload):
 
 
 def _ablation_from_args(args) -> GateAblation:
-    ab = GateAblation.from_name(getattr(args, "ablation", "none"))
-    return GateAblation(
-        fix_t1=ab.fix_t1 or args.fix_t1,
-        fix_t2=ab.fix_t2 or args.fix_t2,
-        fix_d1=ab.fix_d1 or args.fix_d1,
-        fix_d2=ab.fix_d2 or args.fix_d2,
-    )
+    preset = ABLATION_PRESETS[args.ablation]
+    return GateAblation(**{f"fix_{g}": g in preset or getattr(args, f"fix_{g}")
+                           for g in INTERVAL_GATES})
 
 
 def _add_model_flags(p):
     p.add_argument("--variant", choices=VARIANTS, default="st-clstm")
-    p.add_argument("--cell-size", type=int, default=128,
+    p.add_argument("--cell-size", type=_positive_int, default=128,
                    help="recurrent state width (default 128)")
-    p.add_argument("--embed-size", type=int, default=128,
+    p.add_argument("--embed-size", type=_positive_int, default=128,
                    help="POI embedding width (default 128)")
-    p.add_argument("--ablation", choices=ABLATION_NAMES, default="none",
+    p.add_argument("--ablation", choices=tuple(ABLATION_PRESETS), default="none",
                    help="named gate-pinning preset")
     p.add_argument("--fix-t1", action="store_true",
                    help="pin the short-term time gate to ones")
@@ -95,13 +99,13 @@ def _add_model_flags(p):
     p.add_argument("--constraint-target", choices=("interval", "input"),
                    default="interval",
                    help="which tensors the non-positivity projection clamps")
-    p.add_argument("--bptt-cap", type=int, default=None,
+    p.add_argument("--bptt-cap", type=_positive_int, default=None,
                    help="truncate gradient flow to this many steps")
 
 
 def _add_train_flags(p):
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=10)
+    p.add_argument("--epochs", type=_positive_int, default=100)
+    p.add_argument("--batch-size", type=_positive_int, default=10)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--clip-norm", type=float, default=5.0,
                    help="global gradient norm cap; <= 0 disables")
@@ -260,7 +264,7 @@ def cmd_eval(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"eval: {exc}", file=sys.stderr)
         return 2
-    ks = tuple(_int_list(args.topk))
+    ks = tuple(args.topk)
     cohorts = ("all", "cold") if args.cohort == "both" else (args.cohort,)
     reports = []
     results_by_cohort = {}
@@ -296,8 +300,6 @@ def cmd_grid(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"grid: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     variants = [v for v in args.variants.split(",") if v]
     ablations = [a for a in args.ablations.split(",") if a]
     for v in variants:
@@ -305,9 +307,11 @@ def cmd_grid(args) -> int:
             print(f"grid: unknown variant {v!r}", file=sys.stderr)
             return 2
     for a in ablations:
-        if a not in ABLATION_NAMES:
+        if a not in ABLATION_PRESETS:
             print(f"grid: unknown ablation {a!r}", file=sys.stderr)
             return 2
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     seqs, names = trainmod.train_sequences(corpus)
     rows = []
     failures = 0
@@ -315,12 +319,14 @@ def cmd_grid(args) -> int:
         for ablation in ablations:
             if variant == "lstm" and ablation != "none":
                 continue            # gate ablations only exist for st cells
-            for n_c in _int_list(args.cell_sizes):
-                for batch in _int_list(args.batch_sizes):
-                    for seed in _int_list(args.seeds):
+            for n_c in args.cell_sizes:
+                for batch in args.batch_sizes:
+                    for seed in args.seeds:
                         leg = (f"{variant}-{ablation}-c{n_c}-b{batch}"
                                f"-s{seed}")
                         leg_dir = out_dir / leg
+                        row = {"leg": leg, "variant": variant, "ablation": ablation,
+                               "cell": n_c, "batch": batch, "seed": seed}
                         try:
                             cfg = ModelConfig(
                                 variant=variant, vocab=corpus.n_pois,
@@ -337,25 +343,16 @@ def cmd_grid(args) -> int:
                                 names=names, out_dir=leg_dir,
                             )
                             rep = evalmod.evaluate(params, cfg, corpus)
-                            rows.append({
-                                "leg": leg, "variant": variant,
-                                "ablation": ablation, "cell": n_c,
-                                "batch": batch, "seed": seed,
-                                "acc1": rep.acc[1], "acc5": rep.acc[5],
-                                "acc10": rep.acc[10], "map": rep.mean_ap,
-                                "status": "ok",
-                            })
+                            row.update(acc1=rep.acc[1], acc5=rep.acc[5],
+                                       acc10=rep.acc[10], map=rep.mean_ap,
+                                       status="ok")
                         except Exception as exc:      # leg isolation
                             log.warning("grid leg %s failed: %s", leg, exc)
                             failures += 1
-                            rows.append({
-                                "leg": leg, "variant": variant,
-                                "ablation": ablation, "cell": n_c,
-                                "batch": batch, "seed": seed,
-                                "acc1": float("nan"), "acc5": float("nan"),
-                                "acc10": float("nan"), "map": float("nan"),
-                                "status": f"failed: {exc}",
-                            })
+                            nan = float("nan")
+                            row.update(acc1=nan, acc5=nan, acc10=nan, map=nan,
+                                       status=f"failed: {exc}")
+                        rows.append(row)
     rows.sort(key=lambda r: (-(r["acc1"] if r["acc1"] == r["acc1"] else -1.0),
                              -(r["map"] if r["map"] == r["map"] else -1.0),
                              r["leg"]))
@@ -453,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cold-threshold", type=int, default=5)
     p.add_argument("--exclude-visited", action="store_true",
                    help="drop already-visited POIs from the candidate list")
-    p.add_argument("--topk", default="1,5,10,15,20",
+    p.add_argument("--topk", type=_positive_ints, default="1,5,10,15,20",
                    help="comma-separated K values for Acc@K")
     p.add_argument("--out-dir", default=None)
     p.add_argument("--dump-ranks", action="store_true",
@@ -465,23 +462,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--variants", default="lstm,st-lstm,st-clstm")
     p.add_argument("--ablations", default="none")
-    p.add_argument("--cell-sizes", default="128")
-    p.add_argument("--batch-sizes", default="10")
-    p.add_argument("--seeds", default="0")
-    p.add_argument("--embed-size", type=int, default=128)
+    p.add_argument("--cell-sizes", type=_positive_ints, default="128")
+    p.add_argument("--batch-sizes", type=_positive_ints, default="10")
+    p.add_argument("--seeds", type=_int_list, default="0")
+    p.add_argument("--embed-size", type=_positive_int, default=128)
     p.add_argument("--constraint-target", choices=("interval", "input"),
                    default="interval")
-    p.add_argument("--epochs", type=int, default=100)
+    p.add_argument("--epochs", type=_positive_int, default=100)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--clip-norm", type=float, default=5.0)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("--variant", choices=VARIANTS + ("all",), default="all")
-    p.add_argument("--vocab", type=int, default=6)
-    p.add_argument("--embed-size", type=int, default=3)
-    p.add_argument("--cell-size", type=int, default=4)
-    p.add_argument("--steps", type=int, default=5)
+    p.add_argument("--vocab", type=_positive_int, default=6)
+    p.add_argument("--embed-size", type=_positive_int, default=3)
+    p.add_argument("--cell-size", type=_positive_int, default=4)
+    p.add_argument("--steps", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-4)

@@ -70,16 +70,6 @@ class UserSeq:
         k = self.n_train
         return self.pois[: k - 1], self.dts[: k - 1], self.dds[: k - 1], self.pois[1:k]
 
-    def test_steps(self):
-        k = self.n_train
-        n = len(self.pois)
-        return (
-            self.pois[k - 1 : n - 1],
-            self.dts[k - 1 :],
-            self.dds[k - 1 :],
-            self.pois[k:],
-        )
-
 
 @dataclass
 class Corpus:
@@ -90,9 +80,6 @@ class Corpus:
     @property
     def n_pois(self) -> int:
         return len(self.vocab)
-
-    def poi_index(self) -> dict:
-        return {raw: i for i, raw in enumerate(self.vocab)}
 
     def stats(self) -> dict:
         return {

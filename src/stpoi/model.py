@@ -29,9 +29,10 @@ from .cells import (
     cell_backward,
     cell_forward,
     check_shapes,
+    constrained_names,
     count_params,
+    draw_tensors,
     formula_param_count,
-    init_params,
     zero_state,
 )
 from .numkit import affine, check_finite, matmul_rows, softmax_xent_rows
@@ -82,9 +83,7 @@ class ModelConfig:
         _check_fields(d, _CONFIG_TYPES, "config")
         _check_fields(d["ablation"], dict.fromkeys(GateAblation().to_dict(), bool),
                       "config.ablation")
-        d = dict(d)
-        d["ablation"] = GateAblation.from_dict(d["ablation"])
-        return cls(**d)
+        return cls(**{**d, "ablation": GateAblation(**d["ablation"])})
 
 
 # JSON type of every ModelConfig field as to_dict writes it
@@ -109,30 +108,31 @@ def _check_fields(d, types: dict, who: str) -> None:
             raise ValueError(f"{who}: field {name!r} has type {type(value).__name__}")
 
 
-@dataclass
-class ModelParams:
-    embedding: np.ndarray                       # (vocab, n_i)
-    cell: CellParams
-    w_out: np.ndarray                           # (vocab, n_c)
-    b_out: np.ndarray                           # (vocab,)
+def _model_shapes(cfg: ModelConfig) -> dict:
+    """Ordered name -> shape of every model tensor: the embedding, the
+    cell's tensors, then the readout."""
+    return {"embedding": (cfg.vocab, cfg.n_i),
+            **_tensor_shapes(cfg.variant, cfg.n_i, cfg.n_c),
+            "w_out": (cfg.vocab, cfg.n_c), "b_out": (cfg.vocab,)}
 
-    def tensors(self) -> dict:
-        out = {"embedding": self.embedding}
-        out.update(self.cell)
-        out["w_out"] = self.w_out
-        out["b_out"] = self.b_out
-        return out
+
+class ModelParams(CellParams):
+    """The whole model as one CellParams mapping checked against
+    ``_model_shapes(cfg)``; the cell functions take it as the cell's."""
+
+    def __init__(self, cfg: ModelConfig, tensors: dict):
+        super().__init__(cfg.variant, tensors, _model_shapes(cfg))
+
+    def tensors(self) -> "ModelParams":
+        return self
 
 
 def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
-    """Fresh parameters: every weight U(-1/sqrt(n_c), 1/sqrt(n_c)), biases
-    zero.  Draw order is fixed so a seeded generator gives identical models."""
-    scale = 1.0 / np.sqrt(cfg.n_c)
-    embedding = rng.uniform(-scale, scale, size=(cfg.vocab, cfg.n_i))
-    cell = init_params(cfg.variant, cfg.n_i, cfg.n_c, rng, cfg.constraint_target)
-    w_out = rng.uniform(-scale, scale, size=(cfg.vocab, cfg.n_c))
-    b_out = np.zeros(cfg.vocab)
-    return ModelParams(embedding, cell, w_out, b_out)
+    """Fresh parameters drawn in ``_model_shapes`` order (see
+    ``cells.draw_tensors``), so a seeded generator gives identical models."""
+    return ModelParams(cfg, draw_tensors(
+        _model_shapes(cfg), cfg.n_c, rng,
+        constrained_names(cfg.variant, cfg.constraint_target)))
 
 
 def model_param_count(cfg: ModelConfig) -> dict:
@@ -197,7 +197,7 @@ def _unroll(params: ModelParams, cfg: ModelConfig, pois, dts, dds):
     state = zero_state(cfg.n_c, batch=pois.shape[0])
     for t in range(pois.shape[1]):
         state, cache = cell_forward(
-            cfg.variant, params.cell,
+            cfg.variant, params,
             StepInput(params.embedding[pois[:, t]], dts[:, t], dds[:, t]),
             state, cfg.ablation)
         yield state, cache
@@ -215,10 +215,6 @@ def forward_batch(params: ModelParams, cfg: ModelConfig, seqs):
     for t, (state, _) in enumerate(_unroll(params, cfg, pois, dts, dds)):
         hs[:, t] = state.h
     return hs
-
-
-def zero_grads(params: ModelParams) -> dict:
-    return {name: np.zeros(arr.shape) for name, arr in params.tensors().items()}
 
 
 def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
@@ -271,7 +267,7 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     for t in range(T):
         total_loss += float(losses[t] @ mask[:, t])
 
-    grads = zero_grads(params)
+    grads = params.zeros_like()
     for v in range(0, cfg.vocab, VOCAB_ROWS):
         gw = grads["w_out"][v:v + VOCAB_ROWS]
         gb = grads["b_out"][v:v + VOCAB_ROWS]
@@ -287,8 +283,7 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     cap = cfg.bptt_cap
     for t in reversed(range(T)):
         dh = dhs[t] + dh_next
-        dh_prev, dc_prev, dx = cell_backward(params.cell, caches[t], dh, dc_next,
-                                             grads)
+        dh_prev, dc_prev, dx = cell_backward(params, caches[t], dh, dc_next, grads)
         # reduce duplicate rows within the step before touching the
         # accumulator: each embedding row then receives one delta per step,
         # which keeps a duplicated batch exactly twice the single run
@@ -334,21 +329,10 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: not a model checkpoint")
     try:
         cfg = ModelConfig.from_dict(meta.get("config"))
+        params = ModelParams(cfg, {k[len("param."):]: v for k, v in arrays.items()
+                                   if k.startswith("param.")})
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    shapes = {
-        "embedding": (cfg.vocab, cfg.n_i),
-        **_tensor_shapes(cfg.variant, cfg.n_i, cfg.n_c),
-        "w_out": (cfg.vocab, cfg.n_c),
-        "b_out": (cfg.vocab,),
-    }
-    tensors = {k[len("param."):]: v for k, v in arrays.items()
-               if k.startswith("param.")}
-    check_shapes(tensors, shapes, str(path))
-    embedding = tensors.pop("embedding")
-    w_out = tensors.pop("w_out")
-    b_out = tensors.pop("b_out")
-    params = ModelParams(embedding, CellParams(cfg.variant, tensors), w_out, b_out)
     adam = None
     if "adam" in meta:
         a = meta["adam"]
@@ -361,6 +345,6 @@ def load_checkpoint(path):
                             if k.startswith("adam.m.")},
                          v={k[len("adam.v."):]: v for k, v in arrays.items()
                             if k.startswith("adam.v.")})
-        check_shapes(adam.m, shapes, f"{path}: adam first moments")
-        check_shapes(adam.v, shapes, f"{path}: adam second moments")
+        check_shapes(adam.m, _model_shapes(cfg), f"{path}: adam first moments")
+        check_shapes(adam.v, _model_shapes(cfg), f"{path}: adam second moments")
     return params, cfg, adam

@@ -98,18 +98,12 @@ def _tiled_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def affine(w, x, b) -> np.ndarray:
-    """x @ w.T + b for a (B, K) row batch x, computed in tiles."""
-    w, x, b = np.asarray(w), np.asarray(x), np.asarray(b)
-    if w.ndim != 2 or b.ndim != 1 or x.ndim != 2:
-        raise ValueError(
-            f"affine: expected matrix, row batch, vector; got "
-            f"{w.shape}, {x.shape}, {b.shape}"
-        )
-    if x.shape[1] != w.shape[1] or b.shape[0] != w.shape[0]:
-        raise ValueError(
-            f"affine: incompatible shapes w={w.shape} x={x.shape} b={b.shape}"
-        )
-    out = _tiled_matmul(x, w.T)
+    """x @ w.T + b for a (B, K) row batch x: ``matmul_rows(x, w.T)`` plus
+    the bias."""
+    w, b = np.asarray(w), np.asarray(b)
+    if w.ndim != 2 or b.shape != w.shape[:1]:
+        raise ValueError(f"affine: bias of shape {b.shape} does not fit w {w.shape}")
+    out = matmul_rows(x, w.T)
     out += b
     return out
 

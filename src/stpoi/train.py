@@ -52,9 +52,8 @@ def train_sequences(corpus):
 
 
 def _check_constraints(params: ModelParams, cfg: ModelConfig):
-    tensors = params.tensors()
     for name in constrained_names(cfg.variant, cfg.constraint_target):
-        worst = float(tensors[name].max())
+        worst = float(params[name].max())
         if worst > 0.0:
             raise AssertionError(
                 f"constraint violated after projection: {name} max {worst}"
@@ -90,9 +89,8 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
         raise ValueError("fit: no training sequences")
     if epochs < 1 or batch_size < 1:
         raise ValueError("fit: epochs and batch_size must be >= 1")
-    tensors = params.tensors()
     if adam is None:
-        adam = AdamState.for_tensors(tensors, lr=lr, beta1=beta1, beta2=beta2,
+        adam = AdamState.for_tensors(params, lr=lr, beta1=beta1, beta2=beta2,
                                      eps=eps)
     constrained = constrained_names(cfg.variant, cfg.constraint_target)
     rng = np.random.default_rng(seed)
@@ -129,8 +127,8 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
                     f"non-finite loss at epoch {epoch}{where}"
                 )
             clip_global_norm(grads, clip_norm)
-            adam_step(tensors, grads, adam)
-            project(tensors, constrained)
+            adam_step(params, grads, adam)
+            project(params, constrained)
             _check_constraints(params, cfg)
             if on_step is not None:
                 on_step(epoch, b0 // batch_size, params)

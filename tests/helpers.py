@@ -1,9 +1,11 @@
 """Shared test utilities: an unrolled linear-readout loss over the raw cells
 (used as the finite-difference harness), a generic central-difference
 oracle that perturbs one coordinate at a time, and plain-loop oracles of
-the batched library paths: a streaming model step, a per-step training
-readout, a one-logit-vector rank, a one-row softmax cross-entropy, the
-two-branch sigmoid and a one-user-at-a-time evaluation."""
+the batched library paths: a per-gate cell forward, a streaming model step,
+a per-step training readout, a one-logit-vector rank, a one-row softmax
+cross-entropy, the two-branch sigmoid and a one-user-at-a-time evaluation.
+Also a user's test transitions and a corpus's raw-id index, which only
+tests read."""
 
 import numpy as np
 
@@ -43,7 +45,7 @@ def unrolled_readout_grads(variant, p, seq, readouts, ablation=None):
     """Analytic gradients of unrolled_readout_loss via cell_backward;
     returns ``(loss, grads, dxs)`` with one (n_i,) input gradient per step."""
     loss, caches = unrolled_readout_loss(variant, p, seq, readouts, ablation)
-    grads = {name: np.zeros(a.shape) for name, a in p.items()}
+    grads = p.zeros_like()
     dh = np.zeros((1, p.n_c))
     dc = np.zeros((1, p.n_c))
     dxs = []
@@ -51,6 +53,57 @@ def unrolled_readout_grads(variant, p, seq, readouts, ablation=None):
         dh, dc, dx = cells.cell_backward(p, cache, dh + r, dc, grads)
         dxs.append(dx[0])
     return loss, grads, dxs[::-1]
+
+
+def per_gate_forward(variant, p, step, prev, ablation=None):
+    """Oracle of cells.cell_forward: one product and one checked
+    nonlinearity per gate, each interval gate on its own, a pinned gate the
+    ones vector.  Returns ``(CellState, gates)`` with ``gates`` mapping
+    i, f (None for st-clstm), g, o and each interval gate to its (B, n_c)
+    value."""
+    ablation = ablation or cells.GateAblation()
+    has_forget, has_intervals = "w_f" in p, "w_to" in p
+    x, dt, dd, c_prev, h_prev = cells._promote(p, step, prev, has_intervals)
+    z = np.concatenate([h_prev, x], axis=1)
+    i = numkit.sigmoid(numkit.affine(p["w_i"], z, p["b_i"]))
+    g = numkit.tanh_v(numkit.affine(p["w_c"], z, p["b_c"]))
+    a_o = numkit.affine(p["w_o"], z, p["b_o"])
+    f = None
+    if has_forget:
+        f = numkit.sigmoid(numkit.affine(p["w_f"], z, p["b_f"]))
+    gates = {}
+    w1 = w2 = i
+    if has_intervals:
+        for gate in cells.INTERVAL_GATES:
+            if getattr(ablation, f"fix_{gate}"):
+                gates[gate] = np.ones((x.shape[0], p.n_c))
+                continue
+            u = dt if gate[0] == "t" else dd
+            inner = numkit.sigmoid(u[:, None] * p[f"w_{gate}"][None, :])
+            gates[gate] = numkit.sigmoid(
+                numkit.affine(p[f"w_x{gate}"], x, p[f"b_{gate}"]) + inner)
+        a_o = a_o + dt[:, None] * p["w_to"] + dd[:, None] * p["w_do"]
+        w1 = i * gates["t1"] * gates["d1"]
+        w2 = i * gates["t2"] * gates["d2"]
+    o = numkit.sigmoid(a_o)
+    k1, k2 = (f, f) if has_forget else (1.0 - w1, 1.0 - i)
+    c_hat = k1 * c_prev + w1 * g
+    c = k2 * c_prev + w2 * g if has_intervals else c_hat
+    h = o * np.tanh(c_hat)
+    gates.update(i=i, f=f, g=g, o=o)
+    return cells.CellState(c=c, h=h, c_hat=c_hat), gates
+
+
+def user_test_steps(u):
+    """A user's test transitions ``(pois, dts, dds, targets)``: the input
+    POIs from the last training record on, and the POIs they lead to."""
+    k = u.n_train
+    return u.pois[k - 1:-1], u.dts[k - 1:], u.dds[k - 1:], u.pois[k:]
+
+
+def poi_index(corpus):
+    """Raw POI id -> dense id."""
+    return {raw: i for i, raw in enumerate(corpus.vocab)}
 
 
 def central_diff(fn, arr, eps=1e-5):
@@ -84,7 +137,7 @@ def step(params, cfg, state, poi, dt, dd):
     if not 0 <= poi < cfg.vocab:
         raise IndexError(f"step: POI id {poi} out of vocabulary ({cfg.vocab})")
     x = params.embedding[poi]
-    new_state, _ = cells.cell_forward(cfg.variant, params.cell,
+    new_state, _ = cells.cell_forward(cfg.variant, params,
                                       cells.StepInput(x, dt, dd), state,
                                       cfg.ablation)
     return model.readout(params, new_state.h)[0], new_state
@@ -114,7 +167,7 @@ def per_step_loss_and_grads(params, cfg, seqs):
         hs.append(state.h)
 
     n_steps = float(mask.sum())
-    grads = model.zero_grads(params)
+    grads = params.zeros_like()
     dh_next = np.zeros((B, cfg.n_c))
     dc_next = np.zeros((B, cfg.n_c))
     for t in reversed(range(T)):
@@ -122,7 +175,7 @@ def per_step_loss_and_grads(params, cfg, seqs):
         grads["w_out"] += dlog.T @ hs[t]
         grads["b_out"] += dlog.sum(axis=0)
         dh = numkit.matmul_rows(dlog, params.w_out) + dh_next
-        dh_prev, dc_prev, dx = cells.cell_backward(params.cell, caches[t], dh,
+        dh_prev, dc_prev, dx = cells.cell_backward(params, caches[t], dh,
                                                    dc_next, grads)
         uniq, inv = np.unique(pois[:, t], return_inverse=True)
         sums = np.zeros((len(uniq), cfg.n_i))
@@ -203,7 +256,7 @@ def streaming_ranks(params, cfg, corpus, *, cohort="all", cold_threshold=5,
             _, state = step(params, cfg, state, int(train_in[t]),
                             train_dt[t], train_dd[t])
             visited.add(int(train_in[t]))
-        test_in, test_dt, test_dd, test_tg = u.test_steps()
+        test_in, test_dt, test_dd, test_tg = user_test_steps(u)
         for t in range(len(test_in)):
             logits, state = step(params, cfg, state, int(test_in[t]),
                                  test_dt[t], test_dd[t])

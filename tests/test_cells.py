@@ -1,13 +1,16 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from stpoi import cells
+from stpoi import cells, optim
 from stpoi.cells import CellState, GateAblation, StepInput
 
 from helpers import (
     central_diff,
+    per_gate_forward,
     random_cell_setup,
     rel_err,
     unrolled_readout_grads,
@@ -226,7 +229,7 @@ class TestBackward:
         for variant in cells.VARIANTS:
             p, seq, _ = random_cell_setup(variant, 3, 4, 1, rng)
             state, cache = cells.cell_forward(variant, p, seq[0], cells.zero_state(4))
-            grads = {name: np.zeros(a.shape) for name, a in p.items()}
+            grads = p.zeros_like()
             dh, dc, dx = cells.cell_backward(
                 p, cache, np.zeros((1, 4)), np.zeros((1, 4)), grads
             )
@@ -285,7 +288,7 @@ class TestBackward:
         p, seq, _ = random_cell_setup("st-lstm", 3, 4, 1, rng)
         _, cache = cells.cell_forward("st-lstm", p, seq[0], cells.zero_state(4))
         p_lstm = cells.init_params("lstm", 3, 4, rng)
-        grads = {name: np.zeros(a.shape) for name, a in p_lstm.items()}
+        grads = p_lstm.zeros_like()
         with pytest.raises(ValueError):
             cells.cell_backward(p_lstm, cache, np.zeros((1, 4)), np.zeros((1, 4)),
                                 grads)
@@ -304,9 +307,9 @@ class TestBackward:
         gc = rng.normal(size=(5, 4))
         _, cache = cells.cell_forward("st-clstm", p, StepInput(x=xb, dt=dtb, dd=ddb),
                                       prev)
-        grads_b = {k: np.zeros_like(v) for k, v in p.items()}
+        grads_b = p.zeros_like()
         dh_b, dc_b, dx_b = cells.cell_backward(p, cache, gh, gc, grads_b)
-        summed = {k: np.zeros_like(v) for k, v in p.items()}
+        summed = p.zeros_like()
         for r in range(5):
             prev_r = CellState(c=prev.c[r], h=prev.h[r], c_hat=prev.c_hat[r])
             _, cache_r = cells.cell_forward(
@@ -401,6 +404,105 @@ class TestParamCounting:
         assert cells.formula_param_count("lstm", n_i, n_c, 0) != cells.count_params(
             "lstm", n_i, n_c, 0
         )
+
+
+class TestStackedLayout:
+    """Each gate group is one stacked block whose views are the named
+    tensors; the stacked forward has the bits of one product per gate."""
+
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    @pytest.mark.parametrize("ablation", list(cells.ABLATION_PRESETS))
+    def test_forward_matches_per_gate_oracle(self, variant, ablation):
+        pinned = GateAblation.from_name(ablation)
+        rng = np.random.default_rng(
+            [cells.VARIANTS.index(variant), list(cells.ABLATION_PRESETS).index(ablation)])
+        for n_c in (4, 5, 16):
+            p = cells.init_params(variant, 3, n_c, rng)
+            for name in ("b_i", "b_c", "b_o", "b_t1", "b_d2"):
+                if name in p:
+                    p[name][...] = rng.uniform(-0.5, 0.5, n_c)
+            for batch in (1, 4, 13):
+                state = want = cells.zero_state(n_c, batch)
+                for _ in range(3):
+                    step = StepInput(x=rng.uniform(-1, 1, (batch, 3)),
+                                     dt=rng.uniform(0, 5, batch),
+                                     dd=rng.uniform(0, 5, batch))
+                    state, cache = cells.cell_forward(variant, p, step, state,
+                                                      pinned)
+                    want, gates = per_gate_forward(variant, p, step, want,
+                                                   pinned)
+                    for name in ("h", "c", "c_hat"):
+                        np.testing.assert_array_equal(
+                            getattr(state, name), getattr(want, name),
+                            err_msg=f"{name} n_c {n_c} batch {batch}")
+                    got = {gate: value for gate, (value, _) in cache.gates.items()}
+                    got.update(i=cache.i, f=cache.f, g=cache.g, o=cache.o)
+                    assert got.keys() == gates.keys()
+                    for gate, value in gates.items():
+                        np.testing.assert_array_equal(
+                            got[gate], value,
+                            err_msg=f"{gate} n_c {n_c} batch {batch}")
+
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_named_tensors_are_views_of_their_blocks(self, variant):
+        p = cells.init_params(variant, 3, 4, np.random.default_rng(20))
+        grouped = [name for names in cells._gate_groups(variant).values()
+                   for name in names]
+        assert sorted(grouped + [n for n in p if n not in grouped]) == sorted(p)
+        for block, names in cells._gate_groups(variant).items():
+            np.testing.assert_array_equal(p.blocks[block],
+                                          np.concatenate([p[n] for n in names]))
+            for name in names:
+                assert np.shares_memory(p[name], p.blocks[block]), name
+        p.w_i[...] = 7.0
+        np.testing.assert_array_equal(p.blocks["w_z"][:4], 7.0)
+        grads = p.zeros_like()
+        assert type(grads) is type(p) and list(grads) == list(p)
+        assert not any(np.shares_memory(grads.blocks[b], p.blocks[b])
+                       for b in p.blocks)
+
+    @pytest.mark.parametrize("variant", ("st-lstm", "st-clstm"))
+    def test_adam_and_projection_write_into_blocks(self, variant):
+        rng = np.random.default_rng(21)
+        p = cells.init_params(variant, 3, 4, rng)
+        before = {b: a.copy() for b, a in p.blocks.items()}
+        grads = p.zeros_like()
+        for a in grads.values():
+            a[...] = rng.normal(size=a.shape)
+        grads.w_t1[...] = -1.0          # Adam pushes w_t1 up, past zero
+        adam = optim.AdamState.for_tensors(p, lr=1.0)
+        optim.adam_step(p, grads, adam)
+        for block, names in cells._gate_groups(variant).items():
+            assert not np.array_equal(p.blocks[block], before[block]), block
+            np.testing.assert_array_equal(p.blocks[block],
+                                          np.concatenate([p[n] for n in names]))
+        assert p.w_t1.max() > 0.0
+        optim.project(p, cells.constrained_names(variant))
+        np.testing.assert_array_equal(p.blocks["w_u"][:4], np.minimum(p.w_t1, 0.0))
+        assert p.blocks["w_u"][:4].max() <= 0.0
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_keep_the_layout(self, duplicate):
+        p = cells.init_params("st-lstm", 3, 4, np.random.default_rng(23))
+        q = duplicate(p)
+        assert type(q) is type(p) and q.variant == p.variant and list(q) == list(p)
+        for block, names in cells._gate_groups("st-lstm").items():
+            for name in names:
+                np.testing.assert_array_equal(q[name], p[name])
+                assert np.shares_memory(q[name], q.blocks[block]), name
+                assert not np.shares_memory(q[name], p[name]), name
+
+    def test_entries_are_written_in_place_not_replaced(self):
+        p = cells.init_params("st-clstm", 3, 4, np.random.default_rng(22))
+        grads = p.zeros_like()
+        grads["w_i"] += 1.0
+        grads["w_xd2"] /= 2.0
+        np.testing.assert_array_equal(grads.blocks["w_z"][:4], 1.0)
+        with pytest.raises(TypeError):
+            grads["w_i"] = np.ones((4, 7))
+        np.testing.assert_array_equal(grads.w_i, 1.0)
 
 
 class TestInit:

@@ -8,6 +8,8 @@ from stpoi import model as M
 from stpoi.cli import main
 from stpoi.data import CheckIn
 
+from helpers import poi_index
+
 
 def run(*argv):
     return main(list(argv))
@@ -139,7 +141,7 @@ class TestEval:
         params = M.init_model(cfg, np.random.default_rng(0))
         for arr in params.tensors().values():
             arr[...] = 0.0
-        params.b_out[corpus.poi_index()["b"]] = 5.0
+        params.b_out[poi_index(corpus)["b"]] = 5.0
         ck = tmp_path / "oracle-ck.bin"
         M.save_checkpoint(ck, params, cfg)
         return corpus_path, ck
@@ -301,9 +303,12 @@ class TestGrid:
         assert len(rows) == 4
 
     def test_unknown_variant_rejected(self, synth_cache, tmp_path, capsys):
-        rc = run("grid", "--corpus", str(synth_cache), "--variants", "gru",
-                 "--out-dir", str(tmp_path / "g"))
-        assert rc == 2
+        for flag, name in (("--variants", "gru"), ("--ablations", "all-off")):
+            rc = run("grid", "--corpus", str(synth_cache), flag, name,
+                     "--out-dir", str(tmp_path / "g"))
+            assert rc == 2
+            assert name in capsys.readouterr().err
+            assert not (tmp_path / "g").exists()
 
 
 class TestGradcheck:
@@ -318,6 +323,31 @@ class TestGradcheck:
 
 
 class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ("train", "--epochs", "0"),
+        ("train", "--batch-size", "0"),
+        ("train", "--cell-size", "0"),
+        ("train", "--bptt-cap", "0"),
+        ("eval", "--topk", "1,x"),
+        ("eval", "--topk", "0,5"),
+        ("grid", "--cell-sizes", "4,-1"),
+    ], ids=["epochs-0", "batch-size-0", "cell-size-0", "bptt-cap-0",
+            "topk-word", "topk-0", "grid-cell-size-negative"])
+    def test_bad_numeric_flag_exits_2_before_writing(self, synth_cache, tmp_path,
+                                                     capsys, argv):
+        out = tmp_path / "out"
+        ck = tmp_path / "ck.bin"
+        cfg = M.ModelConfig(variant="lstm", vocab=data.load_corpus(synth_cache).n_pois,
+                            n_i=3, n_c=3)
+        M.save_checkpoint(ck, M.init_model(cfg, np.random.default_rng(0)), cfg)
+        paths = {"train": ("--out-dir", str(out)), "grid": ("--out-dir", str(out)),
+                 "eval": ("--checkpoint", str(ck), "--out-dir", str(out))}
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--corpus", str(synth_cache), *paths[argv[0]])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert argv[1] in capsys.readouterr().err
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             run("conjure")

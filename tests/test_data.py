@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from stpoi import container, data
 from stpoi.data import CheckIn
 
+from helpers import poi_index, user_test_steps
+
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -154,7 +156,7 @@ class TestBuildCorpus:
         assert u.n_train == 7
         ins, dts, dds, targets = u.train_steps()
         assert len(ins) == 6 and len(targets) == 6
-        ins_t, _, _, targets_t = u.test_steps()
+        ins_t, _, _, targets_t = user_test_steps(u)
         assert len(ins_t) == 3 and len(targets_t) == 3
 
     def test_two_records_split_one_one(self):
@@ -164,17 +166,17 @@ class TestBuildCorpus:
         assert u.n_train == 1
         ins, _, _, targets = u.train_steps()
         assert len(ins) == 0
-        ins_t, _, _, targets_t = u.test_steps()
+        ins_t, _, _, targets_t = user_test_steps(u)
         # the single transition spans the split and evaluates the test record
-        assert len(ins_t) == 1 and list(targets_t) == [corpus.poi_index()["y"]]
+        assert len(ins_t) == 1 and list(targets_t) == [poi_index(corpus)["y"]]
 
     def test_crossing_transition_not_trained_on(self):
         recs = [make_checkin("a", 3600 * t, f"p{t}") for t in range(4)]
         corpus = data.build_corpus(recs)   # n=4 -> n_train=3
         (u,) = corpus.users
         _, _, _, train_targets = u.train_steps()
-        test_ins, _, _, test_targets = u.test_steps()
-        idx = corpus.poi_index()
+        test_ins, _, _, test_targets = user_test_steps(u)
+        idx = poi_index(corpus)
         assert list(train_targets) == [idx["p1"], idx["p2"]]
         assert list(test_ins) == [idx["p2"]]
         assert list(test_targets) == [idx["p3"]]
@@ -388,7 +390,7 @@ class TestSynth:
         for u in corpus.users:
             counts = np.bincount(u.pois[: u.n_train], minlength=corpus.n_pois)
             guess = int(np.argmax(counts))
-            _, _, _, targets = u.test_steps()
+            _, _, _, targets = user_test_steps(u)
             hits += int(np.sum(targets == guess))
             total += len(targets)
         acc = hits / total

@@ -7,7 +7,7 @@ from stpoi import eval as E
 from stpoi import model as M
 from stpoi.data import CheckIn
 
-from helpers import rank_of, streaming_ranks
+from helpers import rank_of, streaming_ranks, user_test_steps
 
 
 def rr(ranks):
@@ -120,7 +120,7 @@ class TestEvaluate:
         results = E.collect_ranks(params, cfg, corpus)
         expected = []
         for u in corpus.users:
-            _, _, _, targets = u.test_steps()
+            _, _, _, targets = user_test_steps(u)
             expected.extend(int(t) + 1 for t in targets)
         assert [r.rank for r in results] == expected
         assert len(results) == corpus.stats()["test_transitions"]
@@ -144,7 +144,7 @@ class TestEvaluate:
                                cold_threshold=5)
         cold_users = {u.user for u in corpus.users if u.n_train < 5}
         assert cold_users and {r.user for r in cold} == cold_users
-        n_expected = sum(len(u.test_steps()[0]) for u in corpus.users
+        n_expected = sum(len(user_test_steps(u)[0]) for u in corpus.users
                          if u.n_train < 5)
         assert len(cold) == n_expected
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stpoi import cells
 from stpoi import eval as E
 from stpoi import model as M
 from stpoi.cells import GateAblation, zero_state
@@ -70,10 +71,10 @@ class TestForward:
         logits = seq_logits(params, cfg, pois, dts, dds)
 
         perm = rng.permutation(cfg.vocab)          # new id of old id j
-        params2 = M.ModelParams(
-            embedding=params.embedding.copy(), cell=params.cell,
-            w_out=params.w_out.copy(), b_out=params.b_out.copy(),
-        )
+        params2 = M.ModelParams(cfg, {
+            **params, "embedding": params.embedding.copy(),
+            "w_out": params.w_out.copy(), "b_out": params.b_out.copy(),
+        })
         params2.embedding[perm] = params.embedding
         params2.w_out[perm] = params.w_out
         params2.b_out[perm] = params.b_out
@@ -280,6 +281,33 @@ class TestPredict:
         params = zero_model(cfg)
         with pytest.raises(ValueError):
             last_ranks(params, cfg, [], [], [])
+
+
+class TestParams:
+    def test_one_mapping_checked_against_one_table(self):
+        cfg = tiny_cfg("st-clstm")
+        params = M.init_model(cfg, np.random.default_rng(40))
+        assert params.tensors() is params
+        assert list(params) == ["embedding", *cells._tensor_shapes("st-clstm", 3, 4),
+                                "w_out", "b_out"]
+        rebuilt = M.ModelParams(cfg, dict(params))
+        assert rebuilt.embedding is params.embedding and rebuilt.w_out is params.w_out
+        assert not np.shares_memory(rebuilt.w_i, params.w_i)
+        with pytest.raises(ValueError, match="missing tensors w_out"):
+            M.ModelParams(cfg, {k: v for k, v in params.items() if k != "w_out"})
+        with pytest.raises(ValueError, match="embedding has shape"):
+            M.ModelParams(cfg, {**params, "embedding": np.zeros((6, 4))})
+
+    def test_gradients_share_the_layout(self):
+        cfg = tiny_cfg("lstm")
+        params = M.init_model(cfg, np.random.default_rng(41))
+        _, grads = M.loss_and_grads(params, cfg, [1, 2], [0.0, 0.0], [0.0, 0.0],
+                                    [2, 3])
+        assert type(grads) is M.ModelParams and list(grads) == list(params)
+        np.testing.assert_array_equal(grads.blocks["w_z"][:cfg.n_c], grads.w_i)
+        grads["embedding"] += 1.0
+        with pytest.raises(TypeError):
+            grads["embedding"] = np.zeros((6, 3))
 
 
 class TestCheckpoint:

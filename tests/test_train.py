@@ -156,12 +156,12 @@ class TestTrajectoryEquality:
         params_s.embedding[...] = params_l.embedding
         params_s.w_out[...] = params_l.w_out
         params_s.b_out[...] = params_l.b_out
-        params_s.cell.w_to[...] = 0.0
-        params_s.cell.w_do[...] = 0.0
+        params_s.w_to[...] = 0.0
+        params_s.w_do[...] = 0.0
 
         res_l = T.fit(params_l, cfg_l, seqs, epochs=6, batch_size=3, seed=77)
         res_s = T.fit(params_s, cfg_s, seqs, epochs=6, batch_size=3, seed=77)
         for a, b in zip(res_l.losses, res_s.losses):
             assert abs(a - b) <= 1e-9
-        np.testing.assert_allclose(params_s.cell.w_i, params_l.cell.w_i,
+        np.testing.assert_allclose(params_s.w_i, params_l.w_i,
                                    atol=1e-9)
