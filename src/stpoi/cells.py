@@ -44,10 +44,11 @@ Keeping t1/d1 monotonically non-increasing in the interval requires their
 interval weight vectors to stay non-positive; the optimizer's projection
 step maintains that (see optim.project and constrained_names below).
 
-Parameters are one name -> array mapping (``CellParams``) whose gate
-groups are each one stacked block: w_i/w_f/w_o/w_c, their biases, and the
-interval gates' w_x*, w_* and b_*.  The named tensors are views of their
-block, so they are written in place, never replaced.
+Parameters are one name -> array mapping (``CellParams``) of views of one
+float64 buffer, in which each gate group is one stacked block: w_i/w_f/w_o/
+w_c, their biases, and the interval gates' w_x*, w_* and b_*.  Tensors are
+written in place, never replaced; gradients and Adam moments share the
+layout (``zeros_like``), so the optimizer makes one pass over the buffer.
 
 One forward (``cell_forward``) and one backward (``cell_backward``) serve
 all three variants, with one product per gate group in each direction.
@@ -127,39 +128,44 @@ class CellState:
 class CellParams(dict):
     """One variant's tensors as an ordered name -> array mapping.
 
-    Construction checks the names and shapes against ``shapes`` (by default
-    ``_tensor_shapes``) and holds the tensors in that order, which fixes the
-    iteration order of the optimizer and the clipping norm and the
-    checkpoint layout.  Each gate group is copied into one stacked array in
-    ``blocks`` (see ``_gate_groups``) and its tensors are views of it; the
-    others are held as given.  Tensors also read as attributes (``p.w_i``).
+    Construction checks the names and shapes against ``shapes`` (name ->
+    shape, as from ``_tensor_shapes``) and copies the tensors, in that order,
+    into one float64 buffer ``flat``; ``layout`` (the variant, then each name
+    with its shape) fixes where each lies.  A gate group's members lie side
+    by side, so its stacked array in ``blocks`` (see ``_gate_groups``) is a
+    view of ``flat`` like every tensor.  Tensors also read as attributes.
     """
 
-    def __init__(self, variant: str, tensors: dict, shapes: Optional[dict] = None):
-        if shapes is None:
-            w_i = tensors.get("w_i")
-            if w_i is None or np.ndim(w_i) != 2 or w_i.shape[1] <= w_i.shape[0]:
-                raise ValueError(f"{variant} params: w_i must be an (n_c, n_c + n_i) matrix")
-            n_c = w_i.shape[0]
-            shapes = _tensor_shapes(variant, w_i.shape[1] - n_c, n_c)
+    def __init__(self, variant: str, tensors: dict, shapes: dict):
         check_shapes(tensors, shapes, f"{variant} params")
-        self.__setstate__((variant, {name: tensors[name] for name in shapes}))
+        self.__setstate__(((variant, tuple(shapes.items())),
+                           np.empty(sum(math.prod(s) for s in shapes.values()))))
+        for name, a in self.items():
+            a[...] = tensors[name]
 
     def __reduce__(self):
-        # a copy is rebuilt whole, since entries cannot be assigned one by one
-        return copyreg.__newobj__, (type(self),), (self.variant, dict(self))
+        # copies and pickles rebuild the views over a copy of the buffer
+        return copyreg.__newobj__, (type(self),), (self.layout, self.flat.copy())
 
     def __setstate__(self, state):
-        """Hold ``state = (variant, tensors)``, unchecked, in the tensors'
-        order, each gate group as views of its block."""
-        variant, tensors = state
-        self.variant = variant
-        self.blocks = {}
-        views = {}
-        for block, members in _gate_groups(variant).items():
-            stacked = self.blocks[block] = np.concatenate([tensors[m] for m in members])
-            views.update(zip(members, stacked.reshape(len(members), -1, *stacked.shape[1:])))
-        dict.update(self, ((name, views.get(name, a)) for name, a in tensors.items()))
+        """Hold views of ``flat`` for ``state = (layout, flat)``: the
+        tensors in their order, except that a gate group's members follow
+        its first one."""
+        self.layout, self.flat = layout, flat = state
+        self.variant, shapes = layout[0], dict(layout[1])
+        group_of = {m: (block, members) for block, members
+                    in _gate_groups(self.variant).items() for m in members}
+        self.blocks, views, at = {}, {}, 0
+        for name, shape in shapes.items():
+            if name in views:
+                continue
+            block, members = group_of.get(name, (None, (name,)))
+            chunk = flat[at:at + len(members) * math.prod(shape)]
+            at += chunk.size
+            views.update(zip(members, chunk.reshape(len(members), *shape)))
+            if block is not None:
+                self.blocks[block] = chunk.reshape(-1, *shape[1:])
+        dict.update(self, ((name, views[name]) for name in shapes))
 
     def __setitem__(self, name, value):
         if name not in self or value is not self[name]:
@@ -172,9 +178,9 @@ class CellParams(dict):
             raise AttributeError(name) from None
 
     def zeros_like(self):
-        """Zeros of every tensor, in this mapping's class, order and blocks."""
+        """Zeros of every tensor, in this mapping's class and layout."""
         out = dict.__new__(type(self))
-        out.__setstate__((self.variant, {n: np.zeros(a.shape) for n, a in self.items()}))
+        out.__setstate__((self.layout, np.zeros(self.flat.size)))
         return out
 
     @property
@@ -187,8 +193,9 @@ class CellParams(dict):
 
 
 def LstmParams(**tensors) -> CellParams:
-    """The plain cell's eight tensors as CellParams."""
-    return CellParams("lstm", tensors)
+    """The plain cell's eight tensors as CellParams, sized by w_i."""
+    n_c, n_z = np.shape(tensors["w_i"])
+    return CellParams("lstm", tensors, _tensor_shapes("lstm", n_z - n_c, n_c))
 
 
 def check_shapes(tensors: dict, shapes: dict, who: str) -> None:
@@ -309,9 +316,9 @@ def draw_tensors(shapes: dict, n_c: int, rng, constrained=()) -> dict:
 
 def init_params(variant, n_i, n_c, rng, constraint_target="interval"):
     """Fresh parameters of one cell (see ``draw_tensors``)."""
+    shapes = _tensor_shapes(variant, n_i, n_c)
     return CellParams(variant, draw_tensors(
-        _tensor_shapes(variant, n_i, n_c), n_c, rng,
-        constrained_names(variant, constraint_target)))
+        shapes, n_c, rng, constrained_names(variant, constraint_target)), shapes)
 
 
 def count_params(variant: str, n_i: int, n_c: int, n_o: int = 0) -> int:

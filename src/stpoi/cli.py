@@ -24,6 +24,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -53,11 +54,26 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _checked(kind, ok, what: str):
+    """argparse type: ``kind(text)``, which must satisfy ``ok``."""
+    def parse(text: str):
+        try:
+            if ok(value := kind(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                           "a positive finite number")
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_nonnegative_float = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                              "a finite number >= 0")
+_fraction = _checked(float, lambda v: 0 < v < 1, "a number between 0 and 1")
+_at_least_two = _checked(int, lambda v: v >= 2, "an integer >= 2")
 
 
 def _positive_ints(text: str):
@@ -106,8 +122,8 @@ def _add_model_flags(p):
 def _add_train_flags(p):
     p.add_argument("--epochs", type=_positive_int, default=100)
     p.add_argument("--batch-size", type=_positive_int, default=10)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--clip-norm", type=float, default=5.0,
+    p.add_argument("--lr", type=_positive_float, default=1e-3)
+    p.add_argument("--clip-norm", type=_finite_float, default=5.0,
                    help="global gradient norm cap; <= 0 disables")
     p.add_argument("--early-stop", action="store_true",
                    help="stop after --patience epochs without improvement")
@@ -119,11 +135,15 @@ def _add_train_flags(p):
 def cmd_prepare(args) -> int:
     out = Path(args.out)
     if args.synth:
-        corpus = data.synth_corpus(
-            args.seed, n_users=args.users, n_pois=args.pois,
-            pattern=args.pattern, length=args.length, n_short=args.short,
-            train_frac=args.train_frac, jump_every=args.jump_every,
-        )
+        try:
+            corpus = data.synth_corpus(
+                args.seed, n_users=args.users, n_pois=args.pois,
+                pattern=args.pattern, length=args.length, n_short=args.short,
+                train_frac=args.train_frac, jump_every=args.jump_every,
+            )
+        except ValueError as exc:
+            print(f"prepare: {exc}", file=sys.stderr)
+            return 2
         raw = {"users": len(corpus.users), "pois": corpus.n_pois,
                "records": sum(len(u.pois) for u in corpus.users)}
     else:
@@ -415,19 +435,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="synthesize a corpus instead of loading a file")
     p.add_argument("--pattern", choices=data.SYNTH_PATTERNS,
                    default="periodic")
-    p.add_argument("--users", type=int, default=50)
-    p.add_argument("--pois", type=int, default=40)
-    p.add_argument("--length", type=int, default=60)
+    p.add_argument("--users", type=_positive_int, default=50)
+    p.add_argument("--pois", type=_positive_int, default=40)
+    p.add_argument("--length", type=_at_least_two, default=60)
     p.add_argument("--short", type=int, default=0,
                    help="number of 6-record users (cold-start cohort)")
-    p.add_argument("--jump-every", type=int, default=7)
+    p.add_argument("--jump-every", type=_positive_int, default=7)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-frac", type=float, default=0.7)
+    p.add_argument("--train-frac", type=_fraction, default=0.7)
     p.add_argument("--min-user-checkins", type=int, default=10)
     p.add_argument("--min-poi-users", type=int, default=10)
-    p.add_argument("--clip-dt", type=float, default=None,
+    p.add_argument("--clip-dt", type=_nonnegative_float, default=None,
                    help="cap time intervals at this many hours")
-    p.add_argument("--clip-dd", type=float, default=None,
+    p.add_argument("--clip-dd", type=_nonnegative_float, default=None,
                    help="cap distances at this many km")
     p.add_argument("--log-scale", action="store_true",
                    help="apply log1p to the intervals")
@@ -469,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constraint-target", choices=("interval", "input"),
                    default="interval")
     p.add_argument("--epochs", type=_positive_int, default=100)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--clip-norm", type=float, default=5.0)
+    p.add_argument("--lr", type=_positive_float, default=1e-3)
+    p.add_argument("--clip-norm", type=_finite_float, default=5.0)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
@@ -480,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-size", type=_positive_int, default=4)
     p.add_argument("--steps", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--eps", type=_positive_float, default=1e-5)
+    p.add_argument("--tol", type=_positive_float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
     return ap
 

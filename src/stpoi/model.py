@@ -28,7 +28,6 @@ from .cells import (
     _tensor_shapes,
     cell_backward,
     cell_forward,
-    check_shapes,
     constrained_names,
     count_params,
     draw_tensors,
@@ -36,6 +35,7 @@ from .cells import (
     zero_state,
 )
 from .numkit import affine, check_finite, matmul_rows, softmax_xent_rows
+from .optim import AdamState
 
 CHECKPOINT_KIND = "stpoi-checkpoint"
 
@@ -297,10 +297,8 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
         else:
             dh_next, dc_next = dh_prev, dc_prev
 
-    loss = total_loss / n_steps
-    for name in grads:
-        grads[name] /= n_steps
-    return loss, grads
+    grads.flat /= n_steps
+    return total_loss / n_steps, grads
 
 
 def loss_and_grads(params: ModelParams, cfg: ModelConfig, pois, dts, dds, targets):
@@ -309,12 +307,13 @@ def loss_and_grads(params: ModelParams, cfg: ModelConfig, pois, dts, dds, target
 
 
 def save_checkpoint(path, params: ModelParams, cfg: ModelConfig, adam=None):
-    """Persist model (and optionally optimizer state) for exact resume."""
+    """Persist the model and optionally the Adam state.  The batch-order
+    generator is not stored, so a run continued from it does not repeat the
+    uninterrupted run (see the README)."""
     meta = {"kind": CHECKPOINT_KIND, "config": cfg.to_dict()}
     arrays = {f"param.{k}": v for k, v in params.tensors().items()}
     if adam is not None:
-        meta["adam"] = {"lr": adam.lr, "beta1": adam.beta1, "beta2": adam.beta2,
-                        "eps": adam.eps, "t": adam.t}
+        meta["adam"] = {k: getattr(adam, k) for k in ("lr", "beta1", "beta2", "eps", "t")}
         arrays.update({f"adam.m.{k}": v for k, v in adam.m.items()})
         arrays.update({f"adam.v.{k}": v for k, v in adam.v.items()})
     container.save(path, meta, arrays)
@@ -322,29 +321,27 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig, adam=None):
 
 def load_checkpoint(path):
     """Load a checkpoint, returning ``(params, cfg, adam_or_None)``."""
-    from .optim import AdamState
-
     meta, arrays = container.load(path)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise ValueError(f"{path}: not a model checkpoint")
+
+    def tensors(prefix):
+        try:
+            return ModelParams(cfg, {k[len(prefix):]: v for k, v in arrays.items()
+                                     if k.startswith(prefix)})
+        except ValueError as exc:
+            raise ValueError(f"{prefix}*: {exc}") from None
+
+    adam = None
     try:
         cfg = ModelConfig.from_dict(meta.get("config"))
-        params = ModelParams(cfg, {k[len("param."):]: v for k, v in arrays.items()
-                                   if k.startswith("param.")})
+        params = tensors("param.")
+        if "adam" in meta:
+            a = meta["adam"]
+            real = (int, float)
+            _check_fields(a, {"lr": real, "beta1": real, "beta2": real,
+                              "eps": real, "t": int}, "adam")
+            adam = AdamState(tensors("adam.m."), tensors("adam.v."), **a)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    adam = None
-    if "adam" in meta:
-        a = meta["adam"]
-        real = (int, float)
-        _check_fields(a, {"lr": real, "beta1": real, "beta2": real,
-                          "eps": real, "t": int}, f"{path}: adam")
-        adam = AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
-                         eps=a["eps"], t=a["t"],
-                         m={k[len("adam.m."):]: v for k, v in arrays.items()
-                            if k.startswith("adam.m.")},
-                         v={k[len("adam.v."):]: v for k, v in arrays.items()
-                            if k.startswith("adam.v.")})
-        check_shapes(adam.m, _model_shapes(cfg), f"{path}: adam first moments")
-        check_shapes(adam.v, _model_shapes(cfg), f"{path}: adam second moments")
     return params, cfg, adam

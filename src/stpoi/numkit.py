@@ -17,12 +17,13 @@ asserts the property against the installed BLAS, at widths that are and are
 not multiples of ``TAIL_COLS``.
 
 Finiteness is checked at boundaries, not inside the matrix kernels:
-``check_finite`` runs once per mini-batch on every parameter tensor
+``check_finite`` tests the parameters' ``flat`` buffer once per mini-batch
 (``model.batch_loss_and_grads``) and once per evaluation call
 (``eval.collect_ranks``); the cells check state and intervals once per step;
 the public ``sigmoid`` and ``tanh_v`` check their inputs; and ``train.fit``
 aborts on a non-finite loss.  A NaN or inf means upstream state is already
-corrupt, so it fails loudly there instead of spreading.
+corrupt, so it fails loudly there, as ``NonFiniteError``, instead of
+spreading.
 """
 
 from __future__ import annotations
@@ -37,12 +38,16 @@ TILE_ROWS = 16
 TAIL_COLS = 8
 
 
+class NonFiniteError(ValueError):
+    """An input or parameter holds a NaN or inf."""
+
+
 def _as_float(x, name: str) -> np.ndarray:
     a = np.asarray(x)
     if a.dtype not in _FLOATS:
         a = a.astype(np.float64)
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name}: input contains NaN or inf")
+        raise NonFiniteError(f"{name}: input contains NaN or inf")
     return a
 
 
@@ -58,11 +63,12 @@ def tanh_v(x) -> np.ndarray:
     return np.tanh(_as_float(x, "tanh_v"))
 
 
-def check_finite(tensors: dict, who: str) -> None:
-    """Raise ValueError naming the first of ``tensors`` (name -> array) that
-    holds a NaN or inf."""
-    for name, arr in tensors.items():
-        _as_float(arr, f"{who}: {name}")
+def check_finite(tensors, who: str) -> None:
+    """Raise NonFiniteError, naming the first bad tensor, if the ``flat``
+    buffer of ``tensors`` (a ``cells.CellParams``) holds a NaN or inf."""
+    if not np.all(np.isfinite(tensors.flat)):
+        name = next(n for n, a in tensors.items() if not np.all(np.isfinite(a)))
+        raise NonFiniteError(f"{who}: {name}: input contains NaN or inf")
 
 
 def _tiled_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:

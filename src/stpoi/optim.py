@@ -2,59 +2,55 @@
 non-positivity projection that keeps constrained gate weights valid,
 global-norm gradient clipping, and a central-difference gradient checker.
 
-All functions operate on flat name -> ndarray dictionaries (the live
-tensors of a model) and update them in place.
+Adam and the clip scaling update ``CellParams`` (parameters, gradients and
+moments in one layout) in place through their ``flat`` buffers; the other
+functions work by name on any name -> ndarray mapping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .cells import CellParams
 
 
 @dataclass
 class AdamState:
-    """Per-tensor first/second moment accumulators plus the step counter."""
+    """First/second moment accumulators in the parameters' layout, and the step."""
 
+    m: CellParams
+    v: CellParams
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
 
     @classmethod
-    def for_tensors(cls, tensors: dict, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-        state.m = {k: np.zeros_like(a) for k, a in tensors.items()}
-        state.v = {k: np.zeros_like(a) for k, a in tensors.items()}
-        return state
+    def for_tensors(cls, tensors: CellParams, **hyper) -> "AdamState":
+        """Zero moments for ``tensors``; ``hyper`` sets lr, beta1, beta2, eps."""
+        return cls(tensors.zeros_like(), tensors.zeros_like(), **hyper)
 
 
-def adam_step(tensors: dict, grads: dict, state: AdamState) -> AdamState:
-    """One Adam update, in place.  Requires a gradient for every tensor."""
-    missing = set(tensors) - set(grads)
-    if missing:
-        raise KeyError(f"adam_step: missing gradients for {sorted(missing)}")
+def adam_step(tensors: CellParams, grads: CellParams, state: AdamState) -> AdamState:
+    """One Adam update, in place, over the whole ``flat`` buffer.  Requires
+    ``grads`` and the moments in the layout of ``tensors``."""
+    for other in (grads, state.m, state.v):
+        if other.layout != tensors.layout:
+            error = KeyError if set(tensors) - set(other) else ValueError
+            raise error(f"adam_step: layout {other.layout} is not {tensors.layout}")
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    for name, p in tensors.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(
-                f"adam_step: gradient shape {g.shape} != param shape {p.shape} "
-                f"for {name!r}"
-            )
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    p, g, m, v = tensors.flat, grads.flat, state.m.flat, state.v.flat
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (g * g)
+    denom = np.sqrt(v / bc2) + state.eps    # first: two full-size temporaries at most
+    p -= state.lr * (m / bc1) / denom
     return state
 
 
@@ -70,19 +66,18 @@ def project(tensors: dict, constrained) -> None:
         np.minimum(tensors[name], 0.0, out=tensors[name])
 
 
-def clip_global_norm(grads: dict, max_norm: float) -> float:
+def clip_global_norm(grads: CellParams, max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm.
 
-    Returns the pre-clip norm.  ``max_norm <= 0`` disables clipping.
+    Returns the pre-clip norm, summed tensor by tensor in the mapping's
+    order.  ``max_norm <= 0`` disables clipping.
     """
     sq = 0.0
     for g in grads.values():
         sq += float(np.sum(g * g))
     norm = float(np.sqrt(sq))
     if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+        grads.flat *= max_norm / norm
     return norm
 
 

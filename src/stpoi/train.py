@@ -4,8 +4,9 @@ Each epoch shuffles the training sequences with a seeded generator, walks
 them in batches, clips the global gradient norm, takes one Adam step, and
 re-projects the constrained tensors.  The constraint is then re-checked
 after every step; a violation is a bug, not a tolerable drift, so it raises
-immediately.  A non-finite loss aborts with a diagnostic dump instead of
-silently training on garbage.
+immediately.  A non-finite loss, or a NaN or inf met inside the forward or
+backward pass, aborts with a diagnostic dump instead of silently training
+on garbage.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ import numpy as np
 
 from .cells import constrained_names
 from .model import ModelConfig, ModelParams, batch_loss_and_grads, save_checkpoint
+from .numkit import NonFiniteError
 from .optim import AdamState, adam_step, clip_global_norm, project
 
 log = logging.getLogger(__name__)
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; see the diagnostic dump for context."""
+    """Loss or parameters became non-finite; see the diagnostic dump."""
 
 
 @dataclass
@@ -109,22 +111,26 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
         for b0 in range(0, len(order), batch_size):
             idx = order[b0:b0 + batch_size]
             batch = [sequences[j] for j in idx]
-            loss, grads = batch_loss_and_grads(params, cfg, batch)
+            try:
+                loss, grads = batch_loss_and_grads(params, cfg, batch)
+                error = None if np.isfinite(loss) else f"non-finite loss {loss!r}"
+            except NonFiniteError as exc:
+                error = str(exc)
             n_steps = sum(steps_per_seq[j] for j in idx)
-            if not np.isfinite(loss):
+            if error is not None:
                 payload = {
                     "epoch": epoch,
                     "batch_start": int(b0),
                     "sequences": [
                         (names[j] if names else str(j)) for j in idx
                     ],
-                    "loss": repr(loss),
+                    "error": error,
                     "epoch_losses": result.losses,
                 }
                 path = _dump_divergence(out_dir, payload)
                 where = f"; dump: {path}" if path else ""
                 raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}{where}"
+                    f"{error} at epoch {epoch}{where}"
                 )
             clip_global_norm(grads, clip_norm)
             adam_step(params, grads, adam)

@@ -3,9 +3,9 @@
 oracle that perturbs one coordinate at a time, and plain-loop oracles of
 the batched library paths: a per-gate cell forward, a streaming model step,
 a per-step training readout, a one-logit-vector rank, a one-row softmax
-cross-entropy, the two-branch sigmoid and a one-user-at-a-time evaluation.
-Also a user's test transitions and a corpus's raw-id index, which only
-tests read."""
+cross-entropy, the two-branch sigmoid, a one-user-at-a-time evaluation,
+and a per-tensor Adam step and gradient clipping.  Also a user's test
+transitions and a corpus's raw-id index, which only tests read."""
 
 import numpy as np
 
@@ -264,3 +264,33 @@ def streaming_ranks(params, cfg, corpus, *, cohort="all", cold_threshold=5,
             exclude = visited if exclude_visited else ()
             out.append((u.user, t, rank_of(logits, int(test_tg[t]), exclude)))
     return out
+
+
+def adam_step_per_tensor(tensors, grads, m, v, t, lr=1e-3, beta1=0.9,
+                         beta2=0.999, eps=1e-8):
+    """Oracle of optim.adam_step: step ``t`` (counted from 1) of Adam, one
+    tensor at a time, on name -> array dicts of parameters, gradients and
+    first/second moments, all updated in place."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, p in tensors.items():
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * (g * g)
+        p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+
+def clip_per_tensor(grads, max_norm):
+    """Oracle of optim.clip_global_norm on a name -> array dict: the norm
+    summed and the scale applied one tensor at a time."""
+    sq = 0.0
+    for g in grads.values():
+        sq += float(np.sum(g * g))
+    norm = float(np.sqrt(sq))
+    if max_norm > 0 and norm > max_norm:
+        scale = max_norm / norm
+        for g in grads.values():
+            g *= scale
+    return norm

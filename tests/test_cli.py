@@ -95,6 +95,22 @@ class TestTrain:
             outs.append((out / "checkpoint.bin").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_divergence_in_the_forward_exits_3_with_dump(self, synth_cache,
+                                                         tmp_path, capsys):
+        # a step size this large sends the parameters past the range where
+        # the gate pre-activations stay finite
+        out = tmp_path / "run"
+        rc = run("train", "--corpus", str(synth_cache), "--out-dir", str(out),
+                 "--cell-size", "4", "--embed-size", "4", "--epochs", "3",
+                 "--lr", "1e300")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "NaN or inf" in err and len(err.strip().splitlines()) == 1
+        dump = json.loads((out / "divergence.json").read_text())
+        assert "NaN or inf" in dump["error"]
+        assert not (out / "checkpoint.bin").exists()
+
     def test_ablation_flags_recorded(self, synth_cache, tmp_path):
         out = tmp_path / "run"
         assert run("train", "--corpus", str(synth_cache), "--out-dir",
@@ -331,8 +347,14 @@ class TestParser:
         ("eval", "--topk", "1,x"),
         ("eval", "--topk", "0,5"),
         ("grid", "--cell-sizes", "4,-1"),
+        ("train", "--lr", "nan"),
+        ("train", "--lr", "0"),
+        ("train", "--clip-norm", "nan"),
+        ("grid", "--lr", "-0.001"),
+        ("grid", "--clip-norm", "inf"),
     ], ids=["epochs-0", "batch-size-0", "cell-size-0", "bptt-cap-0",
-            "topk-word", "topk-0", "grid-cell-size-negative"])
+            "topk-word", "topk-0", "grid-cell-size-negative", "lr-nan", "lr-0",
+            "clip-norm-nan", "grid-lr-negative", "grid-clip-norm-inf"])
     def test_bad_numeric_flag_exits_2_before_writing(self, synth_cache, tmp_path,
                                                      capsys, argv):
         out = tmp_path / "out"
@@ -347,6 +369,35 @@ class TestParser:
         assert exc.value.code == 2
         assert not out.exists()
         assert argv[1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ("--pois", "0"), ("--pois", "10"), ("--train-frac", "2"),
+        ("--jump-every", "0"), ("--users", "0"), ("--users", "-2"),
+        ("--length", "1"), ("--clip-dt", "-1"), ("--clip-dd", "nan"),
+        ("--pattern", "interval"),
+    ], ids=["pois-0", "pois-below-periodic-minimum", "train-frac-2",
+            "jump-every-0", "users-0", "users-negative", "length-1",
+            "clip-dt-negative", "clip-dd-nan", "interval-too-few-pois"])
+    def test_bad_prepare_input_exits_2_before_writing(self, tmp_path, capsys, flags):
+        out = tmp_path / "c.bin"
+        argv = ("prepare", "--synth", "--users", "4", "--pois", "20", "--length", "8",
+                *flags, "--out", str(out))
+        try:
+            rc = run(*argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        assert not out.exists() and not list(tmp_path.iterdir())
+        err = capsys.readouterr().err
+        assert err.strip() and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps", "0"), ("--eps", "nan"), ("--tol", "-1"), ("--tol", "inf")])
+    def test_bad_gradcheck_step_exits_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run("gradcheck", flag, value)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):

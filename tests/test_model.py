@@ -291,8 +291,11 @@ class TestParams:
         assert list(params) == ["embedding", *cells._tensor_shapes("st-clstm", 3, 4),
                                 "w_out", "b_out"]
         rebuilt = M.ModelParams(cfg, dict(params))
-        assert rebuilt.embedding is params.embedding and rebuilt.w_out is params.w_out
-        assert not np.shares_memory(rebuilt.w_i, params.w_i)
+        assert rebuilt.layout == params.layout
+        for name, arr in rebuilt.items():
+            assert arr.base is rebuilt.flat, name
+            np.testing.assert_array_equal(arr, params[name])
+        assert not np.shares_memory(rebuilt.flat, params.flat)
         with pytest.raises(ValueError, match="missing tensors w_out"):
             M.ModelParams(cfg, {k: v for k, v in params.items() if k != "w_out"})
         with pytest.raises(ValueError, match="embedding has shape"):
@@ -308,6 +311,23 @@ class TestParams:
         grads["embedding"] += 1.0
         with pytest.raises(TypeError):
             grads["embedding"] = np.zeros((6, 3))
+
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_every_tensor_is_a_view_of_its_own_flat(self, variant):
+        cfg = tiny_cfg(variant)
+        params = M.init_model(cfg, np.random.default_rng(42))
+        _, grads = M.loss_and_grads(params, cfg, [1, 2], [1.0, 2.0], [0.5, 0.0],
+                                    [2, 3])
+        adam = AdamState.for_tensors(params)
+        mappings = (params, grads, adam.m, adam.v)
+        for q in mappings:
+            assert type(q) is M.ModelParams and q.layout == params.layout
+            assert q.flat.dtype == np.float64 and q.flat.flags.owndata
+            assert q.flat.size == sum(a.size for a in q.values())
+            for name, arr in [*q.items(), *q.blocks.items()]:
+                assert arr.base is q.flat, name
+        for i, q in enumerate(mappings):
+            assert not any(np.shares_memory(q.flat, r.flat) for r in mappings[i + 1:])
 
 
 class TestCheckpoint:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stpoi import numkit
+from stpoi.cells import CellParams
 
 from helpers import sigmoid_two_branch, softmax_xent
 
@@ -172,11 +173,15 @@ class TestTileInvariance:
 
 class TestCheckFinite:
     def test_names_the_bad_tensor(self):
-        tensors = {"ok": np.ones(3), "bad": np.array([[0.0, 1.0]])}
+        tensors = CellParams("lstm", {"ok": np.ones(3), "bad": np.array([[0.0, 1.0]]),
+                                      "late": np.ones(2)},
+                             {"ok": (3,), "bad": (1, 2), "late": (2,)})
         numkit.check_finite(tensors, "who")
+        tensors["late"][0] = np.nan
         tensors["bad"][0, 1] = np.inf
-        with pytest.raises(ValueError, match="who: bad"):
+        with pytest.raises(numkit.NonFiniteError, match="who: bad"):
             numkit.check_finite(tensors, "who")
+        assert issubclass(numkit.NonFiniteError, ValueError)
 
 
 def xent_row(z, t):

@@ -1,19 +1,29 @@
 import numpy as np
 import pytest
 
+from stpoi import cells
+from stpoi import model as M
 from stpoi import optim
+from stpoi.cells import CellParams
+
+from helpers import adam_step_per_tensor, clip_per_tensor
+
+
+def mapping(**tensors):
+    """The named arrays as one CellParams over one flat buffer."""
+    return CellParams("lstm", tensors, {k: np.shape(a) for k, a in tensors.items()})
 
 
 def scalar_params(value=1.0):
-    return {"p": np.array([value])}
+    return mapping(p=np.array([value]))
 
 
 class TestAdam:
     def test_zero_grad_leaves_params_unchanged(self):
-        tensors = {"a": np.array([1.0, -2.0]), "b": np.array([[3.0]])}
+        tensors = mapping(a=np.array([1.0, -2.0]), b=np.array([[3.0]]))
         state = optim.AdamState.for_tensors(tensors)
         before = {k: v.copy() for k, v in tensors.items()}
-        optim.adam_step(tensors, {k: np.zeros_like(v) for k, v in tensors.items()}, state)
+        optim.adam_step(tensors, tensors.zeros_like(), state)
         assert state.t == 1
         for k in tensors:
             np.testing.assert_array_equal(tensors[k], before[k])
@@ -24,14 +34,14 @@ class TestAdam:
         for g0, lr in ((1.0, 1e-3), (-0.25, 0.05), (7.0, 1e-2)):
             tensors = scalar_params(0.0)
             state = optim.AdamState.for_tensors(tensors, lr=lr)
-            optim.adam_step(tensors, {"p": np.array([g0])}, state)
+            optim.adam_step(tensors, scalar_params(g0), state)
             assert np.sign(tensors["p"][0]) == -np.sign(g0)
             np.testing.assert_allclose(abs(tensors["p"][0]), lr, rtol=1e-6)
 
     def test_steady_state_step_approaches_lr(self):
         tensors = scalar_params(0.0)
         state = optim.AdamState.for_tensors(tensors, lr=1e-3)
-        g = {"p": np.array([0.5])}
+        g = scalar_params(0.5)
         prev = tensors["p"][0]
         for _ in range(500):
             prev = tensors["p"][0]
@@ -43,21 +53,51 @@ class TestAdam:
         tensors = scalar_params(0.0)
         state = optim.AdamState.for_tensors(tensors, lr=0.05)
         for _ in range(2000):
-            grad = {"p": tensors["p"] - 3.0}
+            grad = mapping(p=tensors["p"] - 3.0)
             optim.adam_step(tensors, grad, state)
         np.testing.assert_allclose(tensors["p"][0], 3.0, atol=1e-3)
 
     def test_missing_grad_raises(self):
-        tensors = {"a": np.zeros(2), "b": np.zeros(2)}
+        tensors = mapping(a=np.zeros(2), b=np.zeros(2))
         state = optim.AdamState.for_tensors(tensors)
-        with pytest.raises(KeyError):
-            optim.adam_step(tensors, {"a": np.zeros(2)}, state)
+        with pytest.raises(KeyError, match="adam_step: layout"):
+            optim.adam_step(tensors, mapping(a=np.zeros(2)), state)
+        assert state.t == 0
 
     def test_shape_mismatch_raises(self):
-        tensors = {"a": np.zeros(2)}
+        tensors = mapping(a=np.zeros(2))
         state = optim.AdamState.for_tensors(tensors)
+        with pytest.raises(ValueError, match=r"\('a', \(3,\)\),\)\) is not"):
+            optim.adam_step(tensors, mapping(a=np.zeros(3)), state)
         with pytest.raises(ValueError):
-            optim.adam_step(tensors, {"a": np.zeros(3)}, state)
+            optim.adam_step(tensors, tensors.zeros_like(),
+                            optim.AdamState.for_tensors(mapping(a=np.zeros(3))))
+
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_clip_adam_project_match_the_per_tensor_oracle(self, variant):
+        cfg = M.ModelConfig(variant=variant, vocab=7, n_i=3, n_c=4,
+                            constraint_target="input")
+        rng = np.random.default_rng(50)
+        params = M.init_model(cfg, rng)
+        state = optim.AdamState.for_tensors(params, lr=0.05)
+        ref = {k: a.copy() for k, a in params.items()}
+        ref_m = {k: np.zeros_like(a) for k, a in params.items()}
+        ref_v = {k: np.zeros_like(a) for k, a in params.items()}
+        constrained = cells.constrained_names(variant, "input")
+        for t in range(1, 7):
+            grads = params.zeros_like()
+            grads.flat[:] = rng.normal(size=grads.flat.size) * rng.uniform(0.1, 3.0)
+            ref_g = {k: a.copy() for k, a in grads.items()}
+            assert optim.clip_global_norm(grads, 2.0) == clip_per_tensor(ref_g, 2.0)
+            optim.adam_step(params, grads, state)
+            adam_step_per_tensor(ref, ref_g, ref_m, ref_v, t, lr=0.05)
+            optim.project(params, constrained)
+            optim.project(ref, constrained)
+            assert state.t == t
+            for name in ref:
+                for got, want in ((params, ref), (grads, ref_g), (state.m, ref_m),
+                                  (state.v, ref_v)):
+                    assert got[name].tobytes() == want[name].tobytes(), (t, name)
 
 
 class TestProject:
@@ -91,30 +131,28 @@ class TestProject:
 
 class TestClip:
     def test_below_threshold_unchanged_exactly(self):
-        g = {"a": np.array([0.3, 0.4])}
+        g = mapping(a=np.array([0.3, 0.4]))
         before = g["a"].copy()
         norm = optim.clip_global_norm(g, max_norm=5.0)
         np.testing.assert_array_equal(g["a"], before)
         np.testing.assert_allclose(norm, 0.5, atol=1e-15)
 
     def test_example_scales_to_unit_norm(self):
-        g = {"a": np.array([3.0, 4.0])}
+        g = mapping(a=np.array([3.0, 4.0]))
         optim.clip_global_norm(g, max_norm=1.0)
         np.testing.assert_allclose(g["a"], [0.6, 0.8], atol=1e-12)
 
     def test_post_clip_norm_never_exceeds_max(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            g = {
-                "a": rng.normal(size=(3, 4)) * rng.uniform(0, 10),
-                "b": rng.normal(size=7) * rng.uniform(0, 10),
-            }
+            g = mapping(a=rng.normal(size=(3, 4)) * rng.uniform(0, 10),
+                        b=rng.normal(size=7) * rng.uniform(0, 10))
             optim.clip_global_norm(g, max_norm=2.0)
             total = np.sqrt(sum(float(np.sum(x * x)) for x in g.values()))
             assert total <= 2.0 + 1e-9
 
     def test_disabled_with_nonpositive_max(self):
-        g = {"a": np.array([30.0, 40.0])}
+        g = mapping(a=np.array([30.0, 40.0]))
         optim.clip_global_norm(g, max_norm=0.0)
         np.testing.assert_array_equal(g["a"], [30.0, 40.0])
 

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -165,3 +168,32 @@ class TestTrajectoryEquality:
             assert abs(a - b) <= 1e-9
         np.testing.assert_allclose(params_s.w_i, params_l.w_i,
                                    atol=1e-9)
+
+
+# sha256 of checkpoint.bin after training on from each stored checkpoint, as
+# computed when the checkpoints were written (before parameters, gradients
+# and Adam moments shared one flat buffer)
+RESUMED_SHA256 = {
+    "lstm": "4ec8aadf68e1c81cc28ac4d7c668a3f47fabf4005fb69e03e5a6a08bd485446f",
+    "st-lstm": "3ba6b804d43dd9440edbabe1dd4be6ac7977254751ecf1734b450c818aff7663",
+    "st-clstm": "b84121907e920abbbd8b9401a02ec399d5b6237032a477773fcefb5071cd037c",
+}
+
+
+class TestStoredCheckpoint:
+    @pytest.mark.parametrize("variant", sorted(RESUMED_SHA256))
+    def test_trains_on_to_the_recorded_bytes(self, variant, tmp_path):
+        # tests/data/resume-<variant>.bin: 2 epochs (lr 0.02, batch 4, seed 1)
+        # of an n_i 3, n_c 4 model drawn with seed 5 on this corpus
+        stored = Path(__file__).parent / "data" / f"resume-{variant}.bin"
+        params, cfg, adam = M.load_checkpoint(stored)
+        assert cfg.variant == variant and adam is not None and adam.t == 4
+        assert adam.m.layout == adam.v.layout == params.layout
+        M.save_checkpoint(tmp_path / "again.bin", params, cfg, adam)
+        assert (tmp_path / "again.bin").read_bytes() == stored.read_bytes()
+        corpus = data.synth_corpus(3, n_users=6, n_pois=20, length=14, n_short=2)
+        seqs, _ = T.train_sequences(corpus)
+        T.fit(params, cfg, seqs, epochs=2, batch_size=4, seed=2, adam=adam,
+              out_dir=tmp_path / "run")
+        got = hashlib.sha256((tmp_path / "run" / "checkpoint.bin").read_bytes())
+        assert got.hexdigest() == RESUMED_SHA256[variant]
