@@ -50,11 +50,15 @@ w_c, their biases, and the interval gates' w_x*, w_* and b_*.  Tensors are
 written in place, never replaced; gradients and Adam moments share the
 layout (``zeros_like``), so the optimizer makes one pass over the buffer.
 
-One forward (``cell_forward``) and one backward (``cell_backward``) serve
-all three variants, with one product per gate group in each direction.
-Both work on row batches: x is (B, n_i), dt/dd are (B,) and states, caches
-and gradients are (B, n_c).  A 1-D x or state and scalar dt/dd are read as
-a batch of one; lstm ignores dt/dd.  Batch rows are independent sequences.
+One forward and one backward (``cell_backward``) serve all three variants,
+with one product per gate group in each direction, on row batches: x is
+(B, n_i), dt/dd are (B,) and states, caches and gradients are (B, n_c);
+rows are independent sequences.  The forward is ``interval_terms``, the
+interval gates, which read no h and so can run for many steps at once, then
+``cell_step``, a kernel that checks only that its gate pre-activations are
+finite; the model calls both.  The public ``cell_forward`` wraps them with
+per-call checks of shapes, state and intervals, and reads a 1-D x or state
+and scalar dt/dd as a batch of one; lstm ignores dt/dd.
 """
 
 from __future__ import annotations
@@ -388,49 +392,74 @@ def _promote(p, step, prev, needs_intervals):
     return x, dt, dd, c_prev, h_prev
 
 
-def cell_forward(variant, p: CellParams, step: StepInput, prev: CellState,
-                 ablation: Optional[GateAblation] = None):
-    """One step of ``variant`` over a row batch; returns (CellState, StepCache).
-    A pinned interval gate is set to exactly 1."""
-    if p.variant != variant:
-        raise ValueError(f"cell_forward: params hold the {p.variant} tensors, "
-                         f"not those of {variant!r}")
+def interval_terms(p: CellParams, x, dt, dd, ablation: Optional[GateAblation] = None):
+    """The interval gates of R rows: x (R, n_i) and dt/dd (R,).
+
+    They read only the transition's input, never h, so the model computes
+    them for many steps at once.  Returns ``(u, inner, iv)``: u (R, 4, 1)
+    holds dt, dt, dd, dd; inner (R, 4, n_c) the sigmoid(u * w_u) terms and
+    iv (R, 4, n_c) the gates t1, t2, d1, d2, a pinned gate exactly 1.  All
+    three are None for lstm.  Shapes and signs are not checked; both
+    sigmoids reject a NaN or inf.
+    """
+    if "w_to" not in p:
+        return None, None, None
     ablation = ablation or GateAblation()
-    has_forget, has_intervals = "w_f" in p, "w_to" in p
-    x, dt, dd, c_prev, h_prev = _promote(p, step, prev, has_intervals)
+    n = p.n_c
+    u = np.stack([dt, dt, dd, dd], axis=1)[:, :, None]
+    inner = numkit.sigmoid(u * p.blocks["w_u"].reshape(4, n))
+    iv = numkit.sigmoid(numkit.affine(p.blocks["w_x"], x, p.blocks["b_x"])
+                        .reshape(-1, 4, n) + inner)
+    iv[:, [k for k, gate in enumerate(INTERVAL_GATES)
+           if getattr(ablation, f"fix_{gate}")]] = 1.0
+    return u, inner, iv
+
+
+def cell_step(p: CellParams, x, c_prev, h_prev, u, inner, iv):
+    """One step over a row batch from its ``interval_terms``; returns
+    (CellState, StepCache).  Expects (B, n_i) x and finite (B, n_c) states;
+    checks only that the gate pre-activations are finite (NonFiniteError).
+    """
     n = p.n_c
     z = np.concatenate([h_prev, x], axis=1)
     a = numkit.affine(p.blocks["w_z"], z, p.blocks["b_z"])
-    u = iv = inner = None
-    if has_intervals:
-        u = np.stack([dt, dt, dd, dd], axis=1)[:, :, None]
+    if iv is not None:
         a_o = a[:, -2 * n:-n]
         a_o += u[:, 0] * p["w_to"]
         a_o += u[:, 2] * p["w_do"]
-        inner = numkit.sigmoid(u * p.blocks["w_u"].reshape(4, n))
-        iv = numkit.sigmoid(numkit.affine(p.blocks["w_x"], x, p.blocks["b_x"])
-                            .reshape(-1, 4, n) + inner)
-        iv[:, [k for k, gate in enumerate(INTERVAL_GATES)
-               if getattr(ablation, f"fix_{gate}")]] = 1.0
-    s = numkit.sigmoid(a[:, :-n])
+    if not np.isfinite(a).all():
+        raise numkit.NonFiniteError(
+            "cell step: gate pre-activations contain NaN or inf")
+    s = numkit.sigmoid_unchecked(a[:, :-n])
     i, o = s[:, :n], s[:, -n:]
-    f = s[:, n:2 * n] if has_forget else None
-    g = numkit.tanh_v(a[:, -n:])
+    f = s[:, n:2 * n] if "w_f" in p else None
+    g = np.tanh(a[:, -n:])
     w1 = w2 = i
-    if has_intervals:
+    if iv is not None:
         t1, t2, d1, d2 = iv.transpose(1, 0, 2)
         w1 = i * t1 * d1
         w2 = i * t2 * d2
-    k1, k2 = (f, f) if has_forget else (1.0 - w1, 1.0 - i)
+    k1, k2 = (f, f) if f is not None else (1.0 - w1, 1.0 - i)
     c_hat = k1 * c_prev + w1 * g
-    c = k2 * c_prev + w2 * g if has_intervals else c_hat
+    c = k2 * c_prev + w2 * g if iv is not None else c_hat
     tch = np.tanh(c_hat)
     h = o * tch
     cache = StepCache(
-        variant=variant, x=x, z=z, i=i, f=f, g=g, o=o, c_prev=c_prev,
+        variant=p.variant, x=x, z=z, i=i, f=f, g=g, o=o, c_prev=c_prev,
         w1=w1, w2=w2, k1=k1, k2=k2, tanh_c_hat=tch, u=u, iv=iv, inner=inner,
     )
     return CellState(c=c, h=h, c_hat=c_hat), cache
+
+
+def cell_forward(variant, p: CellParams, step: StepInput, prev: CellState,
+                 ablation: Optional[GateAblation] = None):
+    """One checked step of ``variant`` over a row batch; returns
+    (CellState, StepCache).  A pinned interval gate is set to exactly 1."""
+    if p.variant != variant:
+        raise ValueError(f"cell_forward: params hold the {p.variant} tensors, "
+                         f"not those of {variant!r}")
+    x, dt, dd, c_prev, h_prev = _promote(p, step, prev, "w_to" in p)
+    return cell_step(p, x, c_prev, h_prev, *interval_terms(p, x, dt, dd, ablation))
 
 
 def cell_backward(p, cache: StepCache, grad_h, grad_c, grads):

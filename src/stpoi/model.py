@@ -23,15 +23,15 @@ from . import container
 from .cells import (
     CellParams,
     GateAblation,
-    StepInput,
     VARIANTS,
     _tensor_shapes,
     cell_backward,
-    cell_forward,
+    cell_step,
     constrained_names,
     count_params,
     draw_tensors,
     formula_param_count,
+    interval_terms,
     zero_state,
 )
 from .numkit import affine, check_finite, matmul_rows, softmax_xent_rows
@@ -43,6 +43,8 @@ CHECKPOINT_KIND = "stpoi-checkpoint"
 READOUT_ROWS = 64
 # w_out rows per block of the w_out/b_out gradient sum
 VOCAB_ROWS = 256
+# (b, t) rows per block of the interval terms computed ahead of the steps
+TERM_ROWS = 512
 
 
 @dataclass
@@ -170,6 +172,9 @@ def _pad(seqs, cfg: ModelConfig, who: str):
 
     Returns ``(pois, dts, dds, lengths)``.  Padding steps read POI 0 at zero
     intervals; batch rows are independent, so they never reach a real step.
+    Every POI id and interval is checked here, once per batch: ids must lie
+    in the vocabulary (IndexError), intervals must be finite and
+    non-negative (ValueError), whatever the variant.
     """
     if not seqs:
         raise ValueError(f"{who}: empty batch")
@@ -188,19 +193,35 @@ def _pad(seqs, cfg: ModelConfig, who: str):
         pois[b, :n] = seq[0]
         dts[b, :n] = seq[1]
         dds[b, :n] = seq[2]
+    if not (np.isfinite(dts).all() and np.isfinite(dds).all()):
+        raise ValueError(f"{who}: dt/dd contain NaN or inf")
+    if (dts < 0).any() or (dds < 0).any():
+        raise ValueError(f"{who}: dt and dd must be non-negative")
     return pois, dts, dds, np.array(lengths)
 
 
 def _unroll(params: ModelParams, cfg: ModelConfig, pois, dts, dds):
     """Run the cell over padded (B, T) inputs from the zero state, yielding
-    ``(state, cache)`` after each step."""
-    state = zero_state(cfg.n_c, batch=pois.shape[0])
-    for t in range(pois.shape[1]):
-        state, cache = cell_forward(
-            cfg.variant, params,
-            StepInput(params.embedding[pois[:, t]], dts[:, t], dds[:, t]),
-            state, cfg.ablation)
-        yield state, cache
+    ``(state, cache)`` after each step of the kernel ``cells.cell_step``
+    (``_pad`` checked the inputs).  The embedding is gathered once and the
+    interval terms computed ahead for blocks of at most ``TERM_ROWS`` rows
+    (one step at least); tiled products keep each row's per-step bits.
+    """
+    B, T = pois.shape
+    xs = params.embedding[pois.T]
+    state = zero_state(cfg.n_c, batch=B)
+    per_block = max(1, TERM_ROWS // B)
+    for t0 in range(0, T, per_block):
+        t1 = min(T, t0 + per_block)
+        terms = interval_terms(params, xs[t0:t1].reshape(-1, cfg.n_i),
+                               dts[:, t0:t1].T.reshape(-1),
+                               dds[:, t0:t1].T.reshape(-1), cfg.ablation)
+        for t in range(t0, t1):
+            rows = slice((t - t0) * B, (t - t0 + 1) * B)
+            state, cache = cell_step(
+                params, xs[t], state.c, state.h,
+                *(None if a is None else a[rows] for a in terms))
+            yield state, cache
 
 
 def forward_batch(params: ModelParams, cfg: ModelConfig, seqs):
@@ -234,7 +255,8 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     is summed per step in ascending t.  The ``w_out``/``b_out`` gradient is
     a rank-B sum per step, added in descending t, one ``VOCAB_ROWS``-row
     block of the vocabulary at a time so the block of the accumulator stays
-    in cache.
+    in cache.  The embedding gradient is scattered after the backward: each
+    step's per-POI sums of the input gradients, added in descending t.
     """
     check_finite(params.tensors(), "batch_loss_and_grads")
     pois, dts, dds, lengths = _pad(seqs, cfg, "batch_loss_and_grads")
@@ -280,22 +302,26 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     n_steps = float(mask.sum())
     dh_next = np.zeros((B, cfg.n_c))
     dc_next = np.zeros((B, cfg.n_c))
+    dxs = np.empty((T, B, cfg.n_i))
     cap = cfg.bptt_cap
     for t in reversed(range(T)):
         dh = dhs[t] + dh_next
-        dh_prev, dc_prev, dx = cell_backward(params, caches[t], dh, dc_next, grads)
-        # reduce duplicate rows within the step before touching the
-        # accumulator: each embedding row then receives one delta per step,
-        # which keeps a duplicated batch exactly twice the single run
-        uniq, inv = np.unique(pois[:, t], return_inverse=True)
-        sums = np.zeros((len(uniq), cfg.n_i))
-        np.add.at(sums, inv, dx)
-        grads["embedding"][uniq] += sums
+        dh_prev, dc_prev, dxs[t] = cell_backward(params, caches[t], dh,
+                                                 dc_next, grads)
         if cap is not None and t % cap == 0:
             dh_next = np.zeros((B, cfg.n_c))
             dc_next = np.zeros((B, cfg.n_c))
         else:
             dh_next, dc_next = dh_prev, dc_prev
+    # reduce duplicate POIs within each step first, rows in batch order:
+    # each embedding row then receives one delta per step, added in
+    # descending t, which keeps a duplicated batch exactly twice the single
+    # run
+    uniq, inv = np.unique(np.arange(T)[:, None] * cfg.vocab + pois.T,
+                          return_inverse=True)
+    sums = np.zeros((len(uniq), cfg.n_i))
+    np.add.at(sums, inv.reshape(-1), dxs.reshape(-1, cfg.n_i))
+    np.add.at(grads["embedding"], uniq[::-1] % cfg.vocab, sums[::-1])
 
     grads.flat /= n_steps
     return total_loss / n_steps, grads

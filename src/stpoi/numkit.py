@@ -19,11 +19,14 @@ not multiples of ``TAIL_COLS``.
 Finiteness is checked at boundaries, not inside the matrix kernels:
 ``check_finite`` tests the parameters' ``flat`` buffer once per mini-batch
 (``model.batch_loss_and_grads``) and once per evaluation call
-(``eval.collect_ranks``); the cells check state and intervals once per step;
-the public ``sigmoid`` and ``tanh_v`` check their inputs; and ``train.fit``
-aborts on a non-finite loss.  A NaN or inf means upstream state is already
-corrupt, so it fails loudly there, as ``NonFiniteError``, instead of
-spreading.
+(``eval.collect_ranks``); ``model._pad`` checks the intervals once per
+batch; the checked ``sigmoid`` covers the interval gates once per block of
+steps; the cell kernel ``cells.cell_step`` checks its gate pre-activations
+once per step, and the public ``cells.cell_forward`` also checks its state
+and intervals on every call; ``train.fit`` aborts on a non-finite loss.  A
+NaN or inf means upstream state is already corrupt, so it fails loudly
+there, as ``NonFiniteError`` (a bad interval as a plain ``ValueError``),
+instead of spreading.
 """
 
 from __future__ import annotations
@@ -52,15 +55,22 @@ def _as_float(x, name: str) -> np.ndarray:
 
 
 def sigmoid(x) -> np.ndarray:
-    """Elementwise logistic function 1 / (1 + exp(-x)), overflow-safe."""
-    a = _as_float(x, "sigmoid")
-    e = np.exp(-np.abs(a))
-    return np.where(a >= 0, 1.0, e) / (1.0 + e)
+    """Elementwise logistic function 1 / (1 + exp(-x)), overflow-safe;
+    rejects a NaN or inf input."""
+    return sigmoid_unchecked(_as_float(x, "sigmoid"))
 
 
-def tanh_v(x) -> np.ndarray:
-    """Elementwise hyperbolic tangent."""
-    return np.tanh(_as_float(x, "tanh_v"))
+def sigmoid_unchecked(a: np.ndarray) -> np.ndarray:
+    """``sigmoid`` of a float array whose finiteness the caller checked.
+    The operations of ``where(a >= 0, 1, e) / (1 + e)``, e = exp(-|a|),
+    run in place on two temporaries."""
+    e = np.abs(a)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(a >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 def check_finite(tensors, who: str) -> None:

@@ -2,7 +2,8 @@
 (used as the finite-difference harness), a generic central-difference
 oracle that perturbs one coordinate at a time, and plain-loop oracles of
 the batched library paths: a per-gate cell forward, a streaming model step,
-a per-step training readout, a one-logit-vector rank, a one-row softmax
+a per-step unroll through the public cell forward, a per-step training
+readout and embedding scatter, a one-logit-vector rank, a one-row softmax
 cross-entropy, the two-branch sigmoid, a one-user-at-a-time evaluation,
 and a per-tensor Adam step and gradient clipping.  Also a user's test
 transitions and a corpus's raw-id index, which only tests read."""
@@ -66,7 +67,7 @@ def per_gate_forward(variant, p, step, prev, ablation=None):
     x, dt, dd, c_prev, h_prev = cells._promote(p, step, prev, has_intervals)
     z = np.concatenate([h_prev, x], axis=1)
     i = numkit.sigmoid(numkit.affine(p["w_i"], z, p["b_i"]))
-    g = numkit.tanh_v(numkit.affine(p["w_c"], z, p["b_c"]))
+    g = np.tanh(numkit.affine(p["w_c"], z, p["b_c"]))
     a_o = numkit.affine(p["w_o"], z, p["b_o"])
     f = None
     if has_forget:
@@ -143,11 +144,34 @@ def step(params, cfg, state, poi, dt, dd):
     return model.readout(params, new_state.h)[0], new_state
 
 
+def per_step_unroll(params, cfg, pois, dts, dds):
+    """Oracle of model._unroll: the public ``cells.cell_forward`` over padded
+    (B, T) inputs, one step at a time with its own embedding gather and
+    interval gates; yields ``(state, cache)`` after each step."""
+    state = cells.zero_state(cfg.n_c, batch=pois.shape[0])
+    for t in range(pois.shape[1]):
+        state, cache = cells.cell_forward(
+            cfg.variant, params,
+            cells.StepInput(params.embedding[pois[:, t]], dts[:, t], dds[:, t]),
+            state, cfg.ablation)
+        yield state, cache
+
+
+def per_step_forward(params, cfg, seqs):
+    """Oracle of model.forward_batch through ``per_step_unroll``."""
+    pois, dts, dds, _ = model._pad(seqs, cfg, "per_step_forward")
+    hs = np.empty(pois.shape + (cfg.n_c,))
+    for t, (state, _) in enumerate(per_step_unroll(params, cfg, pois, dts, dds)):
+        hs[:, t] = state.h
+    return hs
+
+
 def per_step_loss_and_grads(params, cfg, seqs):
-    """Oracle of model.batch_loss_and_grads: the readout, softmax and
-    ``dlog @ w_out`` run inside the forward loop on all B rows of each step,
-    padded rows masked, and the whole ``w_out`` accumulator takes each
-    step's rank-B sum in the backward loop."""
+    """Oracle of model.batch_loss_and_grads: ``per_step_unroll`` steps the
+    cell; the readout, softmax and ``dlog @ w_out`` run inside the forward
+    loop on all B rows of each step, padded rows masked; the whole ``w_out``
+    accumulator takes each step's rank-B sum and the embedding each step's
+    per-POI sums in the backward loop."""
     numkit.check_finite(params.tensors(), "per_step_loss_and_grads")
     pois, dts, dds, lengths = model._pad(seqs, cfg, "per_step_loss_and_grads")
     B, T = pois.shape
@@ -158,7 +182,7 @@ def per_step_loss_and_grads(params, cfg, seqs):
 
     caches, hs, dlogits = [], [], []
     total_loss = 0.0
-    for t, (state, cache) in enumerate(model._unroll(params, cfg, pois, dts, dds)):
+    for t, (state, cache) in enumerate(per_step_unroll(params, cfg, pois, dts, dds)):
         losses, dlog = numkit.softmax_xent_rows(model.readout(params, state.h),
                                                 targets[:, t])
         total_loss += float(losses @ mask[:, t])

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from stpoi import cells
+from stpoi import data
 from stpoi import eval as E
 from stpoi import model as M
 from stpoi.cells import GateAblation, zero_state
+from stpoi.numkit import NonFiniteError
 from stpoi.optim import AdamState, fd_check
 
-from helpers import per_step_loss_and_grads, softmax_xent, step
+from helpers import (per_step_forward, per_step_loss_and_grads, softmax_xent,
+                     step)
 
 
 def tiny_cfg(variant, vocab=6, n_i=3, n_c=4, **kw):
@@ -240,6 +243,84 @@ class TestGradients:
         )
         for name in g_none:
             np.testing.assert_array_equal(g_none[name], g_big[name])
+
+
+class TestHoistedTerms:
+    """The model computes the interval gates ahead for blocks of steps and
+    steps through the unchecked kernel; forward, loss and every gradient
+    must equal the per-step public ``cell_forward`` path bit for bit."""
+
+    def check_against_oracle(self, variant, ablation):
+        cfg = tiny_cfg(variant, vocab=40, n_i=8, n_c=12,
+                       ablation=GateAblation.from_name(ablation))
+        rng = np.random.default_rng(50)
+        params = M.init_model(cfg, rng)
+        # ragged, with repeated POIs within a step; B * T spans two blocks
+        seqs = [random_seq(rng, cfg.vocab, int(n))
+                for n in (*rng.integers(1, 60, 12), 60)]
+        assert len(seqs) * 60 > M.TERM_ROWS
+        np.testing.assert_array_equal(
+            M.forward_batch(params, cfg, [s[:3] for s in seqs]),
+            per_step_forward(params, cfg, seqs))
+        loss, grads = M.batch_loss_and_grads(params, cfg, seqs)
+        want_loss, want = per_step_loss_and_grads(params, cfg, seqs)
+        assert loss == want_loss
+        for name in want:
+            np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
+
+    @pytest.mark.parametrize("ablation", sorted(cells.ABLATION_PRESETS))
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_bitwise_equal_to_per_step_oracle(self, variant, ablation):
+        self.check_against_oracle(variant, ablation)
+
+    def test_blocks_of_one_step_when_the_batch_is_wider(self, monkeypatch):
+        monkeypatch.setattr(M, "TERM_ROWS", 5)
+        self.check_against_oracle("st-lstm", "short-only")
+
+
+class TestFiniteBoundaries:
+    """Checks run once per batch (intervals), per block of steps (the
+    interval gates' sigmoids) and per step (the gate pre-activations)."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("block, variant", [
+        ("w_z", "lstm"), ("w_z", "st-lstm"), ("w_z", "st-clstm"),
+        ("w_x", "st-lstm"), ("w_x", "st-clstm")])
+    def test_overflowing_gate_products_raise(self, block, variant):
+        corpus = data.synth_corpus(5, n_users=6, n_pois=20, length=12)
+        cfg = tiny_cfg(variant, vocab=corpus.n_pois)
+        params = M.init_model(cfg, np.random.default_rng(51))
+        # every tensor stays finite; their products overflow
+        params.blocks[block][...] *= 1e300
+        params.embedding[...] *= 1e10
+        seqs = [u.train_steps() for u in corpus.users]
+        with pytest.raises(NonFiniteError, match="NaN or inf"):
+            M.batch_loss_and_grads(params, cfg, seqs)
+        with pytest.raises(NonFiniteError, match="NaN or inf"):
+            E.collect_ranks(params, cfg, corpus)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "NaN or inf"), (np.inf, "NaN or inf"),
+        (-1.0, "non-negative")])
+    @pytest.mark.parametrize("column", [1, 2])
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_bad_interval_raises_before_any_step(self, variant, column, bad,
+                                                 message, monkeypatch):
+        cfg = tiny_cfg(variant)
+        rng = np.random.default_rng(52)
+        params = M.init_model(cfg, rng)
+        seqs = [random_seq(rng, cfg.vocab, n) for n in (4, 6)]
+        seqs[1][column][5] = bad
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(M, "cell_step", no_step)
+        monkeypatch.setattr(M, "interval_terms", no_step)
+        with pytest.raises(ValueError, match=message):
+            M.batch_loss_and_grads(params, cfg, seqs)
+        with pytest.raises(ValueError, match=message):
+            M.forward_batch(params, cfg, [s[:3] for s in seqs])
 
 
 class TestPredict:

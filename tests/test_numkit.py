@@ -12,7 +12,6 @@ from helpers import sigmoid_two_branch, softmax_xent
 # Expected values below are frozen from independent oracles (math module /
 # closed forms), not from the functions under test.
 SIG_NEG1 = 1.0 / (1.0 + math.e)          # 0.2689414213699951
-TANH_1 = math.tanh(1.0)                  # 0.7615941559557649
 LOG4 = math.log(4.0)                     # 1.3862943611198906
 XENT_10_M10 = np.logaddexp(0.0, -20.0)   # -log sigmoid(20) = 2.0611536e-09
 
@@ -59,27 +58,6 @@ class TestSigmoid:
         hi = numkit.sigmoid(np.array([x + gap]))[0]
         assert lo < hi
         assert 0.0 < lo < 1.0 and 0.0 < hi < 1.0
-
-
-class TestTanh:
-    def test_zero(self):
-        np.testing.assert_array_equal(numkit.tanh_v(np.zeros(4)), np.zeros(4))
-
-    def test_one(self):
-        np.testing.assert_allclose(numkit.tanh_v(np.array([1.0])), [TANH_1], atol=1e-15)
-
-    def test_odd(self):
-        x = np.linspace(-5, 5, 41)
-        np.testing.assert_allclose(numkit.tanh_v(-x), -numkit.tanh_v(x), atol=1e-15)
-
-    def test_range(self):
-        x = np.linspace(-40, 40, 201)
-        y = numkit.tanh_v(x)
-        assert np.all(y >= -1.0) and np.all(y <= 1.0)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            numkit.tanh_v(np.array([np.nan]))
 
 
 class TestAffine:
