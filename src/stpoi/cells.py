@@ -50,15 +50,20 @@ w_c, their biases, and the interval gates' w_x*, w_* and b_*.  Tensors are
 written in place, never replaced; gradients and Adam moments share the
 layout (``zeros_like``), so the optimizer makes one pass over the buffer.
 
-One forward and one backward (``cell_backward``) serve all three variants,
-with one product per gate group in each direction, on row batches: x is
-(B, n_i), dt/dd are (B,) and states, caches and gradients are (B, n_c);
-rows are independent sequences.  The forward is ``interval_terms``, the
-interval gates, which read no h and so can run for many steps at once, then
-``cell_step``, a kernel that checks only that its gate pre-activations are
-finite; the model calls both.  The public ``cell_forward`` wraps them with
-per-call checks of shapes, state and intervals, and reads a 1-D x or state
-and scalar dt/dd as a batch of one; lstm ignores dt/dd.
+One forward and one backward serve all three variants, with one product per
+gate group in each direction, on row batches: x is (B, n_i), dt/dd are (B,)
+and states, caches and gradients are (B, n_c); rows are independent
+sequences.  The forward is ``interval_terms``, the interval gates, which
+read no h and so can run for many steps at once, then ``cell_step``, a
+kernel that checks only that its gate pre-activations are finite.  The
+backward mirrors that split: ``step_backward`` is the recurrent part of a
+step, which the time loop needs, and ``input_backward`` the rest, the
+interval gates' chain and the input gradient, which feeds no earlier step
+and so can run for many steps at once.  The model calls the four parts.
+The public ``cell_forward`` and ``cell_backward`` wrap them for one step,
+with per-call checks of shapes, variant, state and intervals;
+``cell_forward`` reads a 1-D x or state and scalar dt/dd as a batch of one,
+and lstm ignores dt/dd.
 """
 
 from __future__ import annotations
@@ -470,7 +475,8 @@ def cell_backward(p, cache: StepCache, grad_h, grad_c, grads):
     group's block takes one weight-gradient product and one bias sum, in
     place.  A pinned gate is exactly 1, so its gradients stay exactly 0.
     Returns ``(grad_h_prev, grad_c_prev, grad_x)``, shaped (B, n_c),
-    (B, n_c) and (B, n_i).
+    (B, n_c) and (B, n_i): ``step_backward`` then ``input_backward`` on the
+    step's rows.
     """
     if p.variant != cache.variant:
         raise ValueError(f"cell_backward: cache was built by {cache.variant!r}, "
@@ -482,13 +488,29 @@ def cell_backward(p, cache: StepCache, grad_h, grad_c, grads):
             f"cell_backward: upstream gradient shapes {gh.shape}/{gc.shape} do not "
             f"match step batch/width {cache.i.shape}"
         )
+    B, n = cache.i.shape
+    da = np.empty((B, p.blocks["w_z"].shape[0]))
+    dwi = None if cache.iv is None else np.empty((B, 2, n))
+    dh_prev, dc_prev = step_backward(p, cache, gh, gc, grads, da, dwi)
+    dx = input_backward(p, cache.x, (cache.u, cache.inner, cache.iv), da, dwi,
+                        grads, B)
+    return dh_prev, dc_prev, dx
 
+
+def step_backward(p, cache: StepCache, gh, gc, grads, da, dwi):
+    """The recurrent part of one step's backward, for the model's time loop.
+
+    Writes the step's gate pre-activation gradients into ``da`` (B, G*n_c),
+    in the column order of ``w_z``, and, with interval gates, the products
+    of the gradients of the two write gates w1, w2 with i into ``dwi``
+    (B, 2, n_c).  Adds the step's rank-B sums into the ``w_z``, ``b_z``,
+    ``w_to`` and ``w_do`` gradients.  Returns ``(grad_h_prev, grad_c_prev)``;
+    the rest of the step, which feeds no earlier step, is ``input_backward``.
+    """
     i, g, o, f, iv = cache.i, cache.g, cache.o, cache.f, cache.iv
     tch = cache.tanh_c_hat
     c_prev = cache.c_prev
-    B, n = i.shape
-    # pre-activation gradients in the column order of w_z: i[, f], o, c
-    da = np.empty((B, p.blocks["w_z"].shape[0]))
+    n = i.shape[1]
 
     do = gh * tch
     da_o = da[:, -2 * n:-n]
@@ -511,14 +533,8 @@ def cell_backward(p, cache: StepCache, grad_h, grad_c, grads):
     else:                       # w1 = i * t1 * d1, w2 = i * t2 * d2
         t1, t2, d1, d2 = iv.transpose(1, 0, 2)
         di = di + dw1 * t1 * d1 + dw2 * t2 * d2
-        # d/d(t1, t2, d1, d2) = (dw1 * i * d1, dw2 * i * d2, dw1 * i * t1, dw2 * i * t2)
-        dgate = np.stack([dw1, dw2, dw1, dw2], axis=1) * i[:, None] * iv[:, [2, 3, 0, 1]]
-        dpre = dgate * iv * (1.0 - iv)
-        dinner = dpre * cache.inner * (1.0 - cache.inner)
-        grads.blocks["w_u"] += (cache.u * dinner).sum(axis=0).reshape(-1)
-        dpre = dpre.reshape(B, -1)
-        grads.blocks["w_x"] += dpre.T @ cache.x
-        grads.blocks["b_x"] += dpre.sum(axis=0)
+        np.multiply(dw1, i, out=dwi[:, 0])
+        np.multiply(dw2, i, out=dwi[:, 1])
         grads["w_to"] += (cache.u[:, 0] * da_o).sum(axis=0)
         grads["w_do"] += (cache.u[:, 2] * da_o).sum(axis=0)
 
@@ -526,8 +542,34 @@ def cell_backward(p, cache: StepCache, grad_h, grad_c, grads):
     np.multiply(dg, 1.0 - g * g, out=da[:, -n:])
     grads.blocks["w_z"] += da.T @ cache.z
     grads.blocks["b_z"] += da.sum(axis=0)
-    dz = numkit.matmul_rows(da, p.blocks["w_z"])
-    dx = dz[:, n:]
-    if iv is not None:
-        dx = dx + numkit.matmul_rows(dpre, p.blocks["w_x"])
-    return dz[:, :n], dc_prev, dx
+    return numkit.matmul_rows(da, p.blocks["w_z"][:, :n]), dc_prev
+
+
+def input_backward(p, x, terms, da, dwi, grads, batch):
+    """The part of the backward that feeds no earlier step, for R rows of
+    ``step_backward`` output: the interval gates' chain and the input
+    gradient.
+
+    ``x`` (R, n_i), ``terms`` (the ``interval_terms`` of those rows), ``da``
+    and ``dwi`` hold whole steps of ``batch`` rows each, in step order.
+    Adds each step's rank-``batch`` sums into the ``w_u``, ``w_x`` and
+    ``b_x`` gradients, the last step first, and returns the input gradient
+    (R, n_i).  As in the forward, one product over all R rows gives each row
+    the bits of a per-step one.
+    """
+    u, inner, iv = terms
+    dx = numkit.matmul_rows(da, p.blocks["w_z"][:, p.n_c:])
+    if iv is None:
+        return dx
+    # d/d(t1, t2, d1, d2) = (dw1 * i * d1, dw2 * i * d2, dw1 * i * t1, dw2 * i * t2)
+    dgate = dwi[:, [0, 1, 0, 1]] * iv[:, [2, 3, 0, 1]]
+    dpre = dgate * iv * (1.0 - iv)
+    dw_u = u * (dpre * inner * (1.0 - inner))
+    dpre = dpre.reshape(len(x), -1)
+    for r in reversed(range(0, len(x), batch)):
+        rows = slice(r, r + batch)
+        grads.blocks["w_u"] += dw_u[rows].sum(axis=0).reshape(-1)
+        grads.blocks["w_x"] += dpre[rows].T @ x[rows]
+        grads.blocks["b_x"] += dpre[rows].sum(axis=0)
+    dx += numkit.matmul_rows(dpre, p.blocks["w_x"])
+    return dx

@@ -25,13 +25,14 @@ from .cells import (
     GateAblation,
     VARIANTS,
     _tensor_shapes,
-    cell_backward,
     cell_step,
     constrained_names,
     count_params,
     draw_tensors,
     formula_param_count,
+    input_backward,
     interval_terms,
+    step_backward,
     zero_state,
 )
 from .numkit import affine, check_finite, matmul_rows, softmax_xent_rows
@@ -43,7 +44,8 @@ CHECKPOINT_KIND = "stpoi-checkpoint"
 READOUT_ROWS = 64
 # w_out rows per block of the w_out/b_out gradient sum
 VOCAB_ROWS = 256
-# (b, t) rows per block of the interval terms computed ahead of the steps
+# (b, t) rows per block of the interval terms, computed ahead of the steps
+# and backpropagated after them (one step at least)
 TERM_ROWS = 512
 
 
@@ -200,22 +202,29 @@ def _pad(seqs, cfg: ModelConfig, who: str):
     return pois, dts, dds, np.array(lengths)
 
 
-def _unroll(params: ModelParams, cfg: ModelConfig, pois, dts, dds):
-    """Run the cell over padded (B, T) inputs from the zero state, yielding
-    ``(state, cache)`` after each step of the kernel ``cells.cell_step``
-    (``_pad`` checked the inputs).  The embedding is gathered once and the
-    interval terms computed ahead for blocks of at most ``TERM_ROWS`` rows
-    (one step at least); tiled products keep each row's per-step bits.
-    """
-    B, T = pois.shape
-    xs = params.embedding[pois.T]
-    state = zero_state(cfg.n_c, batch=B)
+def _term_blocks(params: ModelParams, cfg: ModelConfig, xs, dts, dds):
+    """Yield ``(t0, t1, terms)``: the ``interval_terms`` of steps t0..t1-1
+    of the (T, B, n_i) inputs ``xs`` and (B, T) intervals, step-major, for
+    blocks of at most ``TERM_ROWS`` rows (one step at least)."""
+    T, B = xs.shape[:2]
     per_block = max(1, TERM_ROWS // B)
     for t0 in range(0, T, per_block):
         t1 = min(T, t0 + per_block)
-        terms = interval_terms(params, xs[t0:t1].reshape(-1, cfg.n_i),
-                               dts[:, t0:t1].T.reshape(-1),
-                               dds[:, t0:t1].T.reshape(-1), cfg.ablation)
+        yield t0, t1, interval_terms(params, xs[t0:t1].reshape(-1, cfg.n_i),
+                                     dts[:, t0:t1].T.reshape(-1),
+                                     dds[:, t0:t1].T.reshape(-1), cfg.ablation)
+
+
+def _unroll(params: ModelParams, cfg: ModelConfig, xs, blocks):
+    """Run the cell over the (T, B, n_i) inputs ``xs`` from the zero state,
+    yielding ``(state, cache)`` after each step of the kernel
+    ``cells.cell_step``; ``blocks`` are the ``_term_blocks`` of ``xs`` (the
+    caller's ``_pad`` checked the inputs).  Tall products keep each row's
+    per-step bits.
+    """
+    B = xs.shape[1]
+    state = zero_state(cfg.n_c, batch=B)
+    for t0, t1, terms in blocks:
         for t in range(t0, t1):
             rows = slice((t - t0) * B, (t - t0 + 1) * B)
             state, cache = cell_step(
@@ -229,11 +238,15 @@ def forward_batch(params: ModelParams, cfg: ModelConfig, seqs):
 
     Returns hs (B, T, n_c), the hidden state after every step of the padded
     batch; entries past a sequence's length are padding.  Parameters are
-    not checked for finiteness here: callers check once per call.
+    not checked for finiteness here: callers check once per call.  The
+    embedding is gathered once, and the interval terms are computed one
+    block of steps at a time, just ahead of the steps that read them.
     """
     pois, dts, dds, _ = _pad(seqs, cfg, "forward_batch")
+    xs = params.embedding[pois.T]
     hs = np.empty(pois.shape + (cfg.n_c,))
-    for t, (state, _) in enumerate(_unroll(params, cfg, pois, dts, dds)):
+    blocks = _term_blocks(params, cfg, xs, dts, dds)
+    for t, (state, _) in enumerate(_unroll(params, cfg, xs, blocks)):
         hs[:, t] = state.h
     return hs
 
@@ -255,8 +268,11 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     is summed per step in ascending t.  The ``w_out``/``b_out`` gradient is
     a rank-B sum per step, added in descending t, one ``VOCAB_ROWS``-row
     block of the vocabulary at a time so the block of the accumulator stays
-    in cache.  The embedding gradient is scattered after the backward: each
-    step's per-POI sums of the input gradients, added in descending t.
+    in cache.  The backward mirrors the forward: the time loop runs only
+    ``cells.step_backward``, and ``cells.input_backward`` then runs once per
+    block of interval terms, the last block first.  The embedding gradient
+    is scattered after the backward: each step's per-POI sums of the input
+    gradients, added in descending t.
     """
     check_finite(params.tensors(), "batch_loss_and_grads")
     pois, dts, dds, lengths = _pad(seqs, cfg, "batch_loss_and_grads")
@@ -267,9 +283,11 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
                                              "batch_loss_and_grads")
     mask = (np.arange(T) < lengths[:, None]).astype(float)
 
+    xs = params.embedding[pois.T]
+    blocks = list(_term_blocks(params, cfg, xs, dts, dds))
     caches = []
     hs = np.empty((T, B, cfg.n_c))
-    for t, (state, cache) in enumerate(_unroll(params, cfg, pois, dts, dds)):
+    for t, (state, cache) in enumerate(_unroll(params, cfg, xs, blocks)):
         hs[t] = state.h
         caches.append(cache)
 
@@ -302,17 +320,27 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     n_steps = float(mask.sum())
     dh_next = np.zeros((B, cfg.n_c))
     dc_next = np.zeros((B, cfg.n_c))
-    dxs = np.empty((T, B, cfg.n_i))
+    # per step: the gate pre-activation gradients and, with interval gates,
+    # the write-gate gradients times i (see cells.step_backward)
+    das = np.empty((T, B, params.blocks["w_z"].shape[0]))
+    dwis = np.empty((T, B, 2, cfg.n_c)) if "w_to" in params else None
     cap = cfg.bptt_cap
     for t in reversed(range(T)):
         dh = dhs[t] + dh_next
-        dh_prev, dc_prev, dxs[t] = cell_backward(params, caches[t], dh,
-                                                 dc_next, grads)
+        dh_prev, dc_prev = step_backward(params, caches[t], dh, dc_next, grads,
+                                         das[t], None if dwis is None else dwis[t])
         if cap is not None and t % cap == 0:
             dh_next = np.zeros((B, cfg.n_c))
             dc_next = np.zeros((B, cfg.n_c))
         else:
             dh_next, dc_next = dh_prev, dc_prev
+    dxs = np.empty((T, B, cfg.n_i))
+    for t0, t1, terms in reversed(blocks):
+        dxs[t0:t1] = input_backward(
+            params, xs[t0:t1].reshape(-1, cfg.n_i), terms,
+            das[t0:t1].reshape((t1 - t0) * B, -1),
+            None if dwis is None else dwis[t0:t1].reshape(-1, 2, cfg.n_c),
+            grads, B).reshape(t1 - t0, B, cfg.n_i)
     # reduce duplicate POIs within each step first, rows in batch order:
     # each embedding row then receives one delta per step, added in
     # descending t, which keeps a duplicated batch exactly twice the single

@@ -4,17 +4,28 @@ The cells and the model call these kernels on row batches: (B, K) float
 arrays whose last axis is the vector axis, one row per sequence.  The
 elementwise functions take any shape.  Default precision is float64.
 
-Matrix products over a row batch (``affine``, ``matmul_rows``) run in fixed
-``TILE_ROWS``-row tiles, the last one zero-padded, so every BLAS call has the
-same shape and a row's bits depend neither on the batch size nor on the
-row's place in it.  A fixed tile shape alone does not give that when the
-output width is not a multiple of ``TAIL_COLS``: OpenBLAS then computes the
-last ``width % TAIL_COLS`` columns with bits that depend on the row's slot in
-the tile.  So each tile's widest multiple-of-``TAIL_COLS`` column block is
+Matrix products over a row batch (``affine``, ``matmul_rows``) give each row
+the bits of a ``TILE_ROWS``-row BLAS call, whatever the batch size and the
+row's place in it, and make as few calls as that allows.  A batch of at
+most ``TILE_ROWS`` rows is one call, zero-padded to ``TILE_ROWS``; below 16
+rows the bits can differ from a 16-row call's, which is why 16 is the least
+call height.  A taller batch is one call over all its rows where that gives
+the same bits, and ``TILE_ROWS``-row tiles, the last one zero-padded, in
+one batched call elsewhere.  Where it does not: OpenBLAS computes small
+products with a second kernel (with the SkylakeX kernels: up to 10^6
+multiply-adds and, for a transposed matrix, 1200 outputs from K >= 32),
+whose bits can differ from the large kernel's, so one call over B rows
+matches 16-row calls for every B only if both kernels round alike or the
+16-row call already runs the large one.  ``_one_call_exact`` probes this
+per matrix shape and layout.  A fixed call shape alone does not give the
+property when the output width is not a multiple of ``TAIL_COLS``: OpenBLAS
+then computes the last ``width % TAIL_COLS`` columns with bits that depend
+on the row's slot.  So the widest multiple-of-``TAIL_COLS`` column block is
 one product, and the remaining columns come from a product against a
-zero-padded ``TAIL_COLS``-column copy of the matrix.  ``tests/test_numkit.py``
-asserts the property against the installed BLAS, at widths that are and are
-not multiples of ``TAIL_COLS``.
+zero-padded ``TAIL_COLS``-column copy of the matrix.
+``tests/test_numkit.py`` asserts the property against the installed BLAS,
+from one row to taller than any call the model makes, at the shapes the
+model uses.
 
 Finiteness is checked at boundaries, not inside the matrix kernels:
 ``check_finite`` tests the parameters' ``flat`` buffer once per mini-batch
@@ -23,22 +34,34 @@ Finiteness is checked at boundaries, not inside the matrix kernels:
 batch; the checked ``sigmoid`` covers the interval gates once per block of
 steps; the cell kernel ``cells.cell_step`` checks its gate pre-activations
 once per step, and the public ``cells.cell_forward`` also checks its state
-and intervals on every call; ``train.fit`` aborts on a non-finite loss.  A
-NaN or inf means upstream state is already corrupt, so it fails loudly
-there, as ``NonFiniteError`` (a bad interval as a plain ``ValueError``),
-instead of spreading.
+and intervals on every call; ``train.fit`` aborts on a non-finite loss
+and checks the parameters after each epoch's last step.  A NaN or inf
+means upstream state is already corrupt, so it fails loudly there, as
+``NonFiniteError`` (a bad interval as a plain ``ValueError``), instead of
+spreading.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 _FLOATS = (np.float32, np.float64)
 
-# rows per BLAS call in affine and matmul_rows
+# fewest rows per BLAS call in affine and matmul_rows
 TILE_ROWS = 16
 # output columns are computed in blocks of a multiple of this width
 TAIL_COLS = 8
+# multiply-adds and outputs past which _one_call_exact trusts a probe for
+# every height: 4x and 6.8x the limits of OpenBLAS's small-product kernel
+PROBE_SIZE = 1 << 22
+PROBE_OUTPUTS = 1 << 13
+
+# (K, O, strides, dtype) of a matrix -> the most rows one call is known to
+# take exactly: inf for any number, 0 for none past TILE_ROWS.  A property
+# of the process's BLAS, so one table serves every caller.
+_ONE_CALL_ROWS = {}
 
 
 class NonFiniteError(ValueError):
@@ -81,35 +104,82 @@ def check_finite(tensors, who: str) -> None:
         raise NonFiniteError(f"{who}: {name}: input contains NaN or inf")
 
 
-def _tiled_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(B, K) @ (K, O) in fixed TILE_ROWS-row tiles, the last one zero-padded.
+def _in_tiles(rows: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = rows @ m`` as TILE_ROWS-row BLAS calls, the last tile
+    zero-padded, made by one batched ``np.matmul``."""
+    n, k = rows.shape
+    tiles = np.zeros((-(-n // TILE_ROWS) * TILE_ROWS, k))
+    tiles[:n] = rows
+    out[...] = np.matmul(tiles.reshape(-1, TILE_ROWS, k), m).reshape(
+        len(tiles), -1)[:n]
 
-    A single (B,K)@(K,O) BLAS call picks its blocking from B, so a row's bits
-    would depend on the batch width; every tile here has one shape.  The
-    first ``O - O % TAIL_COLS`` columns are one product per tile against a
-    view of ``m``; the last ``O % TAIL_COLS`` columns are one product per
-    tile against those columns of ``m`` zero-padded to ``TAIL_COLS``, so no
-    column falls in the BLAS's width remainder, whose bits vary with the
-    row's slot.  The main block writes straight into the output; the tail
-    passes through one TILE_ROWS x TAIL_COLS buffer.
+
+def _one_call_exact(m: np.ndarray, n: int) -> bool:
+    """Whether one BLAS call over n > TILE_ROWS rows gives each row of
+    ``a @ m`` the bits of TILE_ROWS-row calls.
+
+    The BLAS picks its kernel from the shapes alone and switches kernel at
+    most once as the height grows, so a probe that agrees at some height
+    vouches for every height up to it, and for every height at all once it
+    is past the small-product kernel's limits.  So a shape, layout and dtype
+    of ``m`` is probed on random rows, one call against the same rows in
+    TILE_ROWS-row tiles, when a call first needs more rows than known: at
+    twice the known height or more, and at most just past those limits.
+    The probe's height leaves a partial tile, so that the kernels' row
+    remainders are compared too.
+    """
+    k, width = m.shape
+    key = (k, width, m.strides, m.dtype.str)
+    known = _ONE_CALL_ROWS.get(key, TILE_ROWS)
+    if known and n > known:
+        past = max(-(-PROBE_SIZE // max(1, k * width)),
+                   -(-PROBE_OUTPUTS // max(1, width)))
+        target = min(max(n, 2 * known), past)
+        height = -(-target // TILE_ROWS) * TILE_ROWS + 11
+        a = np.random.default_rng(0).standard_normal((height, k))
+        tiles = np.empty((height, width))
+        _in_tiles(a, m, tiles)
+        if not np.array_equal(a @ m, tiles):
+            known = 0
+        else:
+            known = math.inf if target == past else height
+        _ONE_CALL_ROWS[key] = known
+    return n <= known
+
+
+def _tiled_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(B, K) @ (K, O) with the bits of TILE_ROWS-row BLAS calls per row.
+
+    B <= TILE_ROWS is one call on the rows zero-padded to TILE_ROWS.  A
+    taller batch is one call over all its rows where ``_one_call_exact``
+    holds for both column blocks, and TILE_ROWS-row tiles otherwise.
+    The first ``O - O % TAIL_COLS`` columns are one product against a view
+    of ``m``; the last ``O % TAIL_COLS`` columns are one product against
+    those columns of ``m`` zero-padded to ``TAIL_COLS``, so no column falls
+    in the BLAS's width remainder, whose bits vary with the row's slot.
     """
     n, k = a.shape
     width = m.shape[1]
     main = width - width % TAIL_COLS
-    height = -(-n // TILE_ROWS) * TILE_ROWS
-    tiles = np.zeros((height, k))
-    tiles[:n] = a
-    out = np.empty((height, width))
-    for r in range(0, height, TILE_ROWS):
-        np.matmul(tiles[r:r + TILE_ROWS], m[:, :main],
-                  out=out[r:r + TILE_ROWS, :main])
+    pad = None
     if main < width:
         pad = np.zeros((k, TAIL_COLS))
         pad[:, :width - main] = m[:, main:]
-        tail = np.empty((TILE_ROWS, TAIL_COLS))
-        for r in range(0, height, TILE_ROWS):
-            np.matmul(tiles[r:r + TILE_ROWS], pad, out=tail)
-            out[r:r + TILE_ROWS, main:] = tail[:, :width - main]
+    if n <= TILE_ROWS:
+        rows = np.zeros((TILE_ROWS, k))
+        rows[:n] = a
+        product = np.matmul
+    else:
+        rows = np.ascontiguousarray(a, dtype=np.float64)
+        exact = _one_call_exact(m[:, :main], n) and (
+            pad is None or _one_call_exact(pad, n))
+        product = np.matmul if exact else _in_tiles
+    out = np.empty((len(rows), width))
+    product(rows, m[:, :main], out[:, :main])
+    if pad is not None:
+        tail = np.empty((len(rows), TAIL_COLS))
+        product(rows, pad, tail)
+        out[:, main:] = tail[:, :width - main]
     return out[:n]
 
 

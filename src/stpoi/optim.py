@@ -15,6 +15,9 @@ import numpy as np
 
 from .cells import CellParams
 
+# floats of ``flat`` per slice of the Adam update
+ADAM_SLICE = 1 << 15
+
 
 @dataclass
 class AdamState:
@@ -36,7 +39,13 @@ class AdamState:
 
 def adam_step(tensors: CellParams, grads: CellParams, state: AdamState) -> AdamState:
     """One Adam update, in place, over the whole ``flat`` buffer.  Requires
-    ``grads`` and the moments in the layout of ``tensors``."""
+    ``grads`` and the moments in the layout of ``tensors``.
+
+    The update runs over consecutive ``ADAM_SLICE``-float slices of ``flat``,
+    so its temporaries stay small and in cache; each element sees the same
+    operations in the same order as in one pass, so the bits are those of
+    one pass.
+    """
     for other in (grads, state.m, state.v):
         if other.layout != tensors.layout:
             error = KeyError if set(tensors) - set(other) else ValueError
@@ -44,13 +53,16 @@ def adam_step(tensors: CellParams, grads: CellParams, state: AdamState) -> AdamS
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    p, g, m, v = tensors.flat, grads.flat, state.m.flat, state.v.flat
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (g * g)
-    denom = np.sqrt(v / bc2) + state.eps    # first: two full-size temporaries at most
-    p -= state.lr * (m / bc1) / denom
+    for s in range(0, tensors.flat.size, ADAM_SLICE):
+        part = slice(s, s + ADAM_SLICE)
+        p, g = tensors.flat[part], grads.flat[part]
+        m, v = state.m.flat[part], state.v.flat[part]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        denom = np.sqrt(v / bc2) + state.eps
+        p -= state.lr * (m / bc1) / denom
     return state
 
 

@@ -5,8 +5,9 @@ them in batches, clips the global gradient norm, takes one Adam step, and
 re-projects the constrained tensors.  The constraint is then re-checked
 after every step; a violation is a bug, not a tolerable drift, so it raises
 immediately.  A non-finite loss, or a NaN or inf met inside the forward or
-backward pass, aborts with a diagnostic dump instead of silently training
-on garbage.
+backward pass or in the parameters at the end of an epoch, aborts with a
+diagnostic dump instead of silently training on garbage or writing it to a
+checkpoint.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cells import constrained_names
-from .model import ModelConfig, ModelParams, batch_loss_and_grads, save_checkpoint
-from .numkit import NonFiniteError
+from .model import (ModelConfig, ModelParams, batch_loss_and_grads,
+                    forward_batch, save_checkpoint)
+from .numkit import NonFiniteError, check_finite
 from .optim import AdamState, adam_step, clip_global_norm, project
 
 log = logging.getLogger(__name__)
@@ -62,13 +64,19 @@ def _check_constraints(params: ModelParams, cfg: ModelConfig):
             )
 
 
-def _dump_divergence(out_dir, payload):
-    if out_dir is None:
-        return None
-    path = Path(out_dir) / "divergence.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True),
-                    encoding="utf-8")
-    return path
+def _diverged(out_dir, error, epoch, batch_start, idx, names, losses):
+    """TrainingDiverged for ``error`` met at the batch of sequences ``idx``,
+    after writing ``divergence.json`` into ``out_dir`` if given."""
+    where = ""
+    if out_dir is not None:
+        path = Path(out_dir) / "divergence.json"
+        payload = {"epoch": epoch, "batch_start": int(batch_start),
+                   "sequences": [names[j] if names else str(j) for j in idx],
+                   "error": error, "epoch_losses": losses}
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True),
+                        encoding="utf-8")
+        where = f"; dump: {path}"
+    return TrainingDiverged(f"{error} at epoch {epoch}{where}")
 
 
 def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
@@ -85,7 +93,10 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
     no relative improvement of at least ``rel_tol`` over the best epoch loss.
     ``out_dir`` (optional) receives one checkpoint per epoch plus a final
     ``checkpoint.bin``.  ``on_step(epoch, batch_index, params)`` runs after
-    every optimizer step, after projection.
+    every optimizer step, after projection.  Raises ``TrainingDiverged``
+    when a batch meets a NaN or inf, or the parameters hold one at the end
+    of an epoch; with ``out_dir``, also when the forward of the epoch's
+    last batch does, so that no checkpoint holds such parameters.
     """
     if not sequences:
         raise ValueError("fit: no training sequences")
@@ -118,20 +129,8 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
                 error = str(exc)
             n_steps = sum(steps_per_seq[j] for j in idx)
             if error is not None:
-                payload = {
-                    "epoch": epoch,
-                    "batch_start": int(b0),
-                    "sequences": [
-                        (names[j] if names else str(j)) for j in idx
-                    ],
-                    "error": error,
-                    "epoch_losses": result.losses,
-                }
-                path = _dump_divergence(out_dir, payload)
-                where = f"; dump: {path}" if path else ""
-                raise TrainingDiverged(
-                    f"{error} at epoch {epoch}{where}"
-                )
+                raise _diverged(out_dir, error, epoch, b0, idx, names,
+                                result.losses)
             clip_global_norm(grads, clip_norm)
             adam_step(params, grads, adam)
             project(params, constrained)
@@ -140,6 +139,17 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
                 on_step(epoch, b0 // batch_size, params)
             total_loss += loss * n_steps
             total_steps += n_steps
+        # no next batch checks the epoch's last step: check the parameters
+        # here and, before a checkpoint can hold them, run the last batch's
+        # forward again, whose checks catch finite weights whose gate
+        # products overflow
+        try:
+            check_finite(params, "params")
+            if out_dir is not None:
+                forward_batch(params, cfg, batch)
+        except NonFiniteError as exc:
+            raise _diverged(out_dir, f"after the epoch's last step: {exc}",
+                            epoch, b0, idx, names, result.losses) from None
         epoch_loss = total_loss / total_steps
         result.losses.append(epoch_loss)
         result.epochs_run = epoch

@@ -5,8 +5,9 @@ the batched library paths: a per-gate cell forward, a streaming model step,
 a per-step unroll through the public cell forward, a per-step training
 readout and embedding scatter, a one-logit-vector rank, a one-row softmax
 cross-entropy, the two-branch sigmoid, a one-user-at-a-time evaluation,
-and a per-tensor Adam step and gradient clipping.  Also a user's test
-transitions and a corpus's raw-id index, which only tests read."""
+a per-tensor Adam step and gradient clipping, and the product in fixed
+16-row tiles.  Also a user's test transitions and a corpus's raw-id index,
+which only tests read."""
 
 import numpy as np
 
@@ -318,3 +319,22 @@ def clip_per_tensor(grads, max_norm):
         for g in grads.values():
             g *= scale
     return norm
+
+
+def matmul_in_tiles(a, m):
+    """Oracle of numkit._tiled_matmul: (B, K) @ (K, O) as one BLAS call per
+    16-row tile, the last tile zero-padded, with the last ``O % 8`` columns
+    taken from a product against those columns zero-padded to 8."""
+    n, k = a.shape
+    width = m.shape[1]
+    main = width - width % 8
+    height = -(-n // 16) * 16
+    tiles = np.zeros((height, k))
+    tiles[:n] = a
+    pad = np.zeros((k, 8))
+    pad[:, :width - main] = m[:, main:]
+    out = np.empty((height, width))
+    for r in range(0, height, 16):
+        np.matmul(tiles[r:r + 16], m[:, :main], out=out[r:r + 16, :main])
+        out[r:r + 16, main:] = (tiles[r:r + 16] @ pad)[:, :width - main]
+    return out[:n]

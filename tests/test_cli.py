@@ -111,6 +111,26 @@ class TestTrain:
         assert "NaN or inf" in dump["error"]
         assert not (out / "checkpoint.bin").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_divergence_at_the_last_step_writes_no_checkpoint(self, tmp_path,
+                                                             capsys):
+        # one batch per epoch: no later batch checks the only step, whose
+        # parameters stay finite (about 1e300) while the gate products
+        # overflow
+        corpus = tmp_path / "corpus.bin"
+        assert run("prepare", "--synth", "--users", "20",
+                   "--out", str(corpus)) == 0
+        out = tmp_path / "run"
+        rc = run("train", "--corpus", str(corpus), "--out-dir", str(out),
+                 "--lr", "1e300", "--epochs", "1", "--batch-size", "100")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "last step" in err and len(err.strip().splitlines()) == 1
+        dump = json.loads((out / "divergence.json").read_text())
+        assert "NaN or inf" in dump["error"] and dump["epoch"] == 1
+        assert not (out / "checkpoint.bin").exists()
+        assert not list(out.glob("epoch-*.bin"))
+
     def test_ablation_flags_recorded(self, synth_cache, tmp_path):
         out = tmp_path / "run"
         assert run("train", "--corpus", str(synth_cache), "--out-dir",

@@ -247,11 +247,13 @@ class TestGradients:
 
 class TestHoistedTerms:
     """The model computes the interval gates ahead for blocks of steps and
-    steps through the unchecked kernel; forward, loss and every gradient
-    must equal the per-step public ``cell_forward`` path bit for bit."""
+    steps through the unchecked kernel; its backward runs only the
+    recurrent part per step and the input part once per block.  Forward,
+    loss and every gradient must equal the per-step public
+    ``cell_forward``/``cell_backward`` path bit for bit."""
 
-    def check_against_oracle(self, variant, ablation):
-        cfg = tiny_cfg(variant, vocab=40, n_i=8, n_c=12,
+    def check_against_oracle(self, variant, ablation, bptt_cap=None):
+        cfg = tiny_cfg(variant, vocab=40, n_i=8, n_c=12, bptt_cap=bptt_cap,
                        ablation=GateAblation.from_name(ablation))
         rng = np.random.default_rng(50)
         params = M.init_model(cfg, rng)
@@ -276,6 +278,19 @@ class TestHoistedTerms:
     def test_blocks_of_one_step_when_the_batch_is_wider(self, monkeypatch):
         monkeypatch.setattr(M, "TERM_ROWS", 5)
         self.check_against_oracle("st-lstm", "short-only")
+
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_blocks_of_a_few_steps_and_a_short_last_block(self, variant,
+                                                          monkeypatch):
+        # 13 rows a step, seven steps (91 rows) a block, and the last four
+        # of the 60 steps in a shorter one: each block's input gradient is
+        # one product over rows of several steps
+        monkeypatch.setattr(M, "TERM_ROWS", 91)
+        self.check_against_oracle(variant, "none")
+
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_capped_backward(self, variant):
+        self.check_against_oracle(variant, "time-only", bptt_cap=7)
 
 
 class TestFiniteBoundaries:

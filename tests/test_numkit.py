@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stpoi import numkit
+from stpoi import model, numkit
 from stpoi.cells import CellParams
 
-from helpers import sigmoid_two_branch, softmax_xent
+from helpers import matmul_in_tiles, sigmoid_two_branch, softmax_xent
 
 # Expected values below are frozen from independent oracles (math module /
 # closed forms), not from the functions under test.
@@ -98,24 +98,35 @@ class TestAffine:
 class TestTileInvariance:
     """A row's bits must not depend on the batch it rides in: batched
     training stays exactly additive and batched evaluation equals the
-    streaming one.  The tiled kernels rely on the BLAS giving each row of a
-    fixed-height tile the same bits wherever it sits; a BLAS that breaks
-    that fails here."""
+    streaming one.  The kernels make one BLAS call over at least 16 rows
+    where a probe finds that it gives each row the bits of a 16-row call,
+    and 16-row tiles elsewhere; a BLAS or a probe that breaks that fails
+    here, at call heights from one row to taller than the model's
+    blocks."""
 
     POOL = 40
-    # (rows of w, cols of w): toy cell and readout, paper cell and readout,
-    # then a readout whose affine (4937, 128) and whose matmul_rows
-    # (128, 4937) output width is not a multiple of 8
-    SHAPES = [(16, 32), (72, 16), (128, 256), (5000, 128), (4937, 128),
-              (128, 4937)]
+    ROWS = model.TERM_ROWS + 100
+    # (rows of w, cols of w, leading columns of a wider matrix that w is a
+    # view without): one toy gate and the toy readout, one paper gate and
+    # the paper readout, a readout whose affine (4937, 128) and whose
+    # matmul_rows (128, 4937) output width is not a multiple of 8, the
+    # stacked z-gates at n 16 (whose tall products differ from 16-row ones
+    # on OpenBLAS's SkylakeX kernels) and at n 128, then the products over
+    # whole blocks of steps: the interval gates' w_x at n 128 (affine
+    # forward, matmul_rows backward) and the input gradient's w_z[:, n_c:]
+    # at n 128 for three and four z-gates and at n 16 for three
+    SHAPES = [(16, 32, 0), (72, 16, 0), (128, 256, 0), (5000, 128, 0),
+              (4937, 128, 0), (128, 4937, 0), (48, 32, 0), (384, 256, 0),
+              (512, 128, 0), (384, 128, 128), (512, 128, 128), (48, 16, 16)]
 
     @staticmethod
     def _pool(shape, seed):
+        rows, cols, lead = shape
         rng = np.random.default_rng(seed)
-        w = rng.normal(size=shape)
-        b = rng.normal(size=shape[0])
-        x = rng.normal(size=(TestTileInvariance.POOL, shape[1]))
-        up = rng.normal(size=(TestTileInvariance.POOL, shape[0]))
+        w = rng.normal(size=(rows, lead + cols))[:, lead:]
+        b = rng.normal(size=rows)
+        x = rng.normal(size=(TestTileInvariance.POOL, cols))
+        up = rng.normal(size=(TestTileInvariance.POOL, rows))
         # each pool row computed alone, as a batch of one
         alone_affine = np.stack([numkit.affine(w, x[r:r + 1], b)[0]
                                  for r in range(len(x))])
@@ -127,26 +138,45 @@ class TestTileInvariance:
     def pools(self):
         return [self._pool(shape, seed) for seed, shape in enumerate(self.SHAPES)]
 
+    def check_rows(self, pool, rows):
+        """``affine`` and ``matmul_rows`` on the pool rows ``rows`` equal
+        the 16-row tile oracle on the same batch and each row alone."""
+        w, b, x, up, alone_affine, alone_matmul = pool
+        got = numkit.affine(w, x[rows], b)
+        want = matmul_in_tiles(x[rows], w.T)
+        want += b
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, alone_affine[rows])
+        got = numkit.matmul_rows(up[rows], w)
+        np.testing.assert_array_equal(got, matmul_in_tiles(up[rows], w))
+        np.testing.assert_array_equal(got, alone_matmul[rows])
+
     @settings(max_examples=60, deadline=None)
     @given(which=st.integers(0, len(SHAPES) - 1),
            rows=st.lists(st.integers(0, POOL - 1), min_size=1, max_size=POOL))
     def test_rows_bit_identical_across_batch_size_and_position(self, pools,
                                                                which, rows):
-        w, b, x, up, alone_affine, alone_matmul = pools[which]
-        np.testing.assert_array_equal(numkit.affine(w, x[rows], b),
-                                      alone_affine[rows])
-        np.testing.assert_array_equal(numkit.matmul_rows(up[rows], w),
-                                      alone_matmul[rows])
+        self.check_rows(pools[which], rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(which=st.integers(0, len(SHAPES) - 1),
+           n=st.integers(1, ROWS), seed=st.integers(0, 2**32 - 1))
+    def test_tall_batches_of_repeated_rows(self, pools, which, n, seed):
+        self.check_rows(pools[which],
+                        np.random.default_rng(seed).integers(0, self.POOL, n))
+
+    @pytest.mark.parametrize("which", range(len(SHAPES)))
+    def test_every_height_at_the_edges(self, pools, which):
+        rng = np.random.default_rng(which)
+        for n in (*range(1, 34), model.TERM_ROWS - 1, model.TERM_ROWS,
+                  model.TERM_ROWS + 1, self.ROWS):
+            self.check_rows(pools[which], rng.integers(0, self.POOL, n))
 
     @settings(max_examples=20, deadline=None)
     @given(which=st.integers(0, len(SHAPES) - 1),
            perm=st.permutations(range(POOL)))
     def test_rows_bit_identical_under_permutation(self, pools, which, perm):
-        w, b, x, up, alone_affine, alone_matmul = pools[which]
-        np.testing.assert_array_equal(numkit.affine(w, x[perm], b),
-                                      alone_affine[perm])
-        np.testing.assert_array_equal(numkit.matmul_rows(up[perm], w),
-                                      alone_matmul[perm])
+        self.check_rows(pools[which], perm)
 
 
 class TestCheckFinite:

@@ -100,6 +100,29 @@ class TestAdam:
                     assert got[name].tobytes() == want[name].tobytes(), (t, name)
 
 
+    def test_sliced_update_matches_the_per_tensor_oracle(self):
+        # two tensors straddle the first slice edge; the buffer is more than
+        # two slices and not a multiple of one
+        size = optim.ADAM_SLICE
+        rng = np.random.default_rng(51)
+        params = mapping(a=rng.normal(size=(3, size // 2 + 5)),
+                         b=rng.normal(size=size - 11))
+        assert params.flat.size > 2 * size and params.flat.size % size
+        state = optim.AdamState.for_tensors(params, lr=0.03)
+        ref = {k: a.copy() for k, a in params.items()}
+        ref_m = {k: np.zeros_like(a) for k, a in params.items()}
+        ref_v = {k: np.zeros_like(a) for k, a in params.items()}
+        for t in range(1, 4):
+            grads = params.zeros_like()
+            grads.flat[:] = rng.normal(size=grads.flat.size)
+            optim.adam_step(params, grads, state)
+            adam_step_per_tensor(ref, dict(grads), ref_m, ref_v, t, lr=0.03)
+            for name in ref:
+                for got, want in ((params, ref), (state.m, ref_m),
+                                  (state.v, ref_v)):
+                    assert got[name].tobytes() == want[name].tobytes(), (t, name)
+
+
 class TestProject:
     def test_clamps_positive_entries_only(self):
         tensors = {"w": np.array([0.5, -0.3, 0.0])}

@@ -102,6 +102,27 @@ class TestFit:
         assert dump.exists()
         assert '"epoch": 1' in dump.read_text()
 
+    @pytest.mark.parametrize("with_dir", [False, True])
+    def test_nonfinite_parameters_after_the_last_step_abort(self, tmp_path,
+                                                            with_dir):
+        # the epoch's last step leaves a NaN that no later batch would see
+        corpus = small_corpus()
+        seqs, names = T.train_sequences(corpus)
+        params, cfg = fresh("st-lstm", corpus)
+        last = -(-len(seqs) // 4) - 1
+
+        def corrupt(epoch, batch, p):
+            if batch == last:
+                p.w_out[3, 1] = np.nan
+
+        out_dir = tmp_path if with_dir else None
+        with pytest.raises(T.TrainingDiverged,
+                           match="after the epoch's last step: params: w_out"):
+            T.fit(params, cfg, seqs, epochs=2, batch_size=4, seed=1,
+                  names=names, out_dir=out_dir, on_step=corrupt)
+        assert not list(tmp_path.glob("*.bin"))
+        assert (tmp_path / "divergence.json").exists() == with_dir
+
     def test_early_stop_on_plateau(self):
         corpus = small_corpus()
         seqs, _ = T.train_sequences(corpus)
