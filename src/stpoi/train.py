@@ -95,8 +95,10 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
     ``checkpoint.bin``.  ``on_step(epoch, batch_index, params)`` runs after
     every optimizer step, after projection.  Raises ``TrainingDiverged``
     when a batch meets a NaN or inf, or the parameters hold one at the end
-    of an epoch; with ``out_dir``, also when the forward of the epoch's
-    last batch does, so that no checkpoint holds such parameters.
+    of an epoch.  Before the parameters leave ``fit``, in a checkpoint or
+    returned, the forward of the epoch's last batch runs again and raises
+    it too when it meets one.  That catches finite parameters whose gate
+    products overflow on that batch, not on every input.
     """
     if not sequences:
         raise ValueError("fit: no training sequences")
@@ -139,34 +141,36 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
                 on_step(epoch, b0 // batch_size, params)
             total_loss += loss * n_steps
             total_steps += n_steps
+        epoch_loss = total_loss / total_steps
+        if epoch_loss < best * (1.0 - rel_tol):
+            best = epoch_loss
+            flat_epochs = 0
+        else:
+            flat_epochs += 1
+        stop = early_stop and flat_epochs >= patience
         # no next batch checks the epoch's last step: check the parameters
-        # here and, before a checkpoint can hold them, run the last batch's
+        # here and, where they leave fit next (a checkpoint, or the return
+        # after the last epoch or an early stop), run the last batch's
         # forward again, whose checks catch finite weights whose gate
         # products overflow
         try:
             check_finite(params, "params")
-            if out_dir is not None:
+            if out_dir is not None or stop or epoch == epochs:
                 forward_batch(params, cfg, batch)
         except NonFiniteError as exc:
             raise _diverged(out_dir, f"after the epoch's last step: {exc}",
                             epoch, b0, idx, names, result.losses) from None
-        epoch_loss = total_loss / total_steps
         result.losses.append(epoch_loss)
         result.epochs_run = epoch
         log.debug("epoch %d: loss %.6f", epoch, epoch_loss)
         if out_dir is not None:
             save_checkpoint(out_dir / f"epoch-{epoch:04d}.bin", params, cfg,
                             adam)
-        if epoch_loss < best * (1.0 - rel_tol):
-            best = epoch_loss
-            flat_epochs = 0
-        else:
-            flat_epochs += 1
-            if early_stop and flat_epochs >= patience:
-                result.stopped_early = True
-                log.info("early stop after epoch %d (no improvement for %d "
-                         "epochs)", epoch, patience)
-                break
+        if stop:
+            result.stopped_early = True
+            log.info("early stop after epoch %d (no improvement for %d "
+                     "epochs)", epoch, patience)
+            break
     if out_dir is not None:
         save_checkpoint(out_dir / "checkpoint.bin", params, cfg, adam)
     return result

@@ -2,8 +2,8 @@
 (used as the finite-difference harness), a generic central-difference
 oracle that perturbs one coordinate at a time, and plain-loop oracles of
 the batched library paths: a per-gate cell forward, a streaming model step,
-a per-step unroll through the public cell forward, a per-step training
-readout and embedding scatter, a one-logit-vector rank, a one-row softmax
+a per-step unroll through the public cell forward, a per-step cell
+backward, a per-step training readout and embedding scatter, a one-logit-vector rank, a one-row softmax
 cross-entropy, the two-branch sigmoid, a one-user-at-a-time evaluation,
 a per-tensor Adam step and gradient clipping, and the product in fixed
 16-row tiles.  Also a user's test transitions and a corpus's raw-id index,
@@ -167,12 +167,71 @@ def per_step_forward(params, cfg, seqs):
     return hs
 
 
+def per_step_cell_backward(p, cache, grad_h, grad_c, grads):
+    """Oracle of the model's backward through one step, independent of
+    ``cells``' backward: every gradient of the step in one pass, the input
+    gradient sliced from the full-width product ``da @ w_z`` and the
+    stacked interval-gate chain per step, the row products in 16-row tiles
+    (``matmul_in_tiles``).  Adds the parameter gradients into ``grads`` and
+    returns ``(grad_h_prev, grad_c_prev, grad_x)`` as ``cells.cell_backward``
+    does."""
+    i, g, o, f, iv = cache.i, cache.g, cache.o, cache.f, cache.iv
+    tch = cache.tanh_c_hat
+    c_prev = cache.c_prev
+    B, n = i.shape
+    # pre-activation gradients in the column order of w_z: i[, f], o, c
+    da = np.empty((B, p.blocks["w_z"].shape[0]))
+
+    do = grad_h * tch
+    da_o = da[:, -2 * n:-n]
+    np.multiply(do * o, 1.0 - o, out=da_o)
+    dch = grad_h * o * (1.0 - tch * tch)
+
+    # c_hat = k1 * c_prev + w1 * g  and  c = k2 * c_prev + w2 * g
+    dk1, dw1 = dch * c_prev, dch * g
+    dk2, dw2 = grad_c * c_prev, grad_c * g
+    dg = dch * cache.w1 + grad_c * cache.w2
+    dc_prev = dch * cache.k1 + grad_c * cache.k2
+    if f is not None:           # k1 = k2 = f
+        np.multiply((dk1 + dk2) * f, 1.0 - f, out=da[:, n:2 * n])
+        di = 0.0
+    else:                       # k1 = 1 - w1, k2 = 1 - i
+        dw1 = dw1 - dk1
+        di = -dk2
+    if iv is None:              # w1 = w2 = i
+        di = di + dw1 + dw2
+    else:                       # w1 = i * t1 * d1, w2 = i * t2 * d2
+        t1, t2, d1, d2 = iv.transpose(1, 0, 2)
+        di = di + dw1 * t1 * d1 + dw2 * t2 * d2
+        # d/d(t1, t2, d1, d2) = (dw1 * i * d1, dw2 * i * d2, dw1 * i * t1, dw2 * i * t2)
+        dgate = np.stack([dw1, dw2, dw1, dw2], axis=1) * i[:, None] * iv[:, [2, 3, 0, 1]]
+        dpre = dgate * iv * (1.0 - iv)
+        dinner = dpre * cache.inner * (1.0 - cache.inner)
+        grads.blocks["w_u"] += (cache.u * dinner).sum(axis=0).reshape(-1)
+        dpre = dpre.reshape(B, -1)
+        grads.blocks["w_x"] += dpre.T @ cache.x
+        grads.blocks["b_x"] += dpre.sum(axis=0)
+        grads["w_to"] += (cache.u[:, 0] * da_o).sum(axis=0)
+        grads["w_do"] += (cache.u[:, 2] * da_o).sum(axis=0)
+
+    np.multiply(di * i, 1.0 - i, out=da[:, :n])
+    np.multiply(dg, 1.0 - g * g, out=da[:, -n:])
+    grads.blocks["w_z"] += da.T @ cache.z
+    grads.blocks["b_z"] += da.sum(axis=0)
+    dz = matmul_in_tiles(da, p.blocks["w_z"])
+    dx = dz[:, n:]
+    if iv is not None:
+        dx = dx + matmul_in_tiles(dpre, p.blocks["w_x"])
+    return dz[:, :n], dc_prev, dx
+
+
 def per_step_loss_and_grads(params, cfg, seqs):
     """Oracle of model.batch_loss_and_grads: ``per_step_unroll`` steps the
-    cell; the readout, softmax and ``dlog @ w_out`` run inside the forward
-    loop on all B rows of each step, padded rows masked; the whole ``w_out``
-    accumulator takes each step's rank-B sum and the embedding each step's
-    per-POI sums in the backward loop."""
+    cell and ``per_step_cell_backward`` steps it back; the readout, softmax
+    and ``dlog @ w_out`` run inside the forward loop on all B rows of each
+    step, padded rows masked; the whole ``w_out`` accumulator takes each
+    step's rank-B sum and the embedding each step's per-POI sums in the
+    backward loop."""
     numkit.check_finite(params.tensors(), "per_step_loss_and_grads")
     pois, dts, dds, lengths = model._pad(seqs, cfg, "per_step_loss_and_grads")
     B, T = pois.shape
@@ -199,9 +258,9 @@ def per_step_loss_and_grads(params, cfg, seqs):
         dlog = dlogits[t]
         grads["w_out"] += dlog.T @ hs[t]
         grads["b_out"] += dlog.sum(axis=0)
-        dh = numkit.matmul_rows(dlog, params.w_out) + dh_next
-        dh_prev, dc_prev, dx = cells.cell_backward(params, caches[t], dh,
-                                                   dc_next, grads)
+        dh = matmul_in_tiles(dlog, params.w_out) + dh_next
+        dh_prev, dc_prev, dx = per_step_cell_backward(params, caches[t], dh,
+                                                      dc_next, grads)
         uniq, inv = np.unique(pois[:, t], return_inverse=True)
         sums = np.zeros((len(uniq), cfg.n_i))
         np.add.at(sums, inv, dx)

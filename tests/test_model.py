@@ -249,8 +249,9 @@ class TestHoistedTerms:
     """The model computes the interval gates ahead for blocks of steps and
     steps through the unchecked kernel; its backward runs only the
     recurrent part per step and the input part once per block.  Forward,
-    loss and every gradient must equal the per-step public
-    ``cell_forward``/``cell_backward`` path bit for bit."""
+    loss and every gradient must equal the per-step path, the public
+    ``cell_forward`` and the one-pass ``per_step_cell_backward``, bit for
+    bit."""
 
     def check_against_oracle(self, variant, ablation, bptt_cap=None):
         cfg = tiny_cfg(variant, vocab=40, n_i=8, n_c=12, bptt_cap=bptt_cap,

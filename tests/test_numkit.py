@@ -106,24 +106,27 @@ class TestTileInvariance:
 
     POOL = 40
     ROWS = model.TERM_ROWS + 100
-    # (rows of w, cols of w, leading columns of a wider matrix that w is a
-    # view without): one toy gate and the toy readout, one paper gate and
-    # the paper readout, a readout whose affine (4937, 128) and whose
-    # matmul_rows (128, 4937) output width is not a multiple of 8, the
-    # stacked z-gates at n 16 (whose tall products differ from 16-row ones
-    # on OpenBLAS's SkylakeX kernels) and at n 128, then the products over
-    # whole blocks of steps: the interval gates' w_x at n 128 (affine
-    # forward, matmul_rows backward) and the input gradient's w_z[:, n_c:]
-    # at n 128 for three and four z-gates and at n 16 for three
-    SHAPES = [(16, 32, 0), (72, 16, 0), (128, 256, 0), (5000, 128, 0),
-              (4937, 128, 0), (128, 4937, 0), (48, 32, 0), (384, 256, 0),
-              (512, 128, 0), (384, 128, 128), (512, 128, 128), (48, 16, 16)]
+    # (rows of w, cols of w, leading and trailing columns of a wider matrix
+    # that w is a view without): one toy gate and the toy readout, one
+    # paper gate and the paper readout, a readout whose affine (4937, 128)
+    # and whose matmul_rows (128, 4937) output width is not a multiple of
+    # 8, the stacked z-gates at n 16 (whose tall products differ from
+    # 16-row ones on OpenBLAS's SkylakeX kernels) and at n 128, the
+    # products over whole blocks of steps: the interval gates' w_x at n 128
+    # (affine forward, matmul_rows backward) and the input gradient's
+    # w_z[:, n_c:] at n 128 for three and four z-gates and at n 16 for
+    # three, then the recurrent gradient's w_z[:, :n_c] at n 128 and n 16
+    SHAPES = [(16, 32, 0, 0), (72, 16, 0, 0), (128, 256, 0, 0),
+              (5000, 128, 0, 0), (4937, 128, 0, 0), (128, 4937, 0, 0),
+              (48, 32, 0, 0), (384, 256, 0, 0), (512, 128, 0, 0),
+              (384, 128, 128, 0), (512, 128, 128, 0), (48, 16, 16, 0),
+              (384, 128, 0, 128), (48, 16, 0, 16)]
 
     @staticmethod
     def _pool(shape, seed):
-        rows, cols, lead = shape
+        rows, cols, lead, trail = shape
         rng = np.random.default_rng(seed)
-        w = rng.normal(size=(rows, lead + cols))[:, lead:]
+        w = rng.normal(size=(rows, lead + cols + trail))[:, lead:lead + cols]
         b = rng.normal(size=rows)
         x = rng.normal(size=(TestTileInvariance.POOL, cols))
         up = rng.normal(size=(TestTileInvariance.POOL, rows))

@@ -123,6 +123,30 @@ class TestFit:
         assert not list(tmp_path.glob("*.bin"))
         assert (tmp_path / "divergence.json").exists() == with_dir
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("with_dir", [False, True])
+    def test_overflowing_parameters_after_the_last_step_abort(self, tmp_path,
+                                                              with_dir):
+        # the run's last step leaves finite parameters whose gate products
+        # overflow; they are neither written nor returned
+        corpus = small_corpus()
+        seqs, names = T.train_sequences(corpus)
+        params, cfg = fresh("st-lstm", corpus)
+        last = -(-len(seqs) // 4) - 1
+
+        def corrupt(epoch, batch, p):
+            if epoch == 2 and batch == last:
+                p.blocks["w_z"][...] *= 1e300
+                p.embedding[...] *= 1e10
+
+        out_dir = tmp_path if with_dir else None
+        with pytest.raises(T.TrainingDiverged,
+                           match="after the epoch's last step: .*NaN or inf"):
+            T.fit(params, cfg, seqs, epochs=2, batch_size=4, seed=1,
+                  names=names, out_dir=out_dir, on_step=corrupt)
+        assert [p.name for p in tmp_path.glob("*.bin")] == (
+            ["epoch-0001.bin"] if with_dir else [])
+
     def test_early_stop_on_plateau(self):
         corpus = small_corpus()
         seqs, _ = T.train_sequences(corpus)
