@@ -56,14 +56,14 @@ and states, caches and gradients are (B, n_c); rows are independent
 sequences.  The forward is ``interval_terms``, the interval gates, which
 read no h and so can run for many steps at once, then ``cell_step``, a
 kernel that checks only that its gate pre-activations are finite.  The
-backward mirrors that split: ``step_backward`` is the recurrent part of a
-step, which the time loop needs, and ``input_backward`` the rest, the
-interval gates' chain and the input gradient, which feeds no earlier step
-and so can run for many steps at once.  The model calls the four parts.
-The public ``cell_forward`` and ``cell_backward`` wrap them for one step,
-with per-call checks of shapes, variant, state and intervals;
-``cell_forward`` reads a 1-D x or state and scalar dt/dd as a batch of one,
-and lstm ignores dt/dd.
+backward mirrors that split: ``step_backward`` is the recurrence alone,
+the elementwise chain of a step and the gradients it hands the step before,
+which the time loop needs; ``input_backward`` is the rest, which feeds no
+earlier step and so runs for many steps at once: every parameter gradient,
+the interval gates' chain and the input gradient.  The model calls the four
+parts.  The public ``cell_forward`` wraps the forward for one step, with
+per-call checks of shapes, variant, state and intervals; it reads a 1-D x
+or state and scalar dt/dd as a batch of one, and lstm ignores dt/dd.
 """
 
 from __future__ import annotations
@@ -226,9 +226,7 @@ def check_shapes(tensors: dict, shapes: dict, who: str) -> None:
 class StepCache:
     """Everything the backward pass needs from one forward step."""
 
-    variant: str
-    x: np.ndarray
-    z: np.ndarray
+    z: np.ndarray               # [h_prev | x]
     i: np.ndarray
     g: np.ndarray
     o: np.ndarray
@@ -390,11 +388,17 @@ def _promote(p, step, prev, needs_intervals):
         raise ValueError(
             f"cell forward: dt/dd shapes {dt.shape}/{dd.shape} do not match batch {b}"
         )
-    if not (np.all(np.isfinite(dt)) and np.all(np.isfinite(dd))):
-        raise ValueError("cell forward: dt/dd contain NaN or inf")
-    if np.any(dt < 0) or np.any(dd < 0):
-        raise ValueError("cell forward: dt and dd must be non-negative")
+    check_intervals(dt, dd, "cell forward")
     return x, dt, dd, c_prev, h_prev
+
+
+def check_intervals(dt, dd, who: str) -> None:
+    """Raise ValueError unless the intervals dt and dd are finite and
+    non-negative."""
+    if not (np.isfinite(dt).all() and np.isfinite(dd).all()):
+        raise ValueError(f"{who}: dt/dd contain NaN or inf")
+    if (dt < 0).any() or (dd < 0).any():
+        raise ValueError(f"{who}: dt and dd must be non-negative")
 
 
 def interval_terms(p: CellParams, x, dt, dd, ablation: Optional[GateAblation] = None):
@@ -450,8 +454,8 @@ def cell_step(p: CellParams, x, c_prev, h_prev, u, inner, iv):
     tch = np.tanh(c_hat)
     h = o * tch
     cache = StepCache(
-        variant=p.variant, x=x, z=z, i=i, f=f, g=g, o=o, c_prev=c_prev,
-        w1=w1, w2=w2, k1=k1, k2=k2, tanh_c_hat=tch, u=u, iv=iv, inner=inner,
+        z=z, i=i, f=f, g=g, o=o, c_prev=c_prev, w1=w1, w2=w2, k1=k1, k2=k2,
+        tanh_c_hat=tch, u=u, iv=iv, inner=inner,
     )
     return CellState(c=c, h=h, c_hat=c_hat), cache
 
@@ -467,45 +471,14 @@ def cell_forward(variant, p: CellParams, step: StepInput, prev: CellState,
     return cell_step(p, x, c_prev, h_prev, *interval_terms(p, x, dt, dd, ablation))
 
 
-def cell_backward(p, cache: StepCache, grad_h, grad_c, grads):
-    """Backpropagate one step, adding the parameter gradients into ``grads``.
-
-    ``grad_h``/``grad_c`` are the loss gradients at this step's h output and
-    carried c, (B, n_c) each.  ``grads`` is a ``p.zeros_like()``; each gate
-    group's block takes one weight-gradient product and one bias sum, in
-    place.  A pinned gate is exactly 1, so its gradients stay exactly 0.
-    Returns ``(grad_h_prev, grad_c_prev, grad_x)``, shaped (B, n_c),
-    (B, n_c) and (B, n_i): ``step_backward`` then ``input_backward`` on the
-    step's rows.
-    """
-    if p.variant != cache.variant:
-        raise ValueError(f"cell_backward: cache was built by {cache.variant!r}, "
-                         f"params hold the {p.variant} tensors")
-    gh = np.asarray(grad_h, dtype=float)
-    gc = np.asarray(grad_c, dtype=float)
-    if gh.shape != cache.i.shape or gc.shape != cache.i.shape:
-        raise ValueError(
-            f"cell_backward: upstream gradient shapes {gh.shape}/{gc.shape} do not "
-            f"match step batch/width {cache.i.shape}"
-        )
-    B, n = cache.i.shape
-    da = np.empty((B, p.blocks["w_z"].shape[0]))
-    dwi = None if cache.iv is None else np.empty((B, 2, n))
-    dh_prev, dc_prev = step_backward(p, cache, gh, gc, grads, da, dwi)
-    dx = input_backward(p, cache.x, (cache.u, cache.inner, cache.iv), da, dwi,
-                        grads, B)
-    return dh_prev, dc_prev, dx
-
-
-def step_backward(p, cache: StepCache, gh, gc, grads, da, dwi):
+def step_backward(p, cache: StepCache, gh, gc, da, dwi):
     """The recurrent part of one step's backward, for the model's time loop.
 
     Writes the step's gate pre-activation gradients into ``da`` (B, G*n_c),
     in the column order of ``w_z``, and, with interval gates, the products
     of the gradients of the two write gates w1, w2 with i into ``dwi``
-    (B, 2, n_c).  Adds the step's rank-B sums into the ``w_z``, ``b_z``,
-    ``w_to`` and ``w_do`` gradients.  Returns ``(grad_h_prev, grad_c_prev)``;
-    the rest of the step, which feeds no earlier step, is ``input_backward``.
+    (B, 2, n_c).  Returns ``(grad_h_prev, grad_c_prev)``; the rest of the
+    step, which feeds no earlier step, is ``input_backward``.
     """
     i, g, o, f, iv = cache.i, cache.g, cache.o, cache.f, cache.iv
     tch = cache.tanh_c_hat
@@ -513,8 +486,7 @@ def step_backward(p, cache: StepCache, gh, gc, grads, da, dwi):
     n = i.shape[1]
 
     do = gh * tch
-    da_o = da[:, -2 * n:-n]
-    np.multiply(do * o, 1.0 - o, out=da_o)
+    np.multiply(do * o, 1.0 - o, out=da[:, -2 * n:-n])
     dch = gh * o * (1.0 - tch * tch)
 
     # c_hat = k1 * c_prev + w1 * g  and  c = k2 * c_prev + w2 * g
@@ -535,41 +507,46 @@ def step_backward(p, cache: StepCache, gh, gc, grads, da, dwi):
         di = di + dw1 * t1 * d1 + dw2 * t2 * d2
         np.multiply(dw1, i, out=dwi[:, 0])
         np.multiply(dw2, i, out=dwi[:, 1])
-        grads["w_to"] += (cache.u[:, 0] * da_o).sum(axis=0)
-        grads["w_do"] += (cache.u[:, 2] * da_o).sum(axis=0)
 
     np.multiply(di * i, 1.0 - i, out=da[:, :n])
     np.multiply(dg, 1.0 - g * g, out=da[:, -n:])
-    grads.blocks["w_z"] += da.T @ cache.z
-    grads.blocks["b_z"] += da.sum(axis=0)
     return numkit.matmul_rows(da, p.blocks["w_z"][:, :n]), dc_prev
 
 
-def input_backward(p, x, terms, da, dwi, grads, batch):
+def input_backward(p, x, z, terms, da, dwi, grads, batch):
     """The part of the backward that feeds no earlier step, for R rows of
-    ``step_backward`` output: the interval gates' chain and the input
-    gradient.
+    ``step_backward`` output: every cell parameter gradient, the interval
+    gates' chain and the input gradient.
 
-    ``x`` (R, n_i), ``terms`` (the ``interval_terms`` of those rows), ``da``
-    and ``dwi`` hold whole steps of ``batch`` rows each, in step order.
-    Adds each step's rank-``batch`` sums into the ``w_u``, ``w_x`` and
-    ``b_x`` gradients, the last step first, and returns the input gradient
-    (R, n_i).  As in the forward, one product over all R rows gives each row
-    the bits of a per-step one.
+    ``x`` (R, n_i), ``z`` (R, n_c + n_i) the rows' ``[h_prev | x]``,
+    ``terms`` (the ``interval_terms`` of those rows), ``da`` and ``dwi`` hold
+    whole steps of ``batch`` rows each, in step order.  Adds each step's
+    rank-``batch`` sums into the cell's gradients in ``grads`` (a
+    ``p.zeros_like()``), the last step first, each gate group's block in
+    place; a pinned gate is exactly 1, so its gradients stay exactly 0.
+    Returns the input gradient (R, n_i).  As in the forward, one product
+    over all R rows gives each row the bits of a per-step one.
     """
     u, inner, iv = terms
-    dx = numkit.matmul_rows(da, p.blocks["w_z"][:, p.n_c:])
-    if iv is None:
-        return dx
-    # d/d(t1, t2, d1, d2) = (dw1 * i * d1, dw2 * i * d2, dw1 * i * t1, dw2 * i * t2)
-    dgate = dwi[:, [0, 1, 0, 1]] * iv[:, [2, 3, 0, 1]]
-    dpre = dgate * iv * (1.0 - iv)
-    dw_u = u * (dpre * inner * (1.0 - inner))
-    dpre = dpre.reshape(len(x), -1)
+    n = p.n_c
+    dx = numkit.matmul_rows(da, p.blocks["w_z"][:, n:])
+    if iv is not None:
+        # d/d(t1, t2, d1, d2) = (dw1 * i * d1, dw2 * i * d2, dw1 * i * t1, dw2 * i * t2)
+        dgate = dwi[:, [0, 1, 0, 1]] * iv[:, [2, 3, 0, 1]]
+        dpre = dgate * iv * (1.0 - iv)
+        dw_u = u * (dpre * inner * (1.0 - inner))
+        dpre = dpre.reshape(len(x), -1)
+        dx += numkit.matmul_rows(dpre, p.blocks["w_x"])
     for r in reversed(range(0, len(x), batch)):
         rows = slice(r, r + batch)
+        grads.blocks["w_z"] += da[rows].T @ z[rows]
+        grads.blocks["b_z"] += da[rows].sum(axis=0)
+        if iv is None:
+            continue
+        da_o = da[rows, -2 * n:-n]
+        grads["w_to"] += (u[rows, 0] * da_o).sum(axis=0)
+        grads["w_do"] += (u[rows, 2] * da_o).sum(axis=0)
         grads.blocks["w_u"] += dw_u[rows].sum(axis=0).reshape(-1)
         grads.blocks["w_x"] += dpre[rows].T @ x[rows]
         grads.blocks["b_x"] += dpre[rows].sum(axis=0)
-    dx += numkit.matmul_rows(dpre, p.blocks["w_x"])
     return dx

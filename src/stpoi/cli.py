@@ -127,7 +127,7 @@ def _add_train_flags(p):
                    help="global gradient norm cap; <= 0 disables")
     p.add_argument("--early-stop", action="store_true",
                    help="stop after --patience epochs without improvement")
-    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--patience", type=_positive_int, default=10)
 
 
 # ---------------------------------------------------------------- prepare

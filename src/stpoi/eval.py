@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .model import ModelConfig, ModelParams, forward_batch, readout
-from .numkit import check_finite
+from .numkit import NonFiniteError, check_finite
 
 ACC_KS = (1, 5, 10, 15, 20)
 COHORTS = ("all", "cold")
@@ -81,8 +81,11 @@ def _ranks(logits, targets, visited=None) -> np.ndarray:
     logit descending and ties to the lower id.
 
     ``visited`` is an optional (R, V) mask of excluded candidates; the
-    target itself is never counted, so it is never excluded either.
+    target itself is never counted, so it is never excluded either.  A NaN
+    or inf logit has no rank: it raises ``NonFiniteError``.
     """
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("collect_ranks: logits contain NaN or inf")
     lt = logits[np.arange(len(targets)), targets][:, None]
     ahead = (logits > lt) | ((logits == lt)
                              & (np.arange(logits.shape[1]) < targets[:, None]))
@@ -100,7 +103,8 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
     cache-free forward, each over its training inputs then its test inputs;
     the readout runs only on the hidden states at test positions.  The
     tiled kernels make every rank equal, bit for bit, to stepping each user
-    alone (``tests/helpers.py`` keeps that oracle).
+    alone (``tests/helpers.py`` keeps that oracle).  A NaN or inf logit
+    raises ``NonFiniteError``.
     """
     if cohort not in COHORTS:
         raise ValueError(f"unknown cohort {cohort!r}; expected one of {COHORTS}")

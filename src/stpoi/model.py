@@ -26,6 +26,7 @@ from .cells import (
     VARIANTS,
     _tensor_shapes,
     cell_step,
+    check_intervals,
     constrained_names,
     count_params,
     draw_tensors,
@@ -195,10 +196,7 @@ def _pad(seqs, cfg: ModelConfig, who: str):
         pois[b, :n] = seq[0]
         dts[b, :n] = seq[1]
         dds[b, :n] = seq[2]
-    if not (np.isfinite(dts).all() and np.isfinite(dds).all()):
-        raise ValueError(f"{who}: dt/dd contain NaN or inf")
-    if (dts < 0).any() or (dds < 0).any():
-        raise ValueError(f"{who}: dt and dd must be non-negative")
+    check_intervals(dts, dds, who)
     return pois, dts, dds, np.array(lengths)
 
 
@@ -269,8 +267,9 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     a rank-B sum per step, added in descending t, one ``VOCAB_ROWS``-row
     block of the vocabulary at a time so the block of the accumulator stays
     in cache.  The backward mirrors the forward: the time loop runs only
-    ``cells.step_backward``, and ``cells.input_backward`` then runs once per
-    block of interval terms, the last block first.  The embedding gradient
+    ``cells.step_backward``, the recurrence, and ``cells.input_backward``
+    then runs once per block of interval terms, the last block first, and
+    adds every cell parameter gradient.  The embedding gradient
     is scattered after the backward: each step's per-POI sums of the input
     gradients, added in descending t.
     """
@@ -327,8 +326,8 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     cap = cfg.bptt_cap
     for t in reversed(range(T)):
         dh = dhs[t] + dh_next
-        dh_prev, dc_prev = step_backward(params, caches[t], dh, dc_next, grads,
-                                         das[t], None if dwis is None else dwis[t])
+        dh_prev, dc_prev = step_backward(params, caches[t], dh, dc_next, das[t],
+                                         None if dwis is None else dwis[t])
         if cap is not None and t % cap == 0:
             dh_next = np.zeros((B, cfg.n_c))
             dc_next = np.zeros((B, cfg.n_c))
@@ -337,7 +336,8 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     dxs = np.empty((T, B, cfg.n_i))
     for t0, t1, terms in reversed(blocks):
         dxs[t0:t1] = input_backward(
-            params, xs[t0:t1].reshape(-1, cfg.n_i), terms,
+            params, xs[t0:t1].reshape(-1, cfg.n_i),
+            np.concatenate([c.z for c in caches[t0:t1]]), terms,
             das[t0:t1].reshape((t1 - t0) * B, -1),
             None if dwis is None else dwis[t0:t1].reshape(-1, 2, cfg.n_c),
             grads, B).reshape(t1 - t0, B, cfg.n_i)

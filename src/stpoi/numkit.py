@@ -30,9 +30,10 @@ model uses.
 Finiteness is checked at boundaries, not inside the matrix kernels:
 ``check_finite`` tests the parameters' ``flat`` buffer once per mini-batch
 (``model.batch_loss_and_grads``) and once per evaluation call
-(``eval.collect_ranks``); ``model._pad`` checks the intervals once per
-batch; the checked ``sigmoid`` covers the interval gates once per block of
-steps; the cell kernel ``cells.cell_step`` checks its gate pre-activations
+(``eval.collect_ranks``), which also checks each block of logits it ranks;
+``model._pad`` checks the intervals once per batch (``cells.check_intervals``);
+the checked ``sigmoid`` covers the interval gates once per block of steps;
+the cell kernel ``cells.cell_step`` checks its gate pre-activations
 once per step, and the public ``cells.cell_forward`` also checks its state
 and intervals on every call; ``train.fit`` aborts on a non-finite loss
 and checks the parameters after each epoch's last step.  A NaN or inf

@@ -81,7 +81,6 @@ def _diverged(out_dir, error, epoch, batch_start, idx, names, losses):
 
 def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
         epochs: int = 100, batch_size: int = 10, lr: float = 1e-3,
-        beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
         clip_norm: float = 5.0, seed: int = 0,
         early_stop: bool = False, patience: int = 10, rel_tol: float = 1e-4,
         out_dir=None, names=None, adam: Optional[AdamState] = None,
@@ -102,11 +101,10 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
     """
     if not sequences:
         raise ValueError("fit: no training sequences")
-    if epochs < 1 or batch_size < 1:
-        raise ValueError("fit: epochs and batch_size must be >= 1")
+    if epochs < 1 or batch_size < 1 or patience < 1:
+        raise ValueError("fit: epochs, batch_size and patience must be >= 1")
     if adam is None:
-        adam = AdamState.for_tensors(params, lr=lr, beta1=beta1, beta2=beta2,
-                                     eps=eps)
+        adam = AdamState.for_tensors(params, lr=lr)
     constrained = constrained_names(cfg.variant, cfg.constraint_target)
     rng = np.random.default_rng(seed)
     steps_per_seq = [len(s[0]) for s in sequences]

@@ -1,13 +1,17 @@
 """Shared test utilities: an unrolled linear-readout loss over the raw cells
-(used as the finite-difference harness), a generic central-difference
-oracle that perturbs one coordinate at a time, and plain-loop oracles of
-the batched library paths: a per-gate cell forward, a streaming model step,
-a per-step unroll through the public cell forward, a per-step cell
-backward, a per-step training readout and embedding scatter, a one-logit-vector rank, a one-row softmax
-cross-entropy, the two-branch sigmoid, a one-user-at-a-time evaluation,
-a per-tensor Adam step and gradient clipping, and the product in fixed
-16-row tiles.  Also a user's test transitions and a corpus's raw-id index,
-which only tests read."""
+and its gradients through the library's one-step backward
+(``one_step_backward``: ``cells.step_backward`` then ``cells.input_backward``),
+used as the finite-difference harness; a generic central-difference oracle
+that perturbs one coordinate at a time; and plain-loop oracles of the
+batched library paths: a per-gate cell forward, a streaming model step, a
+per-step unroll through the public cell forward, a per-step cell backward
+that shares no code with ``cells``' backward, a per-step training readout
+and embedding scatter, a one-logit-vector rank, a one-row softmax
+cross-entropy, the two-branch sigmoid, a one-user-at-a-time evaluation, a
+per-tensor Adam step and gradient clipping, and the product in fixed 16-row
+tiles.  Also a model whose finite parameters overflow the readout, a
+user's test transitions and a corpus's raw-id index, which only tests
+read."""
 
 import numpy as np
 
@@ -43,8 +47,22 @@ def unrolled_readout_loss(variant, p, seq, readouts, ablation=None):
     return loss, caches
 
 
+def one_step_backward(p, cache, gh, gc, grads):
+    """The library backward through one step: ``cells.step_backward``, then
+    ``cells.input_backward`` on the step's rows.  Adds the parameter
+    gradients into ``grads`` and returns ``(grad_h_prev, grad_c_prev,
+    grad_x)``."""
+    B, n = cache.i.shape
+    da = np.empty((B, p.blocks["w_z"].shape[0]))
+    dwi = None if cache.iv is None else np.empty((B, 2, n))
+    dh, dc = cells.step_backward(p, cache, gh, gc, da, dwi)
+    dx = cells.input_backward(p, cache.z[:, n:], cache.z,
+                              (cache.u, cache.inner, cache.iv), da, dwi, grads, B)
+    return dh, dc, dx
+
+
 def unrolled_readout_grads(variant, p, seq, readouts, ablation=None):
-    """Analytic gradients of unrolled_readout_loss via cell_backward;
+    """Analytic gradients of unrolled_readout_loss via one_step_backward;
     returns ``(loss, grads, dxs)`` with one (n_i,) input gradient per step."""
     loss, caches = unrolled_readout_loss(variant, p, seq, readouts, ablation)
     grads = p.zeros_like()
@@ -52,7 +70,7 @@ def unrolled_readout_grads(variant, p, seq, readouts, ablation=None):
     dc = np.zeros((1, p.n_c))
     dxs = []
     for cache, r in zip(reversed(caches), reversed(readouts)):
-        dh, dc, dx = cells.cell_backward(p, cache, dh + r, dc, grads)
+        dh, dc, dx = one_step_backward(p, cache, dh + r, dc, grads)
         dxs.append(dx[0])
     return loss, grads, dxs[::-1]
 
@@ -94,6 +112,19 @@ def per_gate_forward(variant, p, step, prev, ablation=None):
     h = o * np.tanh(c_hat)
     gates.update(i=i, f=f, g=g, o=o)
     return cells.CellState(c=c, h=h, c_hat=c_hat), gates
+
+
+def overflowing_readout(corpus):
+    """An st-clstm model (n_i 4, n_c 8) over ``corpus`` whose parameters
+    are finite but whose logits overflow: z-gate biases of 10 keep every h
+    well above 0, w_out is 1e308 and b_out alternates +-1.7e308."""
+    cfg = model.ModelConfig(variant="st-clstm", vocab=corpus.n_pois, n_i=4,
+                            n_c=8)
+    params = model.init_model(cfg, np.random.default_rng(3))
+    params.blocks["b_z"][...] = 10.0
+    params.w_out[...] = 1e308
+    params.b_out[...] = np.where(np.arange(cfg.vocab) % 2, 1.7e308, -1.7e308)
+    return params, cfg
 
 
 def user_test_steps(u):
@@ -173,7 +204,7 @@ def per_step_cell_backward(p, cache, grad_h, grad_c, grads):
     gradient sliced from the full-width product ``da @ w_z`` and the
     stacked interval-gate chain per step, the row products in 16-row tiles
     (``matmul_in_tiles``).  Adds the parameter gradients into ``grads`` and
-    returns ``(grad_h_prev, grad_c_prev, grad_x)`` as ``cells.cell_backward``
+    returns ``(grad_h_prev, grad_c_prev, grad_x)`` as ``one_step_backward``
     does."""
     i, g, o, f, iv = cache.i, cache.g, cache.o, cache.f, cache.iv
     tch = cache.tanh_c_hat
@@ -209,7 +240,7 @@ def per_step_cell_backward(p, cache, grad_h, grad_c, grads):
         dinner = dpre * cache.inner * (1.0 - cache.inner)
         grads.blocks["w_u"] += (cache.u * dinner).sum(axis=0).reshape(-1)
         dpre = dpre.reshape(B, -1)
-        grads.blocks["w_x"] += dpre.T @ cache.x
+        grads.blocks["w_x"] += dpre.T @ cache.z[:, n:]
         grads.blocks["b_x"] += dpre.sum(axis=0)
         grads["w_to"] += (cache.u[:, 0] * da_o).sum(axis=0)
         grads["w_do"] += (cache.u[:, 2] * da_o).sum(axis=0)

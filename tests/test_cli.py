@@ -8,7 +8,7 @@ from stpoi import model as M
 from stpoi.cli import main
 from stpoi.data import CheckIn
 
-from helpers import poi_index
+from helpers import overflowing_readout, poi_index
 
 
 def run(*argv):
@@ -234,6 +234,23 @@ class TestEval:
                    str(ck)) == 0
         assert "n_instances 0" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_logits_exit_2(self, tmp_path, capsys):
+        corpus = data.synth_corpus(5, n_users=6, n_pois=36, pattern="interval",
+                                   length=12)
+        corpus_path = tmp_path / "c.bin"
+        data.save_corpus(corpus, corpus_path)
+        params, cfg = overflowing_readout(corpus)
+        ck = tmp_path / "ck.bin"
+        M.save_checkpoint(ck, params, cfg)
+        out = tmp_path / "eval"
+        rc = run("eval", "--corpus", str(corpus_path), "--checkpoint", str(ck),
+                 "--out-dir", str(out))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "NaN or inf" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_vocab_mismatch(self, synth_cache, tmp_path, capsys):
         cfg = M.ModelConfig(variant="lstm", vocab=99, n_i=3, n_c=3)
         params = M.init_model(cfg, np.random.default_rng(0))
@@ -372,9 +389,12 @@ class TestParser:
         ("train", "--clip-norm", "nan"),
         ("grid", "--lr", "-0.001"),
         ("grid", "--clip-norm", "inf"),
+        ("train", "--patience", "0"),
+        ("train", "--patience", "-3"),
     ], ids=["epochs-0", "batch-size-0", "cell-size-0", "bptt-cap-0",
             "topk-word", "topk-0", "grid-cell-size-negative", "lr-nan", "lr-0",
-            "clip-norm-nan", "grid-lr-negative", "grid-clip-norm-inf"])
+            "clip-norm-nan", "grid-lr-negative", "grid-clip-norm-inf",
+            "patience-0", "patience-negative"])
     def test_bad_numeric_flag_exits_2_before_writing(self, synth_cache, tmp_path,
                                                      capsys, argv):
         out = tmp_path / "out"

@@ -7,7 +7,9 @@ from stpoi import eval as E
 from stpoi import model as M
 from stpoi.data import CheckIn
 
-from helpers import rank_of, streaming_ranks, user_test_steps
+from stpoi.numkit import NonFiniteError
+
+from helpers import overflowing_readout, rank_of, streaming_ranks, user_test_steps
 
 
 def rr(ranks):
@@ -224,6 +226,15 @@ class TestEvaluate:
         params = M.init_model(cfg, np.random.default_rng(3))
         params.w_out[0, 0] = np.nan
         with pytest.raises(ValueError, match="w_out"):
+            E.collect_ranks(params, cfg, corpus)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_logits_rejected(self):
+        # finite parameters, but every readout row overflows to inf
+        corpus = data.synth_corpus(5, n_users=6, n_pois=36, pattern="interval",
+                                   length=12)
+        params, cfg = overflowing_readout(corpus)
+        with pytest.raises(NonFiniteError, match="logits contain NaN or inf"):
             E.collect_ranks(params, cfg, corpus)
 
 

@@ -157,6 +157,18 @@ class TestFit:
         # lr=0 never improves: the best stays at epoch 1, stop at patience+1
         assert res.epochs_run == 11
 
+    @pytest.mark.parametrize("patience", [0, -3])
+    def test_patience_below_one_rejected(self, patience):
+        # a patience below 1 would stop after epoch 1 while the loss falls
+        corpus = small_corpus()
+        seqs, _ = T.train_sequences(corpus)
+        params, cfg = fresh("lstm", corpus)
+        before = params.flat.copy()
+        with pytest.raises(ValueError, match="patience"):
+            T.fit(params, cfg, seqs, epochs=3, batch_size=4, early_stop=True,
+                  patience=patience)
+        np.testing.assert_array_equal(params.flat, before)
+
     def test_on_step_callback_sees_every_step(self):
         corpus = small_corpus()
         seqs, _ = T.train_sequences(corpus)
