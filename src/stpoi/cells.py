@@ -54,16 +54,17 @@ One forward and one backward serve all three variants, with one product per
 gate group in each direction, on row batches: x is (B, n_i), dt/dd are (B,)
 and states, caches and gradients are (B, n_c); rows are independent
 sequences.  The forward is ``interval_terms``, the interval gates, which
-read no h and so can run for many steps at once, then ``cell_step``, a
-kernel that checks only that its gate pre-activations are finite.  The
+read no h and so can run for many steps at once, then ``cell_step``, the
+step kernel; neither checks anything (see ``check_bounded``).  The
 backward mirrors that split: ``step_backward`` is the recurrence alone,
 the elementwise chain of a step and the gradients it hands the step before,
 which the time loop needs; ``input_backward`` is the rest, which feeds no
 earlier step and so runs for many steps at once: every parameter gradient,
 the interval gates' chain and the input gradient.  The model calls the four
 parts.  The public ``cell_forward`` wraps the forward for one step, with
-per-call checks of shapes, variant, state and intervals; it reads a 1-D x
-or state and scalar dt/dd as a batch of one, and lstm ignores dt/dd.
+per-call checks of shapes, variant, x, state, intervals and the bound; it
+reads a 1-D x or state and scalar dt/dd as a batch of one, and lstm ignores
+dt/dd.
 """
 
 from __future__ import annotations
@@ -78,6 +79,10 @@ import numpy as np
 from . import numkit
 
 VARIANTS = ("lstm", "st-lstm", "st-clstm")
+
+# the most check_bounded lets a pre-activation or logit reach, far enough
+# below the float64 maximum (1.8e308) that rounding cannot cross it
+BOUND = 1e300
 
 # ablation presets: which interval gates get pinned to the all-ones vector
 ABLATION_PRESETS = {
@@ -364,7 +369,7 @@ def zero_state(n_c: int, batch: int = 1) -> CellState:
 
 def _promote(p, step, prev, needs_intervals):
     """Read a step and its previous state as a row batch; returns
-    ``(x, dt, dd, c_prev, h_prev)``, dt/dd None unless ``needs_intervals``."""
+    ``(x, dt, dd, c_prev, h_prev)``, dt/dd 0 unless ``needs_intervals``."""
     x = np.atleast_2d(np.asarray(step.x, dtype=float))
     if x.ndim != 2 or x.shape[1] != p.n_i:
         raise ValueError(
@@ -378,10 +383,10 @@ def _promote(p, step, prev, needs_intervals):
             f"cell forward: state shapes {np.shape(prev.c)}/{np.shape(prev.h)} do "
             f"not match batch {b} x n_c {p.n_c}"
         )
-    if not (np.all(np.isfinite(c_prev)) and np.all(np.isfinite(h_prev))):
-        raise ValueError("cell forward: previous state contains NaN or inf")
+    if not all(np.isfinite(a).all() for a in (x, c_prev, h_prev)):
+        raise ValueError("cell forward: x or previous state contains NaN or inf")
     if not needs_intervals:
-        return x, None, None, c_prev, h_prev
+        return x, 0.0, 0.0, c_prev, h_prev
     dt = np.atleast_1d(np.asarray(step.dt, dtype=float))
     dd = np.atleast_1d(np.asarray(step.dd, dtype=float))
     if dt.shape != (b,) or dd.shape != (b,):
@@ -401,6 +406,30 @@ def check_intervals(dt, dd, who: str) -> None:
         raise ValueError(f"{who}: dt and dd must be non-negative")
 
 
+def check_bounded(p: CellParams, z_max, dt, dd, who: str) -> None:
+    """Raise NonFiniteError unless no gate pre-activation, ``u * w_u`` or
+    logit can overflow on inputs ``[h | x]`` of magnitude at most ``z_max``
+    and intervals up to the maxima of ``dt``/``dd``.
+
+    Each is a sum of at most K = n_c + n_i + 3 products of a parameter and
+    an input or a bias, plus 1 for the inner sigmoid.  With w the largest
+    |parameter| and s = max(1, w, z_max, dt, dd), each product is at most
+    w * s, so K * w * s + 1 < ``BOUND`` keeps every float sum finite.  The
+    model's z_max is 1: x is an embedding row, and |h| <= 1 as h = o *
+    tanh(c_hat).  ``numkit.check_finite`` names a NaN or inf parameter.
+    """
+    flat = p.flat
+    with np.errstate(over="ignore"):
+        w = max(flat.max(), -flat.min())
+        s = max(1.0, w, z_max, np.max(dt, initial=0.0), np.max(dd, initial=0.0))
+        if (p.n_c + p.n_i + 3) * w * s + 1.0 < BOUND:
+            return
+    numkit.check_finite(p, who)
+    raise numkit.NonFiniteError(
+        f"{who}: parameters up to {w:.3g} and inputs up to {s:.3g} let a gate "
+        f"or logit overflow to NaN or inf")
+
+
 def interval_terms(p: CellParams, x, dt, dd, ablation: Optional[GateAblation] = None):
     """The interval gates of R rows: x (R, n_i) and dt/dd (R,).
 
@@ -408,8 +437,7 @@ def interval_terms(p: CellParams, x, dt, dd, ablation: Optional[GateAblation] = 
     them for many steps at once.  Returns ``(u, inner, iv)``: u (R, 4, 1)
     holds dt, dt, dd, dd; inner (R, 4, n_c) the sigmoid(u * w_u) terms and
     iv (R, 4, n_c) the gates t1, t2, d1, d2, a pinned gate exactly 1.  All
-    three are None for lstm.  Shapes and signs are not checked; both
-    sigmoids reject a NaN or inf.
+    three are None for lstm.  Nothing is checked (see ``check_bounded``).
     """
     if "w_to" not in p:
         return None, None, None
@@ -426,8 +454,8 @@ def interval_terms(p: CellParams, x, dt, dd, ablation: Optional[GateAblation] = 
 
 def cell_step(p: CellParams, x, c_prev, h_prev, u, inner, iv):
     """One step over a row batch from its ``interval_terms``; returns
-    (CellState, StepCache).  Expects (B, n_i) x and finite (B, n_c) states;
-    checks only that the gate pre-activations are finite (NonFiniteError).
+    (CellState, StepCache).  Expects (B, n_i) x and finite (B, n_c) states
+    that pass ``check_bounded``; checks nothing.
     """
     n = p.n_c
     z = np.concatenate([h_prev, x], axis=1)
@@ -436,10 +464,7 @@ def cell_step(p: CellParams, x, c_prev, h_prev, u, inner, iv):
         a_o = a[:, -2 * n:-n]
         a_o += u[:, 0] * p["w_to"]
         a_o += u[:, 2] * p["w_do"]
-    if not np.isfinite(a).all():
-        raise numkit.NonFiniteError(
-            "cell step: gate pre-activations contain NaN or inf")
-    s = numkit.sigmoid_unchecked(a[:, :-n])
+    s = numkit.sigmoid(a[:, :-n])
     i, o = s[:, :n], s[:, -n:]
     f = s[:, n:2 * n] if "w_f" in p else None
     g = np.tanh(a[:, -n:])
@@ -468,6 +493,8 @@ def cell_forward(variant, p: CellParams, step: StepInput, prev: CellState,
         raise ValueError(f"cell_forward: params hold the {p.variant} tensors, "
                          f"not those of {variant!r}")
     x, dt, dd, c_prev, h_prev = _promote(p, step, prev, "w_to" in p)
+    z_max = np.abs(np.hstack([h_prev, x])).max(initial=0.0)
+    check_bounded(p, z_max, dt, dd, "cell forward")
     return cell_step(p, x, c_prev, h_prev, *interval_terms(p, x, dt, dd, ablation))
 
 

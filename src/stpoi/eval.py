@@ -19,8 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .cells import check_bounded
 from .model import ModelConfig, ModelParams, forward_batch, readout
-from .numkit import NonFiniteError, check_finite
 
 ACC_KS = (1, 5, 10, 15, 20)
 COHORTS = ("all", "cold")
@@ -81,11 +81,9 @@ def _ranks(logits, targets, visited=None) -> np.ndarray:
     logit descending and ties to the lower id.
 
     ``visited`` is an optional (R, V) mask of excluded candidates; the
-    target itself is never counted, so it is never excluded either.  A NaN
-    or inf logit has no rank: it raises ``NonFiniteError``.
+    target itself is never counted, so it is never excluded either.  The
+    logits must be finite, which ``collect_ranks``' bound check proves.
     """
-    if not np.isfinite(logits).all():
-        raise NonFiniteError("collect_ranks: logits contain NaN or inf")
     lt = logits[np.arange(len(targets)), targets][:, None]
     ahead = (logits > lt) | ((logits == lt)
                              & (np.arange(logits.shape[1]) < targets[:, None]))
@@ -103,8 +101,9 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
     cache-free forward, each over its training inputs then its test inputs;
     the readout runs only on the hidden states at test positions.  The
     tiled kernels make every rank equal, bit for bit, to stepping each user
-    alone (``tests/helpers.py`` keeps that oracle).  A NaN or inf logit
-    raises ``NonFiniteError``.
+    alone (``tests/helpers.py`` keeps that oracle).  Parameters that could
+    overflow a gate or logit on the cohort's inputs raise
+    ``NonFiniteError`` before any step (``cells.check_bounded``).
     """
     if cohort not in COHORTS:
         raise ValueError(f"unknown cohort {cohort!r}; expected one of {COHORTS}")
@@ -113,10 +112,11 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
             f"vocabulary size mismatch: model has {cfg.vocab}, corpus has "
             f"{corpus.n_pois}"
         )
-    check_finite(params.tensors(), "collect_ranks")
     users = [u for u in corpus.users
              if len(u.pois) > u.n_train
              and (cohort == "all" or u.n_train < cold_threshold)]
+    check_bounded(params, 1.0, [np.max(u.dts, initial=0.0) for u in users],
+                  [np.max(u.dds, initial=0.0) for u in users], "collect_ranks")
     results = []
     for c0 in range(0, len(users), EVAL_CHUNK):
         chunk = users[c0:c0 + EVAL_CHUNK]

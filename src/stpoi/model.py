@@ -26,6 +26,7 @@ from .cells import (
     VARIANTS,
     _tensor_shapes,
     cell_step,
+    check_bounded,
     check_intervals,
     constrained_names,
     count_params,
@@ -36,7 +37,7 @@ from .cells import (
     step_backward,
     zero_state,
 )
-from .numkit import affine, check_finite, matmul_rows, softmax_xent_rows
+from .numkit import affine, matmul_rows, softmax_xent_rows
 from .optim import AdamState
 
 CHECKPOINT_KIND = "stpoi-checkpoint"
@@ -236,8 +237,8 @@ def forward_batch(params: ModelParams, cfg: ModelConfig, seqs):
 
     Returns hs (B, T, n_c), the hidden state after every step of the padded
     batch; entries past a sequence's length are padding.  Parameters are
-    not checked for finiteness here: callers check once per call.  The
-    embedding is gathered once, and the interval terms are computed one
+    not checked here: callers run ``cells.check_bounded`` once per call.
+    The embedding is gathered once, and the interval terms are computed one
     block of steps at a time, just ahead of the steps that read them.
     """
     pois, dts, dds, _ = _pad(seqs, cfg, "forward_batch")
@@ -257,8 +258,9 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     to the longest and masked, the normalizer is the total number of real
     steps across the batch.  Gradient flow from step t to t-1 is severed at
     multiples of ``cfg.bptt_cap`` when a cap is set, so a loss reaches at
-    most ``bptt_cap`` steps backwards.  Every parameter tensor is checked
-    for NaN and inf once, up front.
+    most ``bptt_cap`` steps backwards.  The batch's ids and intervals, and
+    then the bound of ``cells.check_bounded`` on the parameters, are checked
+    once, up front.
 
     The readout, its softmax and ``dlog @ w_out`` run once, after the
     forward, over the real (b, t) rows only, in ``READOUT_ROWS``-row blocks;
@@ -273,8 +275,8 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     is scattered after the backward: each step's per-POI sums of the input
     gradients, added in descending t.
     """
-    check_finite(params.tensors(), "batch_loss_and_grads")
     pois, dts, dds, lengths = _pad(seqs, cfg, "batch_loss_and_grads")
+    check_bounded(params, 1.0, dts, dds, "batch_loss_and_grads")
     B, T = pois.shape
     targets = np.zeros((B, T), dtype=np.int64)
     for b, seq in enumerate(seqs):

@@ -27,19 +27,11 @@ zero-padded ``TAIL_COLS``-column copy of the matrix.
 from one row to taller than any call the model makes, at the shapes the
 model uses.
 
-Finiteness is checked at boundaries, not inside the matrix kernels:
-``check_finite`` tests the parameters' ``flat`` buffer once per mini-batch
-(``model.batch_loss_and_grads``) and once per evaluation call
-(``eval.collect_ranks``), which also checks each block of logits it ranks;
-``model._pad`` checks the intervals once per batch (``cells.check_intervals``);
-the checked ``sigmoid`` covers the interval gates once per block of steps;
-the cell kernel ``cells.cell_step`` checks its gate pre-activations
-once per step, and the public ``cells.cell_forward`` also checks its state
-and intervals on every call; ``train.fit`` aborts on a non-finite loss
-and checks the parameters after each epoch's last step.  A NaN or inf
-means upstream state is already corrupt, so it fails loudly there, as
-``NonFiniteError`` (a bad interval as a plain ``ValueError``), instead of
-spreading.
+No kernel here checks finiteness.  One guard, ``cells.check_bounded``,
+proves that no gate pre-activation or logit can overflow where parameters
+meet inputs: in ``model.batch_loss_and_grads``, ``eval.collect_ranks``,
+``train.fit`` after each epoch and ``cells.cell_forward``.  It raises
+``NonFiniteError``, naming a NaN or inf tensor through ``check_finite``.
 """
 
 from __future__ import annotations
@@ -47,8 +39,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-_FLOATS = (np.float32, np.float64)
 
 # fewest rows per BLAS call in affine and matmul_rows
 TILE_ROWS = 16
@@ -69,25 +59,10 @@ class NonFiniteError(ValueError):
     """An input or parameter holds a NaN or inf."""
 
 
-def _as_float(x, name: str) -> np.ndarray:
-    a = np.asarray(x)
-    if a.dtype not in _FLOATS:
-        a = a.astype(np.float64)
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError(f"{name}: input contains NaN or inf")
-    return a
-
-
-def sigmoid(x) -> np.ndarray:
-    """Elementwise logistic function 1 / (1 + exp(-x)), overflow-safe;
-    rejects a NaN or inf input."""
-    return sigmoid_unchecked(_as_float(x, "sigmoid"))
-
-
-def sigmoid_unchecked(a: np.ndarray) -> np.ndarray:
-    """``sigmoid`` of a float array whose finiteness the caller checked.
-    The operations of ``where(a >= 0, 1, e) / (1 + e)``, e = exp(-|a|),
-    run in place on two temporaries."""
+def sigmoid(a: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function 1 / (1 + exp(-a)) of a float array,
+    overflow-safe: the operations of ``where(a >= 0, 1, e) / (1 + e)``,
+    e = exp(-|a|), run in place on two temporaries."""
     e = np.abs(a)
     np.negative(e, out=e)
     np.exp(e, out=e)

@@ -82,13 +82,14 @@ def clip_global_norm(grads: CellParams, max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm.
 
     Returns the pre-clip norm, summed tensor by tensor in the mapping's
-    order.  ``max_norm <= 0`` disables clipping.
+    order.  ``max_norm <= 0`` disables clipping; a norm that is not finite
+    leaves the gradients as they are, for the caller to reject.
     """
     sq = 0.0
     for g in grads.values():
         sq += float(np.sum(g * g))
     norm = float(np.sqrt(sq))
-    if max_norm > 0 and norm > max_norm:
+    if max_norm > 0 and max_norm < norm < np.inf:
         grads.flat *= max_norm / norm
     return norm
 

@@ -4,10 +4,10 @@ Each epoch shuffles the training sequences with a seeded generator, walks
 them in batches, clips the global gradient norm, takes one Adam step, and
 re-projects the constrained tensors.  The constraint is then re-checked
 after every step; a violation is a bug, not a tolerable drift, so it raises
-immediately.  A non-finite loss, or a NaN or inf met inside the forward or
-backward pass or in the parameters at the end of an epoch, aborts with a
-diagnostic dump instead of silently training on garbage or writing it to a
-checkpoint.
+immediately.  A non-finite loss or gradient norm, or parameters that fail
+the overflow bound (``cells.check_bounded``) before a batch or at the end
+of an epoch, abort with a diagnostic dump instead of silently training on
+garbage or writing it to a checkpoint.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cells import constrained_names
-from .model import (ModelConfig, ModelParams, batch_loss_and_grads,
-                    forward_batch, save_checkpoint)
-from .numkit import NonFiniteError, check_finite
+from .cells import check_bounded, constrained_names
+from .model import ModelConfig, ModelParams, batch_loss_and_grads, save_checkpoint
+from .numkit import NonFiniteError
 from .optim import AdamState, adam_step, clip_global_norm, project
 
 log = logging.getLogger(__name__)
@@ -93,11 +92,9 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
     ``out_dir`` (optional) receives one checkpoint per epoch plus a final
     ``checkpoint.bin``.  ``on_step(epoch, batch_index, params)`` runs after
     every optimizer step, after projection.  Raises ``TrainingDiverged``
-    when a batch meets a NaN or inf, or the parameters hold one at the end
-    of an epoch.  Before the parameters leave ``fit``, in a checkpoint or
-    returned, the forward of the epoch's last batch runs again and raises
-    it too when it meets one.  That catches finite parameters whose gate
-    products overflow on that batch, not on every input.
+    before a step whose loss or gradient norm is not finite or whose
+    parameters fail ``cells.check_bounded``, and at the end of an epoch,
+    before any checkpoint, when they fail it on any of ``sequences``.
     """
     if not sequences:
         raise ValueError("fit: no training sequences")
@@ -108,6 +105,8 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
     constrained = constrained_names(cfg.variant, cfg.constraint_target)
     rng = np.random.default_rng(seed)
     steps_per_seq = [len(s[0]) for s in sequences]
+    dt_max = max(np.max(s[1], initial=0.0) for s in sequences)
+    dd_max = max(np.max(s[2], initial=0.0) for s in sequences)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -124,14 +123,15 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
             batch = [sequences[j] for j in idx]
             try:
                 loss, grads = batch_loss_and_grads(params, cfg, batch)
-                error = None if np.isfinite(loss) else f"non-finite loss {loss!r}"
+                norm = clip_global_norm(grads, clip_norm)
+                error = (None if np.isfinite(loss) and np.isfinite(norm) else
+                         f"non-finite loss {loss!r} or gradient norm {norm!r}")
             except NonFiniteError as exc:
                 error = str(exc)
             n_steps = sum(steps_per_seq[j] for j in idx)
             if error is not None:
                 raise _diverged(out_dir, error, epoch, b0, idx, names,
                                 result.losses)
-            clip_global_norm(grads, clip_norm)
             adam_step(params, grads, adam)
             project(params, constrained)
             _check_constraints(params, cfg)
@@ -146,15 +146,9 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
         else:
             flat_epochs += 1
         stop = early_stop and flat_epochs >= patience
-        # no next batch checks the epoch's last step: check the parameters
-        # here and, where they leave fit next (a checkpoint, or the return
-        # after the last epoch or an early stop), run the last batch's
-        # forward again, whose checks catch finite weights whose gate
-        # products overflow
+        # no next batch checks the epoch's last step
         try:
-            check_finite(params, "params")
-            if out_dir is not None or stop or epoch == epochs:
-                forward_batch(params, cfg, batch)
+            check_bounded(params, 1.0, dt_max, dd_max, "params")
         except NonFiniteError as exc:
             raise _diverged(out_dir, f"after the epoch's last step: {exc}",
                             epoch, b0, idx, names, result.losses) from None

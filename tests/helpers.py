@@ -9,9 +9,9 @@ that shares no code with ``cells``' backward, a per-step training readout
 and embedding scatter, a one-logit-vector rank, a one-row softmax
 cross-entropy, the two-branch sigmoid, a one-user-at-a-time evaluation, a
 per-tensor Adam step and gradient clipping, and the product in fixed 16-row
-tiles.  Also a model whose finite parameters overflow the readout, a
-user's test transitions and a corpus's raw-id index, which only tests
-read."""
+tiles.  Also a model whose finite parameters overflow the readout, the
+largest pre-activation or logit in plain numpy, a user's test transitions
+and a corpus's raw-id index, which only tests read."""
 
 import numpy as np
 
@@ -125,6 +125,45 @@ def overflowing_readout(corpus):
     params.w_out[...] = 1e308
     params.b_out[...] = np.where(np.arange(cfg.vocab) % 2, 1.7e308, -1.7e308)
     return params, cfg
+
+
+def largest_sum(params, cfg, seqs):
+    """The largest |value| of any gate pre-activation, inner interval term
+    u * w_u or logit of the model over ``(pois, dts, dds, ...)`` sequences,
+    computed in plain numpy: one sequence, one step and one gate at a time,
+    each sigmoid as (1 + tanh(a / 2)) / 2, which cannot overflow."""
+    def sig(a):
+        return 0.5 * (1.0 + np.tanh(0.5 * a))
+
+    p, n = params, cfg.n_c
+    largest = 0.0
+    for pois, dts, dds, *_ in seqs:
+        h, c = np.zeros(n), np.zeros(n)
+        for poi, dt, dd in zip(pois, dts, dds):
+            x = p.embedding[poi]
+            z = np.concatenate([h, x])
+            pre = {g: p[f"w_{g}"] @ z + p[f"b_{g}"] for g in "ifoc" if f"w_{g}" in p}
+            gates = dict.fromkeys(cells.INTERVAL_GATES, 1.0)
+            if "w_to" in p:
+                pre["o"] = pre["o"] + dt * p["w_to"] + dd * p["w_do"]
+                for gate in cells.INTERVAL_GATES:
+                    pre["u" + gate] = (dt if gate[0] == "t" else dd) * p[f"w_{gate}"]
+                    pre[gate] = (p[f"w_x{gate}"] @ x + p[f"b_{gate}"]
+                                 + sig(pre["u" + gate]))
+                    if not getattr(cfg.ablation, f"fix_{gate}"):
+                        gates[gate] = sig(pre[gate])
+            largest = max(largest, *(np.abs(a).max() for a in pre.values()))
+            i, o, g = sig(pre["i"]), sig(pre["o"]), np.tanh(pre["c"])
+            w1 = i * gates["t1"] * gates["d1"]
+            w2 = i * gates["t2"] * gates["d2"]
+            if "w_f" in p:
+                f = sig(pre["f"])
+                c_hat, c = f * c + w1 * g, f * c + w2 * g
+            else:
+                c_hat, c = (1.0 - w1) * c + w1 * g, (1.0 - i) * c + w2 * g
+            h = o * np.tanh(c_hat)
+            largest = max(largest, np.abs(p.w_out @ h + p.b_out).max())
+    return largest
 
 
 def user_test_steps(u):

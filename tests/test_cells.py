@@ -7,6 +7,7 @@ import pytest
 
 from stpoi import cells, optim
 from stpoi.cells import CellState, GateAblation, StepInput
+from stpoi.numkit import NonFiniteError
 
 from helpers import (
     central_diff,
@@ -222,6 +223,30 @@ class TestStClstmForward:
         with pytest.raises(ValueError):
             cells.cell_forward("st-clstm", p, StepInput(x=np.zeros(1)),
                                cells.zero_state(1))
+
+
+class TestForwardContract:
+    """The public cell_forward rejects what the unchecked kernels cannot
+    take: a non-finite x, and parameters past the overflow bound."""
+
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_nonfinite_x_rejected(self, variant):
+        p = cells.init_params(variant, 3, 4, np.random.default_rng(5))
+        for bad in (np.nan, np.inf):
+            x = np.array([0.1, bad, -0.2])
+            with pytest.raises(ValueError, match="NaN or inf"):
+                cells.cell_forward(variant, p, StepInput(x, 1.0, 2.0),
+                                   cells.zero_state(4))
+
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_parameters_past_the_bound_rejected(self, variant):
+        rng = np.random.default_rng(6)
+        p = cells.init_params(variant, 3, 4, rng)
+        p.flat[...] *= 1e300
+        x = 1e10 * rng.normal(size=3)       # products with x overflow
+        with pytest.raises(NonFiniteError, match="NaN or inf"):
+            cells.cell_forward(variant, p, StepInput(x, 1.0, 2.0),
+                               cells.zero_state(4))
 
 
 class TestBackward:

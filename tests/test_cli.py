@@ -95,7 +95,6 @@ class TestTrain:
             outs.append((out / "checkpoint.bin").read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergence_in_the_forward_exits_3_with_dump(self, synth_cache,
                                                          tmp_path, capsys):
         # a step size this large sends the parameters past the range where
@@ -111,7 +110,6 @@ class TestTrain:
         assert "NaN or inf" in dump["error"]
         assert not (out / "checkpoint.bin").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergence_at_the_last_step_writes_no_checkpoint(self, tmp_path,
                                                              capsys):
         # one batch per epoch: no later batch checks the only step, whose
@@ -234,7 +232,6 @@ class TestEval:
                    str(ck)) == 0
         assert "n_instances 0" in capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_logits_exit_2(self, tmp_path, capsys):
         corpus = data.synth_corpus(5, n_users=6, n_pois=36, pattern="interval",
                                    length=12)

@@ -228,13 +228,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="w_out"):
             E.collect_ranks(params, cfg, corpus)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_logits_rejected(self):
         # finite parameters, but every readout row overflows to inf
         corpus = data.synth_corpus(5, n_users=6, n_pois=36, pattern="interval",
                                    length=12)
         params, cfg = overflowing_readout(corpus)
-        with pytest.raises(NonFiniteError, match="logits contain NaN or inf"):
+        with pytest.raises(NonFiniteError, match="collect_ranks: parameters up to "
+                           ".* let a gate or logit overflow to NaN or inf"):
             E.collect_ranks(params, cfg, corpus)
 
 

@@ -7,12 +7,13 @@ from stpoi import cells
 from stpoi import data
 from stpoi import eval as E
 from stpoi import model as M
+from stpoi import train as T
 from stpoi.cells import GateAblation, zero_state
 from stpoi.numkit import NonFiniteError
 from stpoi.optim import AdamState, fd_check
 
-from helpers import (per_step_forward, per_step_loss_and_grads, softmax_xent,
-                     step)
+from helpers import (largest_sum, per_step_forward, per_step_loss_and_grads,
+                     softmax_xent, step)
 
 
 def tiny_cfg(variant, vocab=6, n_i=3, n_c=4, **kw):
@@ -295,10 +296,9 @@ class TestHoistedTerms:
 
 
 class TestFiniteBoundaries:
-    """Checks run once per batch (intervals), per block of steps (the
-    interval gates' sigmoids) and per step (the gate pre-activations)."""
+    """Checks run once per batch, before any step: the intervals, then the
+    overflow bound on the parameters (``cells.check_bounded``)."""
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("block, variant", [
         ("w_z", "lstm"), ("w_z", "st-lstm"), ("w_z", "st-clstm"),
         ("w_x", "st-lstm"), ("w_x", "st-clstm")])
@@ -337,6 +337,53 @@ class TestFiniteBoundaries:
             M.batch_loss_and_grads(params, cfg, seqs)
         with pytest.raises(ValueError, match=message):
             M.forward_batch(params, cfg, [s[:3] for s in seqs])
+
+    @pytest.mark.parametrize("ablation", sorted(cells.ABLATION_PRESETS))
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_bound_is_sound_and_checked_before_any_step(self, variant,
+                                                        ablation, monkeypatch):
+        corpus = data.synth_corpus(5, n_users=6, n_pois=20, length=12)
+        cfg = tiny_cfg(variant, vocab=corpus.n_pois,
+                       ablation=GateAblation.from_name(ablation))
+        params = M.init_model(cfg, np.random.default_rng(53))
+        seqs = [u.train_steps() for u in corpus.users]
+        # once w is past 1 and every interval, s = w: the limit on w is
+        # K * w**2 + 1 = BOUND
+        limit = math.sqrt((cells.BOUND - 1.0) / (cfg.n_c + cfg.n_i + 3))
+
+        def scale_to(w):
+            params.flat[...] *= w / np.abs(params.flat).max()
+
+        # the random draw, then every entry w, which brings the sums near
+        # the bound: all products add up with one sign
+        for aligned in (False, True):
+            if aligned:
+                params.flat[...] = 1.0
+            scale_to(limit * (1.0 - 1e-9))
+            assert largest_sum(params, cfg, seqs) < cells.BOUND
+            hs = M.forward_batch(params, cfg, [s[:3] for s in seqs])
+            assert np.isfinite(M.readout(params, hs.reshape(-1, cfg.n_c))).all()
+            assert E.collect_ranks(params, cfg, corpus)
+            state, _ = cells.cell_forward(variant, params, cells.StepInput(
+                params.embedding[0], 1.0, 2.0), zero_state(cfg.n_c), cfg.ablation)
+            assert np.isfinite(state.h).all()
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        scale_to(limit * (1.0 + 1e-9))
+        for module in (M, cells):
+            monkeypatch.setattr(module, "cell_step", no_step)
+            monkeypatch.setattr(module, "interval_terms", no_step)
+        with pytest.raises(NonFiniteError, match="NaN or inf"):
+            M.batch_loss_and_grads(params, cfg, seqs)
+        with pytest.raises(NonFiniteError, match="NaN or inf"):
+            E.collect_ranks(params, cfg, corpus)
+        with pytest.raises(T.TrainingDiverged, match="NaN or inf"):
+            T.fit(params, cfg, seqs, epochs=1)
+        with pytest.raises(NonFiniteError, match="NaN or inf"):
+            cells.cell_forward(variant, params, cells.StepInput(
+                params.embedding[0], 1.0, 2.0), zero_state(cfg.n_c), cfg.ablation)
 
 
 class TestPredict:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +124,6 @@ class TestFit:
         assert not list(tmp_path.glob("*.bin"))
         assert (tmp_path / "divergence.json").exists() == with_dir
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("with_dir", [False, True])
     def test_overflowing_parameters_after_the_last_step_abort(self, tmp_path,
                                                               with_dir):
@@ -146,6 +146,70 @@ class TestFit:
                   names=names, out_dir=out_dir, on_step=corrupt)
         assert [p.name for p in tmp_path.glob("*.bin")] == (
             ["epoch-0001.bin"] if with_dir else [])
+
+    @pytest.mark.parametrize("with_dir", [False, True])
+    def test_overflow_on_a_poi_the_last_batch_never_reads_aborts(
+            self, tmp_path, monkeypatch, with_dir):
+        # after the run's last step an embedding row that the last batch
+        # does not read is past the bound: that batch alone runs finite,
+        # but the parameters overflow on another POI, so they are neither
+        # written nor returned
+        corpus = small_corpus(n_pois=48)
+        seqs, names = T.train_sequences(corpus)
+        params, cfg = fresh("st-lstm", corpus)
+        real = T.batch_loss_and_grads
+        batches = []
+
+        def recording(p, c, batch):
+            batches.append(batch)
+            return real(p, c, batch)
+
+        last = -(-len(seqs) // 4) - 1
+
+        def corrupt(epoch, batch, p):
+            if batch == last:
+                read = set(np.concatenate([s[0] for s in batches[-1]]).tolist())
+                p.embedding[min(set(range(cfg.vocab)) - read)] *= 1e305
+
+        monkeypatch.setattr(T, "batch_loss_and_grads", recording)
+        out_dir = tmp_path if with_dir else None
+        with pytest.raises(T.TrainingDiverged,
+                           match="after the epoch's last step: params: .*NaN or inf"):
+            T.fit(params, cfg, seqs, epochs=1, batch_size=4, seed=1,
+                  names=names, out_dir=out_dir, on_step=corrupt)
+        assert not list(tmp_path.glob("*.bin"))
+        hs = M.forward_batch(params, cfg, [s[:3] for s in batches[-1]])
+        assert np.isfinite(M.readout(params, hs.reshape(-1, cfg.n_c))).all()
+
+    def test_nonfinite_gradient_norm_aborts_before_the_step(self, tmp_path,
+                                                            monkeypatch):
+        # an inf gradient must not reach Adam: the run stops at its batch,
+        # with the parameters of the step before
+        corpus = small_corpus(n_users=12)
+        seqs, names = T.train_sequences(corpus)
+        params, cfg = fresh("st-clstm", corpus)
+        real = T.batch_loss_and_grads
+        batches = []
+
+        def poisoned(p, c, batch):
+            loss, grads = real(p, c, batch)
+            batches.append(batch)
+            if len(batches) == 5:
+                grads.w_out[2, 3] = np.inf
+            return loss, grads
+
+        seen = []
+        monkeypatch.setattr(T, "batch_loss_and_grads", poisoned)
+        with pytest.raises(T.TrainingDiverged, match="gradient norm inf"):
+            T.fit(params, cfg, seqs, epochs=1, batch_size=2, seed=1,
+                  names=names, out_dir=tmp_path,
+                  on_step=lambda e, b, p: seen.append(p.flat.copy()))
+        dump = json.loads((tmp_path / "divergence.json").read_text())
+        name_of = {id(s): n for s, n in zip(seqs, names)}
+        assert dump["batch_start"] == 8
+        assert dump["sequences"] == [name_of[id(s)] for s in batches[4]]
+        assert len(seen) == 4
+        np.testing.assert_array_equal(params.flat, seen[-1])
 
     def test_early_stop_on_plateau(self):
         corpus = small_corpus()
