@@ -299,15 +299,12 @@ def constrained_names(variant: str, constraint_target: str = "interval"):
     non-increasing in dt/dd).  ``input`` additionally constrains their
     input matrices.
     """
-    if variant == "lstm":
-        return ()
-    if constraint_target == "interval":
-        return ("w_t1", "w_d1")
-    if constraint_target == "input":
-        return ("w_t1", "w_d1", "w_xt1", "w_xd1")
-    raise ValueError(
-        f"unknown constraint_target {constraint_target!r}; expected 'interval' or 'input'"
-    )
+    names = {"interval": ("w_t1", "w_d1"),
+             "input": ("w_t1", "w_d1", "w_xt1", "w_xd1")}
+    if constraint_target not in names:
+        raise ValueError(f"unknown constraint_target {constraint_target!r}; "
+                         "expected 'interval' or 'input'")
+    return () if variant == "lstm" else names[constraint_target]
 
 
 def draw_tensors(shapes: dict, n_c: int, rng, constrained=()) -> dict:
@@ -452,13 +449,13 @@ def interval_terms(p: CellParams, x, dt, dd, ablation: Optional[GateAblation] = 
     return u, inner, iv
 
 
-def cell_step(p: CellParams, x, c_prev, h_prev, u, inner, iv):
-    """One step over a row batch from its ``interval_terms``; returns
-    (CellState, StepCache).  Expects (B, n_i) x and finite (B, n_c) states
-    that pass ``check_bounded``; checks nothing.
+def cell_step(p: CellParams, z, c_prev, u, inner, iv, h):
+    """One step over the (B, n_c + n_i) rows ``z`` = [h_prev | x] from their
+    ``interval_terms``; writes h into the (B, n_c) array ``h`` and returns
+    (CellState, StepCache), the cache holding ``z`` itself.  Expects finite
+    inputs that pass ``check_bounded``; checks nothing.
     """
     n = p.n_c
-    z = np.concatenate([h_prev, x], axis=1)
     a = numkit.affine(p.blocks["w_z"], z, p.blocks["b_z"])
     if iv is not None:
         a_o = a[:, -2 * n:-n]
@@ -477,7 +474,7 @@ def cell_step(p: CellParams, x, c_prev, h_prev, u, inner, iv):
     c_hat = k1 * c_prev + w1 * g
     c = k2 * c_prev + w2 * g if iv is not None else c_hat
     tch = np.tanh(c_hat)
-    h = o * tch
+    np.multiply(o, tch, out=h)
     cache = StepCache(
         z=z, i=i, f=f, g=g, o=o, c_prev=c_prev, w1=w1, w2=w2, k1=k1, k2=k2,
         tanh_c_hat=tch, u=u, iv=iv, inner=inner,
@@ -493,9 +490,10 @@ def cell_forward(variant, p: CellParams, step: StepInput, prev: CellState,
         raise ValueError(f"cell_forward: params hold the {p.variant} tensors, "
                          f"not those of {variant!r}")
     x, dt, dd, c_prev, h_prev = _promote(p, step, prev, "w_to" in p)
-    z_max = np.abs(np.hstack([h_prev, x])).max(initial=0.0)
-    check_bounded(p, z_max, dt, dd, "cell forward")
-    return cell_step(p, x, c_prev, h_prev, *interval_terms(p, x, dt, dd, ablation))
+    z = np.concatenate([h_prev, x], axis=1)
+    check_bounded(p, np.abs(z).max(initial=0.0), dt, dd, "cell forward")
+    return cell_step(p, z, c_prev, *interval_terms(p, x, dt, dd, ablation),
+                     np.empty_like(c_prev))
 
 
 def step_backward(p, cache: StepCache, gh, gc, da, dwi):
@@ -540,14 +538,14 @@ def step_backward(p, cache: StepCache, gh, gc, da, dwi):
     return numkit.matmul_rows(da, p.blocks["w_z"][:, :n]), dc_prev
 
 
-def input_backward(p, x, z, terms, da, dwi, grads, batch):
+def input_backward(p, z, terms, da, dwi, grads, batch):
     """The part of the backward that feeds no earlier step, for R rows of
     ``step_backward`` output: every cell parameter gradient, the interval
     gates' chain and the input gradient.
 
-    ``x`` (R, n_i), ``z`` (R, n_c + n_i) the rows' ``[h_prev | x]``,
-    ``terms`` (the ``interval_terms`` of those rows), ``da`` and ``dwi`` hold
-    whole steps of ``batch`` rows each, in step order.  Adds each step's
+    ``z`` (R, n_c + n_i) the rows' ``[h_prev | x]``, x read in place from
+    it, ``terms`` (the ``interval_terms`` of those rows), ``da`` and ``dwi``
+    hold whole steps of ``batch`` rows each, in step order.  Adds each step's
     rank-``batch`` sums into the cell's gradients in ``grads`` (a
     ``p.zeros_like()``), the last step first, each gate group's block in
     place; a pinned gate is exactly 1, so its gradients stay exactly 0.
@@ -556,6 +554,7 @@ def input_backward(p, x, z, terms, da, dwi, grads, batch):
     """
     u, inner, iv = terms
     n = p.n_c
+    x = z[:, n:]
     dx = numkit.matmul_rows(da, p.blocks["w_z"][:, n:])
     if iv is not None:
         # d/d(t1, t2, d1, d2) = (dw1 * i * d1, dw2 * i * d2, dw1 * i * t1, dw2 * i * t2)

@@ -133,7 +133,8 @@ def load_checkins(path, fmt: str = "snap"):
 
     Malformed lines are skipped with a warning tally; if more than half of
     the non-blank lines fail to parse the file is rejected as being in the
-    wrong format.  An empty file is legal and yields an empty list.
+    wrong format, as is a file that is not UTF-8 text.  An empty file is
+    legal and yields an empty list.
     """
     if fmt not in ("snap", "csv"):
         raise ValueError(f"unknown format {fmt!r}; expected 'snap' or 'csv'")
@@ -141,20 +142,29 @@ def load_checkins(path, fmt: str = "snap"):
     out = []
     seen = 0
     bad = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split(sep)
-            try:
-                out.append(_parse_line(parts))
-                seen += 1
-            except (ValueError, OverflowError):
-                if fmt == "csv" and lineno == 1:
-                    continue   # header line, not data
-                seen += 1
-                bad += 1
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line.strip():
+                    continue
+                parts = line.split(sep)
+                try:
+                    out.append(_parse_line(parts))
+                    seen += 1
+                except (ValueError, OverflowError):
+                    if fmt == "csv" and lineno == 1:
+                        continue   # header line, not data
+                    seen += 1
+                    bad += 1
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:    # offsets of the whole file, not of
+            raw = fh.read()             # the decoder's read chunk
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+        raise
     if seen == 0:
         log.warning("%s: no check-ins found", path)
         return []

@@ -120,15 +120,16 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
     results = []
     for c0 in range(0, len(users), EVAL_CHUNK):
         chunk = users[c0:c0 + EVAL_CHUNK]
-        hs = forward_batch(params, cfg,
-                           [(u.pois[:-1], u.dts, u.dds) for u in chunk])
         # one instance per test input position s of user row b; its test
         # step is s - n_train + 1 and its target the POI visited next
         rows = [(b, s) for b, u in enumerate(chunk)
                 for s in range(u.n_train - 1, len(u.pois) - 1)]
+        # gather the instances' states once, freeing the forward's workspace
+        b_idx, s_idx = np.array(rows).T
+        hs = forward_batch(params, cfg, [(u.pois[:-1], u.dts, u.dds)
+                                         for u in chunk])[b_idx, s_idx]
         for r0 in range(0, len(rows), EVAL_CHUNK):
             block = rows[r0:r0 + EVAL_CHUNK]
-            b_idx, s_idx = np.array(block).T
             targets = np.array([chunk[b].pois[s + 1] for b, s in block])
             if targets.min() < 0 or targets.max() >= cfg.vocab:
                 raise IndexError("collect_ranks: target POI out of vocabulary")
@@ -137,7 +138,7 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
                 visited = np.zeros((len(block), cfg.vocab), dtype=bool)
                 for j, (b, s) in enumerate(block):
                     visited[j, chunk[b].pois[:s + 1]] = True
-            ranks = _ranks(readout(params, hs[b_idx, s_idx]), targets, visited)
+            ranks = _ranks(readout(params, hs[r0:r0 + EVAL_CHUNK]), targets, visited)
             results.extend(
                 RankingResult(user=chunk[b].user,
                               step=s - chunk[b].n_train + 1, rank=int(rank))

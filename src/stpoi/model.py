@@ -6,15 +6,17 @@ and projects the hidden state onto logits over the whole vocabulary.  Loss is
 the mean per-step cross-entropy against the next POI; gradients come from
 hand-rolled backpropagation through the unrolled sequence.
 
-Mini-batches are lists of independent user sequences.  They are padded to the
-longest member with the loss masked on padding; padded positions provably
-contribute exactly zero gradient, so the batched path and the per-sequence
-path agree.
+Mini-batches are lists of independent user sequences.  The cell loop runs
+them padded to the longest member: padded positions provably contribute
+exactly zero gradient, so the batched path and the per-sequence path agree.
+Every step's z = [h_prev | x] lives in one (T + 1, B, n_c + n_i) array, its
+x half filled once from the embedding gather; past the cell loop only the
+real (b, t) rows are kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -35,7 +37,6 @@ from .cells import (
     input_backward,
     interval_terms,
     step_backward,
-    zero_state,
 )
 from .numkit import affine, matmul_rows, softmax_xent_rows
 from .optim import AdamState
@@ -70,17 +71,10 @@ class ModelConfig:
             raise ValueError("vocab, n_i and n_c must all be positive")
         if self.bptt_cap is not None and self.bptt_cap < 1:
             raise ValueError("bptt_cap must be None or >= 1")
+        constrained_names(self.variant, self.constraint_target)  # checks it
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "vocab": self.vocab,
-            "n_i": self.n_i,
-            "n_c": self.n_c,
-            "ablation": self.ablation.to_dict(),
-            "bptt_cap": self.bptt_cap,
-            "constraint_target": self.constraint_target,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -193,117 +187,118 @@ def _pad(seqs, cfg: ModelConfig, who: str):
     dts = np.zeros((B, T))
     dds = np.zeros((B, T))
     for b, seq in enumerate(seqs):
-        n = lengths[b]
-        pois[b, :n] = seq[0]
-        dts[b, :n] = seq[1]
-        dds[b, :n] = seq[2]
+        for a, col in zip((pois, dts, dds), seq):
+            a[b, :lengths[b]] = col
     check_intervals(dts, dds, who)
     return pois, dts, dds, np.array(lengths)
 
 
-def _term_blocks(params: ModelParams, cfg: ModelConfig, xs, dts, dds):
+def _workspace(params: ModelParams, cfg: ModelConfig, pois):
+    """The (T + 1, B, n_c + n_i) z of (B, T) ``pois``: z[t] is step t's
+    [h_prev | x], its x half gathered here, its h half zero until written."""
+    z = np.zeros((pois.shape[1] + 1, pois.shape[0], cfg.n_c + cfg.n_i))
+    z[:-1, :, cfg.n_c:] = params.embedding[pois.T]
+    return z
+
+
+def _term_blocks(params: ModelParams, cfg: ModelConfig, z, dts, dds):
     """Yield ``(t0, t1, terms)``: the ``interval_terms`` of steps t0..t1-1
-    of the (T, B, n_i) inputs ``xs`` and (B, T) intervals, step-major, for
-    blocks of at most ``TERM_ROWS`` rows (one step at least)."""
-    T, B = xs.shape[:2]
+    of the ``_workspace`` z and (B, T) intervals, step-major, for blocks of
+    at most ``TERM_ROWS`` rows (one step at least)."""
+    B, T = dts.shape
     per_block = max(1, TERM_ROWS // B)
     for t0 in range(0, T, per_block):
         t1 = min(T, t0 + per_block)
-        yield t0, t1, interval_terms(params, xs[t0:t1].reshape(-1, cfg.n_i),
+        yield t0, t1, interval_terms(params,
+                                     z[t0:t1, :, cfg.n_c:].reshape(-1, cfg.n_i),
                                      dts[:, t0:t1].T.reshape(-1),
                                      dds[:, t0:t1].T.reshape(-1), cfg.ablation)
 
 
-def _unroll(params: ModelParams, cfg: ModelConfig, xs, blocks):
-    """Run the cell over the (T, B, n_i) inputs ``xs`` from the zero state,
-    yielding ``(state, cache)`` after each step of the kernel
-    ``cells.cell_step``; ``blocks`` are the ``_term_blocks`` of ``xs`` (the
-    caller's ``_pad`` checked the inputs).  Tall products keep each row's
-    per-step bits.
-    """
-    B = xs.shape[1]
-    state = zero_state(cfg.n_c, batch=B)
+def _unroll(params: ModelParams, cfg: ModelConfig, z, blocks):
+    """Yield the cache of each step of ``cells.cell_step`` over the
+    ``_workspace`` z from the zero state: step t reads z[t] and writes its h
+    into z[t + 1, :, :n_c].  ``blocks`` are the ``_term_blocks`` of z (the
+    caller's ``_pad`` checked the inputs)."""
+    c = np.zeros((z.shape[1], cfg.n_c))
     for t0, t1, terms in blocks:
         for t in range(t0, t1):
-            rows = slice((t - t0) * B, (t - t0 + 1) * B)
+            rows = slice((t - t0) * len(c), (t - t0 + 1) * len(c))
             state, cache = cell_step(
-                params, xs[t], state.c, state.h,
-                *(None if a is None else a[rows] for a in terms))
-            yield state, cache
+                params, z[t], c, *(None if a is None else a[rows] for a in terms),
+                z[t + 1, :, :cfg.n_c])
+            c = state.c
+            yield cache
 
 
 def forward_batch(params: ModelParams, cfg: ModelConfig, seqs):
     """Cache-free forward of a batch of ``(pois, dts, dds, ...)`` sequences.
 
     Returns hs (B, T, n_c), the hidden state after every step of the padded
-    batch; entries past a sequence's length are padding.  Parameters are
-    not checked here: callers run ``cells.check_bounded`` once per call.
-    The embedding is gathered once, and the interval terms are computed one
-    block of steps at a time, just ahead of the steps that read them.
+    batch, a view of the ``_workspace``; entries past a sequence's length
+    are padding.  Parameters are not checked here: callers run
+    ``cells.check_bounded`` once per call.  The interval terms of a block of
+    steps are computed just ahead of the steps that read them.
     """
     pois, dts, dds, _ = _pad(seqs, cfg, "forward_batch")
-    xs = params.embedding[pois.T]
-    hs = np.empty(pois.shape + (cfg.n_c,))
-    blocks = _term_blocks(params, cfg, xs, dts, dds)
-    for t, (state, _) in enumerate(_unroll(params, cfg, xs, blocks)):
-        hs[:, t] = state.h
-    return hs
+    z = _workspace(params, cfg, pois)
+    for _ in _unroll(params, cfg, z, _term_blocks(params, cfg, z, dts, dds)):
+        pass
+    return z[1:, :, :cfg.n_c].transpose(1, 0, 2)
 
 
 def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     """Mean per-step loss and its gradients over a mini-batch.
 
     ``seqs`` is a list of ``(pois, dts, dds, targets)`` tuples, one user
-    sequence each; targets are the next POI per step.  Sequences are padded
-    to the longest and masked, the normalizer is the total number of real
-    steps across the batch.  Gradient flow from step t to t-1 is severed at
-    multiples of ``cfg.bptt_cap`` when a cap is set, so a loss reaches at
-    most ``bptt_cap`` steps backwards.  The batch's ids and intervals, and
-    then the bound of ``cells.check_bounded`` on the parameters, are checked
-    once, up front.
+    sequence each; targets are the next POI per step.  The normalizer is the
+    total number of real steps across the batch.  Gradient flow from step t
+    to t-1 is severed at multiples of ``cfg.bptt_cap`` when a cap is set, so
+    a loss reaches at most ``bptt_cap`` steps backwards.  The batch's ids
+    and intervals, and then the bound of ``cells.check_bounded`` on the
+    parameters, are checked once, up front.
 
-    The readout, its softmax and ``dlog @ w_out`` run once, after the
-    forward, over the real (b, t) rows only, in ``READOUT_ROWS``-row blocks;
-    tile invariance gives each row the bits of a per-step readout.  The loss
-    is summed per step in ascending t.  The ``w_out``/``b_out`` gradient is
-    a rank-B sum per step, added in descending t, one ``VOCAB_ROWS``-row
-    block of the vocabulary at a time so the block of the accumulator stays
-    in cache.  The backward mirrors the forward: the time loop runs only
-    ``cells.step_backward``, the recurrence, and ``cells.input_backward``
-    then runs once per block of interval terms, the last block first, and
-    adds every cell parameter gradient.  The embedding gradient
-    is scattered after the backward: each step's per-POI sums of the input
-    gradients, added in descending t.
+    Only the cell loop runs padded rows.  After it, the readout, softmax and
+    ``dlog @ w_out`` run once over the real (b, t) rows, step-major, in
+    ``READOUT_ROWS``-row blocks (tile invariance gives each row the bits of
+    a per-step readout); the loss is summed per step in ascending t; the
+    ``w_out``/``b_out`` gradient adds each step's real rows in descending t,
+    one ``VOCAB_ROWS``-row vocabulary block at a time.  The backward mirrors
+    the forward: the time loop runs only ``cells.step_backward``, then
+    ``cells.input_backward`` runs once per block of interval terms, the last
+    first, and adds every cell parameter gradient.  The embedding gradient
+    gets each step's per-POI sums of the real rows' input gradients, added
+    in descending t.
     """
     pois, dts, dds, lengths = _pad(seqs, cfg, "batch_loss_and_grads")
     check_bounded(params, 1.0, dts, dds, "batch_loss_and_grads")
     B, T = pois.shape
+    n = cfg.n_c
     targets = np.zeros((B, T), dtype=np.int64)
     for b, seq in enumerate(seqs):
         targets[b, :lengths[b]] = _check_ids(seq[3], cfg.vocab,
                                              "batch_loss_and_grads")
     mask = (np.arange(T) < lengths[:, None]).astype(float)
 
-    xs = params.embedding[pois.T]
-    blocks = list(_term_blocks(params, cfg, xs, dts, dds))
-    caches = []
-    hs = np.empty((T, B, cfg.n_c))
-    for t, (state, cache) in enumerate(_unroll(params, cfg, xs, blocks)):
-        hs[t] = state.h
-        caches.append(cache)
+    z = _workspace(params, cfg, pois)
+    blocks = list(_term_blocks(params, cfg, z, dts, dds))
+    caches = list(_unroll(params, cfg, z, blocks))
 
-    # real rows in step-major order; padded rows keep zero loss, dlog and dh
+    # real rows step-major, step t's at[t]:at[t + 1]; padded rows keep 0 loss, dh
     real_t, real_b = np.nonzero(mask.T)
+    at = np.searchsorted(real_t, np.arange(T + 1))
+    h = z[real_t + 1, real_b, :n]
     losses = np.zeros((T, B))
-    dhs = np.zeros((T, B, cfg.n_c))
-    dlogits = [np.zeros((B, cfg.vocab)) for _ in range(T)]
+    dhs = np.zeros((T, B, n))
+    dlog = np.empty((len(real_t), cfg.vocab))
     for r in range(0, len(real_t), READOUT_ROWS):
-        ts, bs = real_t[r:r + READOUT_ROWS], real_b[r:r + READOUT_ROWS]
-        logits = readout(params, hs[ts, bs])
-        losses[ts, bs], dlog = softmax_xent_rows(logits, targets[bs, ts])
-        dhs[ts, bs] = matmul_rows(dlog, params.w_out)
-        for t in np.unique(ts):
-            dlogits[t][bs[ts == t]] = dlog[ts == t]
+        rows = slice(r, r + READOUT_ROWS)
+        ts, bs = real_t[rows], real_b[rows]
+        losses[ts, bs], dlog[rows] = softmax_xent_rows(readout(params, h[rows]),
+                                                       targets[bs, ts])
+        dhs[ts, bs] = matmul_rows(dlog[rows], params.w_out)
+    # the strided mask column, not a dense vector, fixes the order in which
+    # BLAS adds a step's losses; per-step oracles sum the same way
     total_loss = 0.0
     for t in range(T):
         total_loss += float(losses[t] @ mask[:, t])
@@ -313,48 +308,41 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
         gw = grads["w_out"][v:v + VOCAB_ROWS]
         gb = grads["b_out"][v:v + VOCAB_ROWS]
         for t in reversed(range(T)):
-            dlog = dlogits[t][:, v:v + VOCAB_ROWS]
-            gw += dlog.T @ hs[t]
-            gb += dlog.sum(axis=0)
-    del dlogits
+            d = dlog[at[t]:at[t + 1], v:v + VOCAB_ROWS]
+            gw += d.T @ h[at[t]:at[t + 1]]
+            gb += d.sum(axis=0)
+    del dlog
 
-    n_steps = float(mask.sum())
-    dh_next = np.zeros((B, cfg.n_c))
-    dc_next = np.zeros((B, cfg.n_c))
     # per step: the gate pre-activation gradients and, with interval gates,
     # the write-gate gradients times i (see cells.step_backward)
     das = np.empty((T, B, params.blocks["w_z"].shape[0]))
-    dwis = np.empty((T, B, 2, cfg.n_c)) if "w_to" in params else None
-    cap = cfg.bptt_cap
+    dwis = np.empty((T, B, 2, n)) if "w_to" in params else None
+    dh_next = dc_next = np.zeros((B, n))
     for t in reversed(range(T)):
-        dh = dhs[t] + dh_next
-        dh_prev, dc_prev = step_backward(params, caches[t], dh, dc_next, das[t],
+        dh_next, dc_next = step_backward(params, caches[t], dhs[t] + dh_next,
+                                         dc_next, das[t],
                                          None if dwis is None else dwis[t])
-        if cap is not None and t % cap == 0:
-            dh_next = np.zeros((B, cfg.n_c))
-            dc_next = np.zeros((B, cfg.n_c))
-        else:
-            dh_next, dc_next = dh_prev, dc_prev
+        if cfg.bptt_cap is not None and t % cfg.bptt_cap == 0:
+            dh_next = dc_next = np.zeros((B, n))
     dxs = np.empty((T, B, cfg.n_i))
     for t0, t1, terms in reversed(blocks):
         dxs[t0:t1] = input_backward(
-            params, xs[t0:t1].reshape(-1, cfg.n_i),
-            np.concatenate([c.z for c in caches[t0:t1]]), terms,
+            params, z[t0:t1].reshape(-1, n + cfg.n_i), terms,
             das[t0:t1].reshape((t1 - t0) * B, -1),
-            None if dwis is None else dwis[t0:t1].reshape(-1, 2, cfg.n_c),
+            None if dwis is None else dwis[t0:t1].reshape(-1, 2, n),
             grads, B).reshape(t1 - t0, B, cfg.n_i)
     # reduce duplicate POIs within each step first, rows in batch order:
     # each embedding row then receives one delta per step, added in
     # descending t, which keeps a duplicated batch exactly twice the single
     # run
-    uniq, inv = np.unique(np.arange(T)[:, None] * cfg.vocab + pois.T,
+    uniq, inv = np.unique(real_t * cfg.vocab + pois[real_b, real_t],
                           return_inverse=True)
     sums = np.zeros((len(uniq), cfg.n_i))
-    np.add.at(sums, inv.reshape(-1), dxs.reshape(-1, cfg.n_i))
+    np.add.at(sums, inv, dxs[real_t, real_b])
     np.add.at(grads["embedding"], uniq[::-1] % cfg.vocab, sums[::-1])
 
-    grads.flat /= n_steps
-    return total_loss / n_steps, grads
+    grads.flat /= len(real_t)
+    return total_loss / len(real_t), grads
 
 
 def loss_and_grads(params: ModelParams, cfg: ModelConfig, pois, dts, dds, targets):

@@ -27,6 +27,8 @@ from .optim import AdamState, adam_step, clip_global_norm, project
 
 log = logging.getLogger(__name__)
 
+REL_TOL = 1e-4      # least relative gain on the best epoch loss for early stop
+
 
 class TrainingDiverged(RuntimeError):
     """Loss or parameters became non-finite; see the diagnostic dump."""
@@ -81,14 +83,14 @@ def _diverged(out_dir, error, epoch, batch_start, idx, names, losses):
 def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
         epochs: int = 100, batch_size: int = 10, lr: float = 1e-3,
         clip_norm: float = 5.0, seed: int = 0,
-        early_stop: bool = False, patience: int = 10, rel_tol: float = 1e-4,
+        early_stop: bool = False, patience: int = 10,
         out_dir=None, names=None, adam: Optional[AdamState] = None,
         on_step: Optional[Callable] = None) -> FitResult:
     """Train ``params`` in place; returns per-epoch losses and optimizer state.
 
     ``sequences`` is a list of ``(pois, dts, dds, targets)`` tuples.  With
     ``early_stop``, training ends once ``patience`` consecutive epochs bring
-    no relative improvement of at least ``rel_tol`` over the best epoch loss.
+    no relative improvement of at least ``REL_TOL`` over the best epoch loss.
     ``out_dir`` (optional) receives one checkpoint per epoch plus a final
     ``checkpoint.bin``.  ``on_step(epoch, batch_index, params)`` runs after
     every optimizer step, after projection.  Raises ``TrainingDiverged``
@@ -140,7 +142,7 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
             total_loss += loss * n_steps
             total_steps += n_steps
         epoch_loss = total_loss / total_steps
-        if epoch_loss < best * (1.0 - rel_tol):
+        if epoch_loss < best * (1.0 - REL_TOL):
             best = epoch_loss
             flat_epochs = 0
         else:

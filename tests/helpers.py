@@ -56,8 +56,8 @@ def one_step_backward(p, cache, gh, gc, grads):
     da = np.empty((B, p.blocks["w_z"].shape[0]))
     dwi = None if cache.iv is None else np.empty((B, 2, n))
     dh, dc = cells.step_backward(p, cache, gh, gc, da, dwi)
-    dx = cells.input_backward(p, cache.z[:, n:], cache.z,
-                              (cache.u, cache.inner, cache.iv), da, dwi, grads, B)
+    dx = cells.input_backward(p, cache.z, (cache.u, cache.inner, cache.iv),
+                              da, dwi, grads, B)
     return dh, dc, dx
 
 

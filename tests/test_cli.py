@@ -62,6 +62,16 @@ class TestPrepare:
         assert not out.exists()
         assert "prepare:" in capsys.readouterr().err
 
+    def test_non_utf8_input_exits_2_before_writing(self, tmp_path, capsys):
+        src = tmp_path / "checkins.txt"
+        src.write_bytes(b"\xff\xfeu\x000\x00\t\x001\x00\n\x00")
+        out = tmp_path / "c.bin"
+        assert run("prepare", "--input", str(src), "--out", str(out)) == 2
+        assert list(tmp_path.iterdir()) == [src]
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "not UTF-8 text at byte 0" in err and "Traceback" not in err
+
     def test_requires_input_or_synth(self, tmp_path, capsys):
         assert run("prepare", "--out", str(tmp_path / "c.bin")) == 2
 
@@ -310,6 +320,23 @@ class TestEval:
         assert rc == 2
         err = capsys.readouterr().err
         assert message in err and len(err.strip().splitlines()) == 1
+
+    def test_unknown_constraint_target_exits_2(self, synth_cache, tmp_path,
+                                                capsys):
+        from stpoi import container
+
+        vocab = data.load_corpus(synth_cache).n_pois
+        cfg = M.ModelConfig(variant="lstm", vocab=vocab, n_i=3, n_c=3)
+        ck = tmp_path / "ck.bin"
+        M.save_checkpoint(ck, M.init_model(cfg, np.random.default_rng(0)), cfg)
+        meta, arrays = container.load(ck)
+        meta["config"]["constraint_target"] = "bogus"
+        container.save(ck, meta, arrays)
+        rc = run("eval", "--corpus", str(synth_cache), "--checkpoint", str(ck))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "constraint_target 'bogus'" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_truncated_checkpoint_rejected(self, synth_cache, tmp_path, capsys):
         vocab = data.load_corpus(synth_cache).n_pois

@@ -77,6 +77,16 @@ class TestLoad:
         assert recs == []
         assert any("no check-ins" in m for m in caplog.messages)
 
+    @pytest.mark.parametrize("good_lines", [0, 200])
+    def test_non_utf8_file_names_the_byte_offset(self, tmp_path, good_lines):
+        # 200 lines put the bad byte past the text decoder's first read chunk
+        head = self.SNAP_LINE.encode() * good_lines
+        path = tmp_path / "a.txt"
+        path.write_bytes(head + b"\xff\xfe" + self.SNAP_LINE.encode())
+        with pytest.raises(data.FormatError,
+                           match=f"a.txt: not UTF-8 text at byte {len(head)}$"):
+            data.load_checkins(str(path), "snap")
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             data.load_checkins(str(tmp_path / "nope.txt"), "snap")

@@ -193,11 +193,13 @@ class TestGradients:
     # vocab 520 is a multiple of 8 and 601 is not; both span several
     # gradient vocabulary blocks.  n_c 12 puts dlog @ w_out on the 8-column
     # tail too.  13 sequences of up to 12 steps fill more than one readout
-    # block.
+    # block; 17 make each step's rows wider than one 16-row tile, where
+    # summing a step's losses in another order than the per-step oracle's
+    # moves the loss by an ulp.
     @pytest.mark.parametrize("variant", ["lstm", "st-lstm", "st-clstm"])
     @pytest.mark.parametrize("bptt_cap", [None, 3])
     @pytest.mark.parametrize("vocab", [520, 601])
-    @pytest.mark.parametrize("n_seqs", [10, 13])
+    @pytest.mark.parametrize("n_seqs", [10, 13, 17])
     def test_matches_per_step_readout_oracle(self, variant, bptt_cap, vocab,
                                              n_seqs):
         cfg = tiny_cfg(variant, vocab=vocab, n_i=8, n_c=12, bptt_cap=bptt_cap)
@@ -506,6 +508,22 @@ class TestCheckpoint:
         path = tmp_path / "x.bin"
         container.save(path, {"kind": "stpoi-corpus"}, {"a": np.zeros(1)})
         with pytest.raises(ValueError):
+            M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_unknown_constraint_target_rejected(self, tmp_path, variant):
+        from stpoi import container
+
+        # lstm constrains no tensor, but its config must still be valid
+        with pytest.raises(ValueError, match="constraint_target 'bogus'"):
+            tiny_cfg(variant, constraint_target="bogus")
+        cfg = tiny_cfg(variant)
+        path = tmp_path / "ck.bin"
+        M.save_checkpoint(path, M.init_model(cfg, np.random.default_rng(33)), cfg)
+        meta, arrays = container.load(path)
+        meta["config"]["constraint_target"] = "bogus"
+        container.save(path, meta, arrays)
+        with pytest.raises(ValueError, match="ck.bin: unknown constraint_target"):
             M.load_checkpoint(path)
 
 

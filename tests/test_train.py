@@ -216,7 +216,7 @@ class TestFit:
         seqs, _ = T.train_sequences(corpus)
         params, cfg = fresh("lstm", corpus)
         res = T.fit(params, cfg, seqs, epochs=100, batch_size=4, lr=0.0,
-                    seed=1, early_stop=True, patience=10, rel_tol=1e-4)
+                    seed=1, early_stop=True, patience=10)
         assert res.stopped_early
         # lr=0 never improves: the best stays at epoch 1, stop at patience+1
         assert res.epochs_run == 11
