@@ -40,7 +40,6 @@ from .model import (
     load_checkpoint,
     loss_and_grads,
     model_param_count,
-    save_checkpoint,
 )
 from .optim import fd_check
 
@@ -67,6 +66,7 @@ def _checked(kind, ok, what: str):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
                            "a positive finite number")
 _finite_float = _checked(float, math.isfinite, "a finite number")
@@ -76,13 +76,22 @@ _fraction = _checked(float, lambda v: 0 < v < 1, "a number between 0 and 1")
 _at_least_two = _checked(int, lambda v: v >= 2, "an integer >= 2")
 
 
-def _positive_ints(text: str):
-    """argparse type: comma-separated integers >= 1."""
-    return [_positive_int(tok) for tok in text.split(",") if tok]
+def _list_of(item):
+    """argparse type: comma-separated values, each parsed by ``item``."""
+    return lambda text: [item(tok) for tok in text.split(",") if tok]
 
 
-def _int_list(text: str):
-    return [int(tok) for tok in text.split(",") if tok]
+def _one_of(names):
+    """argparse type: one of ``names``."""
+    return _checked(str, lambda v: v in names, f"one of {', '.join(names)}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are one line, ``prog: error: ...``,
+    without the usage text."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _write_json(path, payload):
@@ -135,38 +144,22 @@ def _add_train_flags(p):
 def cmd_prepare(args) -> int:
     out = Path(args.out)
     if args.synth:
-        try:
-            corpus = data.synth_corpus(
-                args.seed, n_users=args.users, n_pois=args.pois,
-                pattern=args.pattern, length=args.length, n_short=args.short,
-                train_frac=args.train_frac, jump_every=args.jump_every,
-            )
-        except ValueError as exc:
-            print(f"prepare: {exc}", file=sys.stderr)
-            return 2
+        corpus = data.synth_corpus(
+            args.seed, n_users=args.users, n_pois=args.pois,
+            pattern=args.pattern, length=args.length, n_short=args.short,
+            train_frac=args.train_frac, jump_every=args.jump_every,
+        )
         raw = {"users": len(corpus.users), "pois": corpus.n_pois,
                "records": sum(len(u.pois) for u in corpus.users)}
     else:
-        if args.input is None:
-            print("prepare: either --input or --synth is required",
-                  file=sys.stderr)
-            return 2
-        try:
-            checkins = data.load_checkins(args.input, args.format)
-        except (OSError, data.FormatError) as exc:
-            print(f"prepare: {exc}", file=sys.stderr)
-            return 2
+        checkins = data.load_checkins(args.input, args.format)
         raw = data.checkin_stats(checkins)
         cleaned = data.clean(checkins, args.min_user_checkins,
                              args.min_poi_users)
-        try:
-            corpus = data.build_corpus(
-                cleaned, train_frac=args.train_frac, clip_dt=args.clip_dt,
-                clip_dd=args.clip_dd, log_scale=args.log_scale,
-            )
-        except ValueError as exc:
-            print(f"prepare: {exc}", file=sys.stderr)
-            return 2
+        corpus = data.build_corpus(
+            cleaned, train_frac=args.train_frac, clip_dt=args.clip_dt,
+            clip_dd=args.clip_dd, log_scale=args.log_scale,
+        )
     out.parent.mkdir(parents=True, exist_ok=True)
     data.save_corpus(corpus, out)
     stats = corpus.stats()
@@ -206,19 +199,25 @@ def _resolved_train_config(args, corpus_path) -> dict:
     }
 
 
+def _train_sequences(corpus):
+    """``train.train_sequences(corpus)``; a corpus without a training
+    transition is a data error."""
+    seqs, names = trainmod.train_sequences(corpus)
+    if not seqs:
+        raise ValueError("corpus has no training transitions")
+    return seqs, names
+
+
 def cmd_train(args) -> int:
-    try:
-        corpus = data.load_corpus(args.corpus)
-    except (OSError, ValueError) as exc:
-        print(f"train: {exc}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    corpus = data.load_corpus(args.corpus)
+    seqs, names = _train_sequences(corpus)
     cfg = ModelConfig(
         variant=args.variant, vocab=corpus.n_pois, n_i=args.embed_size,
         n_c=args.cell_size, ablation=_ablation_from_args(args),
         bptt_cap=args.bptt_cap, constraint_target=args.constraint_target,
     )
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config.json",
                 _resolved_train_config(args, args.corpus))
     counts = model_param_count(cfg)
@@ -228,21 +227,13 @@ def cmd_train(args) -> int:
     print(f"parameters (quoted formula, cell+readout): "
           f"{formula if formula is not None else 'n/a for this variant'} "
           f"vs enumerated {counts['enumerated_cell_and_readout']}")
-    seqs, names = trainmod.train_sequences(corpus)
-    if not seqs:
-        print("train: corpus has no training transitions", file=sys.stderr)
-        return 2
     params = init_model(cfg, np.random.default_rng(args.seed))
-    try:
-        result = trainmod.fit(
-            params, cfg, seqs, epochs=args.epochs, batch_size=args.batch_size,
-            lr=args.lr, clip_norm=args.clip_norm, seed=args.seed,
-            early_stop=args.early_stop, patience=args.patience,
-            out_dir=out_dir, names=names,
-        )
-    except trainmod.TrainingDiverged as exc:
-        print(f"train: {exc}", file=sys.stderr)
-        return 3
+    result = trainmod.fit(
+        params, cfg, seqs, epochs=args.epochs, batch_size=args.batch_size,
+        lr=args.lr, clip_norm=args.clip_norm, seed=args.seed,
+        early_stop=args.early_stop, patience=args.patience,
+        out_dir=out_dir, names=names,
+    )
     loss_lines = [f"{e + 1}\t{loss:.10f}"
                   for e, loss in enumerate(result.losses)]
     (out_dir / "losses.tsv").write_text("\n".join(loss_lines) + "\n",
@@ -278,32 +269,24 @@ def _emit_metrics(reports, out_dir, dump, results_by_cohort):
 
 
 def cmd_eval(args) -> int:
-    try:
-        corpus = data.load_corpus(args.corpus)
-        params, cfg, _ = load_checkpoint(args.checkpoint)
-    except (OSError, ValueError) as exc:
-        print(f"eval: {exc}", file=sys.stderr)
-        return 2
+    corpus = data.load_corpus(args.corpus)
+    params, cfg, _ = load_checkpoint(args.checkpoint)
     ks = tuple(args.topk)
     cohorts = ("all", "cold") if args.cohort == "both" else (args.cohort,)
     reports = []
     results_by_cohort = {}
     for cohort in cohorts:
-        try:
-            results = evalmod.collect_ranks(
-                params, cfg, corpus, cohort=cohort,
-                cold_threshold=args.cold_threshold,
-                exclude_visited=args.exclude_visited,
-            )
-        except ValueError as exc:
-            print(f"eval: {exc}", file=sys.stderr)
-            return 2
+        results = evalmod.collect_ranks(
+            params, cfg, corpus, cohort=cohort,
+            cold_threshold=args.cold_threshold,
+            exclude_visited=args.exclude_visited,
+        )
         if not results:
             if args.cohort == cohort:
                 # explicitly requested an empty cohort: that is an error
-                print(f"eval: cohort {cohort!r} is empty under "
-                      f"cold-threshold {args.cold_threshold}", file=sys.stderr)
-                return 2
+                raise evalmod.EmptyCohortError(
+                    f"cohort {cohort!r} is empty under cold-threshold "
+                    f"{args.cold_threshold}")
             print(f"cohort {cohort}\nn_instances 0\n")
             continue
         reports.append(evalmod.summarize(results, cohort, ks))
@@ -315,28 +298,14 @@ def cmd_eval(args) -> int:
 # ------------------------------------------------------------------- grid
 
 def cmd_grid(args) -> int:
-    try:
-        corpus = data.load_corpus(args.corpus)
-    except (OSError, ValueError) as exc:
-        print(f"grid: {exc}", file=sys.stderr)
-        return 2
-    variants = [v for v in args.variants.split(",") if v]
-    ablations = [a for a in args.ablations.split(",") if a]
-    for v in variants:
-        if v not in VARIANTS:
-            print(f"grid: unknown variant {v!r}", file=sys.stderr)
-            return 2
-    for a in ablations:
-        if a not in ABLATION_PRESETS:
-            print(f"grid: unknown ablation {a!r}", file=sys.stderr)
-            return 2
+    corpus = data.load_corpus(args.corpus)
+    seqs, names = _train_sequences(corpus)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seqs, names = trainmod.train_sequences(corpus)
     rows = []
     failures = 0
-    for variant in variants:
-        for ablation in ablations:
+    for variant in args.variants:
+        for ablation in args.ablations:
             if variant == "lstm" and ablation != "none":
                 continue            # gate ablations only exist for st cells
             for n_c in args.cell_sizes:
@@ -422,29 +391,30 @@ def cmd_gradcheck(args) -> int:
 # ------------------------------------------------------------------- main
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="stpoi",
         description="next-POI recommendation experiments",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="build a corpus cache")
-    p.add_argument("--input", help="check-in file to load")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="check-in file to load")
+    source.add_argument("--synth", action="store_true",
+                        help="synthesize a corpus instead of loading a file")
     p.add_argument("--format", choices=("snap", "csv"), default="snap")
-    p.add_argument("--synth", action="store_true",
-                   help="synthesize a corpus instead of loading a file")
     p.add_argument("--pattern", choices=data.SYNTH_PATTERNS,
                    default="periodic")
     p.add_argument("--users", type=_positive_int, default=50)
     p.add_argument("--pois", type=_positive_int, default=40)
     p.add_argument("--length", type=_at_least_two, default=60)
-    p.add_argument("--short", type=int, default=0,
+    p.add_argument("--short", type=_nonnegative_int, default=0,
                    help="number of 6-record users (cold-start cohort)")
     p.add_argument("--jump-every", type=_positive_int, default=7)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--train-frac", type=_fraction, default=0.7)
-    p.add_argument("--min-user-checkins", type=int, default=10)
-    p.add_argument("--min-poi-users", type=int, default=10)
+    p.add_argument("--min-user-checkins", type=_nonnegative_int, default=10)
+    p.add_argument("--min-poi-users", type=_nonnegative_int, default=10)
     p.add_argument("--clip-dt", type=_nonnegative_float, default=None,
                    help="cap time intervals at this many hours")
     p.add_argument("--clip-dd", type=_nonnegative_float, default=None,
@@ -456,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a corpus cache")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out-dir", required=True)
     _add_model_flags(p)
     _add_train_flags(p)
@@ -467,10 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--cohort", choices=("all", "cold", "both"),
                    default="both")
-    p.add_argument("--cold-threshold", type=int, default=5)
+    p.add_argument("--cold-threshold", type=_nonnegative_int, default=5)
     p.add_argument("--exclude-visited", action="store_true",
                    help="drop already-visited POIs from the candidate list")
-    p.add_argument("--topk", type=_positive_ints, default="1,5,10,15,20",
+    p.add_argument("--topk", type=_list_of(_positive_int),
+                   default="1,5,10,15,20",
                    help="comma-separated K values for Acc@K")
     p.add_argument("--out-dir", default=None)
     p.add_argument("--dump-ranks", action="store_true",
@@ -480,11 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="variant/ablation/size comparison table")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--variants", default="lstm,st-lstm,st-clstm")
-    p.add_argument("--ablations", default="none")
-    p.add_argument("--cell-sizes", type=_positive_ints, default="128")
-    p.add_argument("--batch-sizes", type=_positive_ints, default="10")
-    p.add_argument("--seeds", type=_int_list, default="0")
+    p.add_argument("--variants", type=_list_of(_one_of(VARIANTS)),
+                   default="lstm,st-lstm,st-clstm")
+    p.add_argument("--ablations", type=_list_of(_one_of(ABLATION_PRESETS)),
+                   default="none")
+    p.add_argument("--cell-sizes", type=_list_of(_positive_int), default="128")
+    p.add_argument("--batch-sizes", type=_list_of(_positive_int), default="10")
+    p.add_argument("--seeds", type=_list_of(_nonnegative_int), default="0")
     p.add_argument("--embed-size", type=_positive_int, default=128)
     p.add_argument("--constraint-target", choices=("interval", "input"),
                    default="interval")
@@ -499,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embed-size", type=_positive_int, default=3)
     p.add_argument("--cell-size", type=_positive_int, default=4)
     p.add_argument("--steps", type=_positive_int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--eps", type=_positive_float, default=1e-5)
     p.add_argument("--tol", type=_positive_float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
@@ -507,9 +480,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Exit status: 0 success, 1 a failed gradient check
+    or grid leg, 2 an input or output the command cannot use (flags are
+    rejected by the parser first), 3 training divergence.  Errors with
+    status 2 or 3 are one line on stderr, ``<command>: <message>``."""
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (trainmod.TrainingDiverged, OSError, ValueError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, trainmod.TrainingDiverged) else 2
 
 
 if __name__ == "__main__":

@@ -123,16 +123,27 @@ def _one_call_exact(m: np.ndarray, n: int) -> bool:
     return n <= known
 
 
-def _tiled_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(B, K) @ (K, O) with the bits of TILE_ROWS-row BLAS calls per row.
+def affine(w, x, b) -> np.ndarray:
+    """x @ w.T + b for a (B, K) row batch x: ``matmul_rows(x, w.T)`` plus
+    the bias."""
+    out = matmul_rows(x, w.T)
+    out += b
+    return out
 
-    B <= TILE_ROWS is one call on the rows zero-padded to TILE_ROWS.  A
-    taller batch is one call over all its rows where ``_one_call_exact``
-    holds for both column blocks, and TILE_ROWS-row tiles otherwise.
-    The first ``O - O % TAIL_COLS`` columns are one product against a view
-    of ``m``; the last ``O % TAIL_COLS`` columns are one product against
-    those columns of ``m`` zero-padded to ``TAIL_COLS``, so no column falls
-    in the BLAS's width remainder, whose bits vary with the row's slot.
+
+def matmul_rows(a, m) -> np.ndarray:
+    """(B, K) @ (K, O) with the bits of TILE_ROWS-row BLAS calls per row,
+    whatever B and the row's place in the batch.
+
+    Same contract as ``a @ m`` for 2-D arrays; the backward passes use it
+    wherever a per-row product feeds gradient accumulation.  B <= TILE_ROWS
+    is one call on the rows zero-padded to TILE_ROWS.  A taller batch is
+    one call over all its rows where ``_one_call_exact`` holds for both
+    column blocks, and TILE_ROWS-row tiles otherwise.  The first
+    ``O - O % TAIL_COLS`` columns are one product against a view of ``m``;
+    the last ``O % TAIL_COLS`` columns are one product against those
+    columns of ``m`` zero-padded to ``TAIL_COLS``, so no column falls in
+    the BLAS's width remainder, whose bits vary with the row's slot.
     """
     n, k = a.shape
     width = m.shape[1]
@@ -157,29 +168,6 @@ def _tiled_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
         product(rows, pad, tail)
         out[:, main:] = tail[:, :width - main]
     return out[:n]
-
-
-def affine(w, x, b) -> np.ndarray:
-    """x @ w.T + b for a (B, K) row batch x: ``matmul_rows(x, w.T)`` plus
-    the bias."""
-    w, b = np.asarray(w), np.asarray(b)
-    if w.ndim != 2 or b.shape != w.shape[:1]:
-        raise ValueError(f"affine: bias of shape {b.shape} does not fit w {w.shape}")
-    out = matmul_rows(x, w.T)
-    out += b
-    return out
-
-
-def matmul_rows(a, m) -> np.ndarray:
-    """(B, K) @ (K, O) with batch-size-independent bits per row.
-
-    Same contract as ``a @ m``; the backward passes use it wherever a per-row
-    product feeds gradient accumulation.
-    """
-    a, m = np.asarray(a), np.asarray(m)
-    if a.ndim != 2 or m.ndim != 2 or a.shape[1] != m.shape[0]:
-        raise ValueError(f"matmul_rows: incompatible shapes {a.shape} @ {m.shape}")
-    return _tiled_matmul(a, m)
 
 
 def softmax_xent_rows(logits, targets):

@@ -17,6 +17,8 @@ from .cells import CellParams
 
 # floats of ``flat`` per slice of the Adam update
 ADAM_SLICE = 1 << 15
+# gradient magnitude below which fd_check's error is absolute, not relative
+FD_FLOOR = 1e-3
 
 
 @dataclass
@@ -110,13 +112,13 @@ class FdReport:
 
 
 def fd_check(loss_fn, tensors: dict, analytic: dict, eps: float = 1e-5,
-             tol: float = 1e-4, floor: float = 1e-3) -> FdReport:
+             tol: float = 1e-4) -> FdReport:
     """Compare analytic gradients against central finite differences.
 
     ``loss_fn()`` must return the scalar loss computed from the live
     ``tensors``, which are perturbed one coordinate at a time and restored.
-    The error metric is |a - n| / max(|a|, |n|, floor): relative where the
-    gradient has real magnitude, absolute below ``floor`` so that
+    The error metric is |a - n| / max(|a|, |n|, FD_FLOOR): relative where
+    the gradient has real magnitude, absolute below ``FD_FLOOR`` so that
     differencing noise on near-zero coordinates cannot fail the check.
     """
     worst = ("", 0.0)
@@ -136,7 +138,8 @@ def fd_check(loss_fn, tensors: dict, analytic: dict, eps: float = 1e-5,
             down = loss_fn()
             flat[j] = orig
             numeric = (up - down) / (2.0 * eps)
-            err = abs(a_flat[j] - numeric) / max(abs(a_flat[j]), abs(numeric), floor)
+            err = (abs(a_flat[j] - numeric)
+                   / max(abs(a_flat[j]), abs(numeric), FD_FLOOR))
             if err > worst[1]:
                 worst = (f"{name}[{j}]", err)
             checked += 1

@@ -2,12 +2,10 @@
 
 Each epoch shuffles the training sequences with a seeded generator, walks
 them in batches, clips the global gradient norm, takes one Adam step, and
-re-projects the constrained tensors.  The constraint is then re-checked
-after every step; a violation is a bug, not a tolerable drift, so it raises
-immediately.  A non-finite loss or gradient norm, or parameters that fail
-the overflow bound (``cells.check_bounded``) before a batch or at the end
-of an epoch, abort with a diagnostic dump instead of silently training on
-garbage or writing it to a checkpoint.
+re-projects the constrained tensors.  A non-finite loss or gradient norm,
+or parameters that fail the overflow bound (``cells.check_bounded``)
+before a batch or at the end of an epoch, abort with a diagnostic dump
+instead of silently training on garbage or writing it to a checkpoint.
 """
 
 from __future__ import annotations
@@ -54,15 +52,6 @@ def train_sequences(corpus):
         seqs.append((pois, dts, dds, targets))
         names.append(u.user)
     return seqs, names
-
-
-def _check_constraints(params: ModelParams, cfg: ModelConfig):
-    for name in constrained_names(cfg.variant, cfg.constraint_target):
-        worst = float(params[name].max())
-        if worst > 0.0:
-            raise AssertionError(
-                f"constraint violated after projection: {name} max {worst}"
-            )
 
 
 def _diverged(out_dir, error, epoch, batch_start, idx, names, losses):
@@ -136,7 +125,6 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
                                 result.losses)
             adam_step(params, grads, adam)
             project(params, constrained)
-            _check_constraints(params, cfg)
             if on_step is not None:
                 on_step(epoch, b0 // batch_size, params)
             total_loss += loss * n_steps

@@ -451,7 +451,7 @@ def clip_per_tensor(grads, max_norm):
 
 
 def matmul_in_tiles(a, m):
-    """Oracle of numkit._tiled_matmul: (B, K) @ (K, O) as one BLAS call per
+    """Oracle of numkit.matmul_rows: (B, K) @ (K, O) as one BLAS call per
     16-row tile, the last tile zero-padded, with the last ``O % 8`` columns
     taken from a product against those columns zero-padded to 8."""
     n, k = a.shape

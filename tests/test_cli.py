@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from stpoi import data
 from stpoi import model as M
-from stpoi.cli import main
+from stpoi.cli import build_parser, main
 from stpoi.data import CheckIn
 
 from helpers import overflowing_readout, poi_index
@@ -13,6 +14,14 @@ from helpers import overflowing_readout, poi_index
 
 def run(*argv):
     return main(list(argv))
+
+
+def status(*argv):
+    """Exit status of a run, whether the parser or the command sets it."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture()
@@ -73,7 +82,9 @@ class TestPrepare:
         assert "not UTF-8 text at byte 0" in err and "Traceback" not in err
 
     def test_requires_input_or_synth(self, tmp_path, capsys):
-        assert run("prepare", "--out", str(tmp_path / "c.bin")) == 2
+        assert status("prepare", "--out", str(tmp_path / "c.bin")) == 2
+        assert not list(tmp_path.iterdir())
+        assert "--synth" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -381,8 +392,8 @@ class TestGrid:
 
     def test_unknown_variant_rejected(self, synth_cache, tmp_path, capsys):
         for flag, name in (("--variants", "gru"), ("--ablations", "all-off")):
-            rc = run("grid", "--corpus", str(synth_cache), flag, name,
-                     "--out-dir", str(tmp_path / "g"))
+            rc = status("grid", "--corpus", str(synth_cache), flag, name,
+                        "--out-dir", str(tmp_path / "g"))
             assert rc == 2
             assert name in capsys.readouterr().err
             assert not (tmp_path / "g").exists()
@@ -415,10 +426,11 @@ class TestParser:
         ("grid", "--clip-norm", "inf"),
         ("train", "--patience", "0"),
         ("train", "--patience", "-3"),
+        ("eval", "--cold-threshold", "-1"),
     ], ids=["epochs-0", "batch-size-0", "cell-size-0", "bptt-cap-0",
             "topk-word", "topk-0", "grid-cell-size-negative", "lr-nan", "lr-0",
             "clip-norm-nan", "grid-lr-negative", "grid-clip-norm-inf",
-            "patience-0", "patience-negative"])
+            "patience-0", "patience-negative", "cold-threshold-negative"])
     def test_bad_numeric_flag_exits_2_before_writing(self, synth_cache, tmp_path,
                                                      capsys, argv):
         out = tmp_path / "out"
@@ -438,19 +450,18 @@ class TestParser:
         ("--pois", "0"), ("--pois", "10"), ("--train-frac", "2"),
         ("--jump-every", "0"), ("--users", "0"), ("--users", "-2"),
         ("--length", "1"), ("--clip-dt", "-1"), ("--clip-dd", "nan"),
-        ("--pattern", "interval"),
+        ("--pattern", "interval"), ("--short", "-1"),
+        ("--min-user-checkins", "-1"), ("--min-poi-users", "-1"),
     ], ids=["pois-0", "pois-below-periodic-minimum", "train-frac-2",
             "jump-every-0", "users-0", "users-negative", "length-1",
-            "clip-dt-negative", "clip-dd-nan", "interval-too-few-pois"])
+            "clip-dt-negative", "clip-dd-nan", "interval-too-few-pois",
+            "short-negative", "min-user-checkins-negative",
+            "min-poi-users-negative"])
     def test_bad_prepare_input_exits_2_before_writing(self, tmp_path, capsys, flags):
         out = tmp_path / "c.bin"
         argv = ("prepare", "--synth", "--users", "4", "--pois", "20", "--length", "8",
                 *flags, "--out", str(out))
-        try:
-            rc = run(*argv)
-        except SystemExit as exc:
-            rc = exc.code
-        assert rc == 2
+        assert status(*argv) == 2
         assert not out.exists() and not list(tmp_path.iterdir())
         err = capsys.readouterr().err
         assert err.strip() and "Traceback" not in err
@@ -463,6 +474,15 @@ class TestParser:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    def test_every_numeric_flag_has_a_checked_type(self):
+        # a bare int or float accepts values the command cannot use
+        (commands,) = [a.choices for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        bare = [f"{command} {action.option_strings[0]}"
+                for command, parser in commands.items()
+                for action in parser._actions if action.type in (int, float)]
+        assert bare == []
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             run("conjure")
@@ -470,3 +490,53 @@ class TestParser:
     def test_missing_required(self):
         with pytest.raises(SystemExit):
             run("train")
+
+
+class TestExitStatus:
+    """A flag value, input or output path the command cannot use exits 2
+    with one line on stderr, no traceback, and nothing written."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, synth_cache, capsys):
+        checkins = tmp_path / "checkins.tsv"
+        checkins.write_text("")
+        empty = tmp_path / "empty.bin"     # a corpus with no POIs
+        assert run("prepare", "--input", str(checkins), "--out", str(empty)) == 0
+        cfg = M.ModelConfig(variant="lstm",
+                            vocab=data.load_corpus(synth_cache).n_pois,
+                            n_i=3, n_c=3)
+        ck = tmp_path / "ck.bin"
+        M.save_checkpoint(ck, M.init_model(cfg, np.random.default_rng(0)), cfg)
+        file = tmp_path / "file"
+        file.write_text("")
+        capsys.readouterr()
+        return {"tmp": tmp_path, "corpus": synth_cache, "empty": empty,
+                "checkins": checkins, "ck": ck, "file": file}
+
+    @pytest.mark.parametrize("argv, message", [
+        ("train --corpus {corpus} --out-dir {tmp}/run --seed -1", "--seed"),
+        ("gradcheck --seed -1", "--seed"),
+        ("grid --corpus {corpus} --out-dir {tmp}/g --seeds -1", "--seeds"),
+        ("prepare --synth --seed -1 --out {tmp}/c.bin", "--seed"),
+        ("train --corpus {empty} --out-dir {tmp}/run", "no training transitions"),
+        ("grid --corpus {empty} --out-dir {tmp}/g", "no training transitions"),
+        ("train --corpus {corpus} --out-dir {file}", "File exists"),
+        ("eval --corpus {corpus} --checkpoint {ck} --out-dir {file}",
+         "File exists"),
+        ("grid --corpus {corpus} --out-dir {file}", "File exists"),
+        ("prepare --synth --users 4 --pois 20 --length 8 --out {file}/c.bin",
+         "File exists"),
+        ("prepare --synth --input {checkins} --out {tmp}/c.bin", "--input"),
+    ], ids=["train-seed-negative", "gradcheck-seed-negative",
+            "grid-seeds-negative", "prepare-seed-negative",
+            "train-empty-corpus", "grid-empty-corpus", "train-out-dir-file",
+            "eval-out-dir-file", "grid-out-dir-file", "prepare-out-under-file",
+            "prepare-synth-and-input"])
+    def test_exits_2_with_one_line_and_writes_nothing(self, inputs, capsys,
+                                                      argv, message):
+        before = sorted(inputs["tmp"].rglob("*"))
+        assert status(*[tok.format(**inputs) for tok in argv.split()]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert message in err and "Traceback" not in err
+        assert sorted(inputs["tmp"].rglob("*")) == before
