@@ -77,8 +77,15 @@ _at_least_two = _checked(int, lambda v: v >= 2, "an integer >= 2")
 
 
 def _list_of(item):
-    """argparse type: comma-separated values, each parsed by ``item``."""
-    return lambda text: [item(tok) for tok in text.split(",") if tok]
+    """argparse type: comma-separated values, each parsed by ``item``; at
+    least one value."""
+    def parse(text: str):
+        values = [item(tok) for tok in text.split(",") if tok]
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list, got {text!r}")
+        return values
+    return parse
 
 
 def _one_of(names):
@@ -160,6 +167,8 @@ def cmd_prepare(args) -> int:
             cleaned, train_frac=args.train_frac, clip_dt=args.clip_dt,
             clip_dd=args.clip_dd, log_scale=args.log_scale,
         )
+    if not corpus.users:
+        raise ValueError("no user is left after cleaning; no corpus written")
     out.parent.mkdir(parents=True, exist_ok=True)
     data.save_corpus(corpus, out)
     stats = corpus.stats()
@@ -255,8 +264,6 @@ def _emit_metrics(reports, out_dir, dump, results_by_cohort):
     text = "\n".join(lines)
     print(text, end="")
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "metrics.txt").write_text(text, encoding="utf-8")
         _write_json(out_dir / "metrics.json",
                     [rep.to_dict() for rep in reports])
@@ -268,10 +275,9 @@ def _emit_metrics(reports, out_dir, dump, results_by_cohort):
                                                encoding="utf-8")
 
 
-def cmd_eval(args) -> int:
-    corpus = data.load_corpus(args.corpus)
-    params, cfg, _ = load_checkpoint(args.checkpoint)
-    ks = tuple(args.topk)
+def _rank_cohorts(params, cfg, corpus, args):
+    """``(reports, results_by_cohort)`` of the cohorts ``args`` asks for;
+    an explicitly requested empty cohort is an error."""
     cohorts = ("all", "cold") if args.cohort == "both" else (args.cohort,)
     reports = []
     results_by_cohort = {}
@@ -283,15 +289,33 @@ def cmd_eval(args) -> int:
         )
         if not results:
             if args.cohort == cohort:
-                # explicitly requested an empty cohort: that is an error
                 raise evalmod.EmptyCohortError(
                     f"cohort {cohort!r} is empty under cold-threshold "
                     f"{args.cold_threshold}")
             print(f"cohort {cohort}\nn_instances 0\n")
             continue
-        reports.append(evalmod.summarize(results, cohort, ks))
+        reports.append(evalmod.summarize(results, cohort, tuple(args.topk)))
         results_by_cohort[cohort] = results
-    _emit_metrics(reports, args.out_dir, args.dump_ranks, results_by_cohort)
+    return reports, results_by_cohort
+
+
+def cmd_eval(args) -> int:
+    corpus = data.load_corpus(args.corpus)
+    params, cfg, _ = load_checkpoint(args.checkpoint)
+    out_dir, made = None, []
+    if args.out_dir is not None:
+        # an unusable --out-dir fails here, before the ranking pass; the
+        # directories made for it go again if the pass fails
+        out_dir = Path(args.out_dir)
+        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+        out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        reports, results_by_cohort = _rank_cohorts(params, cfg, corpus, args)
+    except BaseException:
+        for d in made:
+            d.rmdir()
+        raise
+    _emit_metrics(reports, out_dir, args.dump_ranks, results_by_cohort)
     return 0
 
 

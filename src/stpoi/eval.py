@@ -24,7 +24,8 @@ from .model import ModelConfig, ModelParams, forward_batch, readout
 
 ACC_KS = (1, 5, 10, 15, 20)
 COHORTS = ("all", "cold")
-# users per padded forward batch, and ranked instances per readout block
+# users per packed forward batch (taken in length order), and ranked
+# instances per readout block
 EVAL_CHUNK = 64
 
 
@@ -97,11 +98,14 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
                   exclude_visited: bool = False) -> list:
     """One RankingResult per test transition of every cohort user.
 
-    Users run ``EVAL_CHUNK`` at a time as a padded batch through the
-    cache-free forward, each over its training inputs then its test inputs;
-    the readout runs only on the hidden states at test positions.  The
-    tiled kernels make every rank equal, bit for bit, to stepping each user
-    alone (``tests/helpers.py`` keeps that oracle).  Parameters that could
+    Users run ``EVAL_CHUNK`` at a time through the cache-free forward, each
+    over its training inputs then its test inputs.  Chunks are taken in
+    stable length-descending order and run packed (see
+    ``model.forward_batch``): no step runs a padded row, and the readout
+    runs only on the hidden states at test positions.  Results come back in
+    corpus order, each user's in step order.  The tiled kernels make every
+    rank equal, bit for bit, to stepping each user alone
+    (``tests/helpers.py`` keeps that oracle).  Parameters that could
     overflow a gate or logit on the cohort's inputs raise
     ``NonFiniteError`` before any step (``cells.check_bounded``).
     """
@@ -117,9 +121,13 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
              and (cohort == "all" or u.n_train < cold_threshold)]
     check_bounded(params, 1.0, [np.max(u.dts, initial=0.0) for u in users],
                   [np.max(u.dds, initial=0.0) for u in users], "collect_ranks")
-    results = []
-    for c0 in range(0, len(users), EVAL_CHUNK):
-        chunk = users[c0:c0 + EVAL_CHUNK]
+    # chunks in stable length-descending order, so that each step of a
+    # chunk's forward runs only its live rows; results in corpus order
+    order = sorted(range(len(users)), key=lambda j: -len(users[j].pois))
+    ranked = [[] for _ in users]
+    for c0 in range(0, len(order), EVAL_CHUNK):
+        slot = order[c0:c0 + EVAL_CHUNK]
+        chunk = [users[j] for j in slot]
         # one instance per test input position s of user row b; its test
         # step is s - n_train + 1 and its target the POI visited next
         rows = [(b, s) for b, u in enumerate(chunk)
@@ -139,11 +147,11 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
                 for j, (b, s) in enumerate(block):
                     visited[j, chunk[b].pois[:s + 1]] = True
             ranks = _ranks(readout(params, hs[r0:r0 + EVAL_CHUNK]), targets, visited)
-            results.extend(
-                RankingResult(user=chunk[b].user,
-                              step=s - chunk[b].n_train + 1, rank=int(rank))
-                for (b, s), rank in zip(block, ranks))
-    return results
+            for (b, s), rank in zip(block, ranks):
+                ranked[slot[b]].append(RankingResult(
+                    user=chunk[b].user, step=s - chunk[b].n_train + 1,
+                    rank=int(rank)))
+    return [r for user_results in ranked for r in user_results]
 
 
 def summarize(results, cohort: str, ks=ACC_KS) -> MetricsReport:

@@ -6,12 +6,14 @@ and projects the hidden state onto logits over the whole vocabulary.  Loss is
 the mean per-step cross-entropy against the next POI; gradients come from
 hand-rolled backpropagation through the unrolled sequence.
 
-Mini-batches are lists of independent user sequences.  The cell loop runs
-them padded to the longest member: padded positions provably contribute
-exactly zero gradient, so the batched path and the per-sequence path agree.
-Every step's z = [h_prev | x] lives in one (T + 1, B, n_c + n_i) array, its
-x half filled once from the embedding gather; past the cell loop only the
-real (b, t) rows are kept.
+Mini-batches are lists of independent user sequences.  The time loop runs
+step t on a prefix of live rows.  Evaluation (``forward_batch``) runs packed:
+rows in length-descending order, step t only on the sequences longer than
+t.  Training's cell loop alone runs every padded row: padded positions
+provably contribute exactly zero gradient, so the batched path and the
+per-sequence path agree.  Every step's z = [h_prev | x] lives in one
+(T + 1, B, n_c + n_i) array, its x half filled once from the embedding
+gather; past training's cell loop only the real (b, t) rows are kept.
 """
 
 from __future__ import annotations
@@ -201,32 +203,43 @@ def _workspace(params: ModelParams, cfg: ModelConfig, pois):
     return z
 
 
-def _term_blocks(params: ModelParams, cfg: ModelConfig, z, dts, dds):
-    """Yield ``(t0, t1, terms)``: the ``interval_terms`` of steps t0..t1-1
-    of the ``_workspace`` z and (B, T) intervals, step-major, for blocks of
-    at most ``TERM_ROWS`` rows (one step at least)."""
+def _term_blocks(params: ModelParams, cfg: ModelConfig, z, dts, dds, live):
+    """Yield ``(t0, t1, terms)``: the ``interval_terms`` of the live rows of
+    steps t0..t1-1 of the ``_workspace`` z and (B, T) intervals, step-major,
+    for blocks of at most ``TERM_ROWS`` rows (one step at least).  Step t's
+    live rows are its first ``live[t]`` batch rows."""
     B, T = dts.shape
-    per_block = max(1, TERM_ROWS // B)
-    for t0 in range(0, T, per_block):
-        t1 = min(T, t0 + per_block)
-        yield t0, t1, interval_terms(params,
-                                     z[t0:t1, :, cfg.n_c:].reshape(-1, cfg.n_i),
-                                     dts[:, t0:t1].T.reshape(-1),
-                                     dds[:, t0:t1].T.reshape(-1), cfg.ablation)
+    rows = np.arange(B) < np.asarray(live)[:, None]
+    t0 = 0
+    while t0 < T:
+        t1, height = t0 + 1, live[t0]
+        while t1 < T and height + live[t1] <= TERM_ROWS:
+            height += live[t1]
+            t1 += 1
+        r = rows[t0:t1]
+        yield t0, t1, interval_terms(params, z[t0:t1, :, cfg.n_c:][r],
+                                     dts.T[t0:t1][r], dds.T[t0:t1][r],
+                                     cfg.ablation)
+        t0 = t1
 
 
-def _unroll(params: ModelParams, cfg: ModelConfig, z, blocks):
+def _unroll(params: ModelParams, cfg: ModelConfig, z, live, blocks):
     """Yield the cache of each step of ``cells.cell_step`` over the
-    ``_workspace`` z from the zero state: step t reads z[t] and writes its h
-    into z[t + 1, :, :n_c].  ``blocks`` are the ``_term_blocks`` of z (the
+    ``_workspace`` z from the zero state: step t runs on its first
+    ``live[t]`` rows (a non-increasing count), reads z[t] and writes its h
+    into z[t + 1, :, :n_c]; the other rows of z are left as they are.
+    ``blocks`` are the ``_term_blocks`` of z with the same ``live`` (the
     caller's ``_pad`` checked the inputs)."""
     c = np.zeros((z.shape[1], cfg.n_c))
     for t0, t1, terms in blocks:
+        r = 0
         for t in range(t0, t1):
-            rows = slice((t - t0) * len(c), (t - t0 + 1) * len(c))
+            k = live[t]
             state, cache = cell_step(
-                params, z[t], c, *(None if a is None else a[rows] for a in terms),
-                z[t + 1, :, :cfg.n_c])
+                params, z[t, :k], c[:k],
+                *(None if a is None else a[r:r + k] for a in terms),
+                z[t + 1, :k, :cfg.n_c])
+            r += k
             c = state.c
             yield cache
 
@@ -234,17 +247,26 @@ def _unroll(params: ModelParams, cfg: ModelConfig, z, blocks):
 def forward_batch(params: ModelParams, cfg: ModelConfig, seqs):
     """Cache-free forward of a batch of ``(pois, dts, dds, ...)`` sequences.
 
-    Returns hs (B, T, n_c), the hidden state after every step of the padded
-    batch, a view of the ``_workspace``; entries past a sequence's length
-    are padding.  Parameters are not checked here: callers run
-    ``cells.check_bounded`` once per call.  The interval terms of a block of
-    steps are computed just ahead of the steps that read them.
+    Returns hs (B, T, n_c), row b the hidden state of ``seqs[b]`` after
+    every step, zero past its length.  The batch runs packed: its rows in
+    stable length-descending order, step t only on the sequences longer
+    than t.  For a batch already in that order hs is a view of the
+    ``_workspace``; otherwise it is a copy put back in the caller's order.
+    Parameters are not checked here: callers run ``cells.check_bounded``
+    once per call.  The interval terms of a block of steps are computed
+    just ahead of the steps that read them.
     """
-    pois, dts, dds, _ = _pad(seqs, cfg, "forward_batch")
-    z = _workspace(params, cfg, pois)
-    for _ in _unroll(params, cfg, z, _term_blocks(params, cfg, z, dts, dds)):
+    pois, dts, dds, lengths = _pad(seqs, cfg, "forward_batch")
+    order = np.argsort(-lengths, kind="stable")
+    live = (lengths[:, None] > np.arange(pois.shape[1])).sum(axis=0).tolist()
+    z = _workspace(params, cfg, pois[order])
+    blocks = _term_blocks(params, cfg, z, dts[order], dds[order], live)
+    for _ in _unroll(params, cfg, z, live, blocks):
         pass
-    return z[1:, :, :cfg.n_c].transpose(1, 0, 2)
+    hs = z[1:, :, :cfg.n_c].transpose(1, 0, 2)
+    if (order == np.arange(len(order))).all():
+        return hs
+    return hs[np.argsort(order)]
 
 
 def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
@@ -280,9 +302,11 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
                                              "batch_loss_and_grads")
     mask = (np.arange(T) < lengths[:, None]).astype(float)
 
+    # every step runs all B rows: padded rows contribute exactly zero
+    live = [B] * T
     z = _workspace(params, cfg, pois)
-    blocks = list(_term_blocks(params, cfg, z, dts, dds))
-    caches = list(_unroll(params, cfg, z, blocks))
+    blocks = list(_term_blocks(params, cfg, z, dts, dds, live))
+    caches = list(_unroll(params, cfg, z, live, blocks))
 
     # real rows step-major, step t's at[t]:at[t + 1]; padded rows keep 0 loss, dh
     real_t, real_b = np.nonzero(mask.T)

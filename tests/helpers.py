@@ -229,11 +229,14 @@ def per_step_unroll(params, cfg, pois, dts, dds):
 
 
 def per_step_forward(params, cfg, seqs):
-    """Oracle of model.forward_batch through ``per_step_unroll``."""
-    pois, dts, dds, _ = model._pad(seqs, cfg, "per_step_forward")
+    """Oracle of model.forward_batch through ``per_step_unroll``: every row
+    steps the whole padded length, in batch order, and each state past a
+    sequence's length is then zeroed."""
+    pois, dts, dds, lengths = model._pad(seqs, cfg, "per_step_forward")
     hs = np.empty(pois.shape + (cfg.n_c,))
     for t, (state, _) in enumerate(per_step_unroll(params, cfg, pois, dts, dds)):
         hs[:, t] = state.h
+    hs[np.arange(pois.shape[1]) >= lengths[:, None]] = 0.0
     return hs
 
 

@@ -261,13 +261,14 @@ class TestEval:
         params, cfg = overflowing_readout(corpus)
         ck = tmp_path / "ck.bin"
         M.save_checkpoint(ck, params, cfg)
-        out = tmp_path / "eval"
+        # the directories made for --out-dir before ranking go again
+        out = tmp_path / "runs" / "eval"
         rc = run("eval", "--corpus", str(corpus_path), "--checkpoint", str(ck),
                  "--out-dir", str(out))
         assert rc == 2
         err = capsys.readouterr().err
         assert "NaN or inf" in err and len(err.strip().splitlines()) == 1
-        assert not out.exists()
+        assert not out.exists() and not out.parent.exists()
 
     def test_vocab_mismatch(self, synth_cache, tmp_path, capsys):
         cfg = M.ModelConfig(variant="lstm", vocab=99, n_i=3, n_c=3)
@@ -500,8 +501,12 @@ class TestExitStatus:
     def inputs(self, tmp_path, synth_cache, capsys):
         checkins = tmp_path / "checkins.tsv"
         checkins.write_text("")
-        empty = tmp_path / "empty.bin"     # a corpus with no POIs
-        assert run("prepare", "--input", str(checkins), "--out", str(empty)) == 0
+        # three check-ins of one user, whom cleaning drops
+        one_user = tmp_path / "one-user.tsv"
+        one_user.write_text("".join(f"u0\t{60 * t}\t0.0\t0.0\tp{t}\n"
+                                    for t in range(3)))
+        empty = tmp_path / "empty.bin"     # a corpus with no users or POIs
+        data.save_corpus(data.build_corpus([]), empty)
         cfg = M.ModelConfig(variant="lstm",
                             vocab=data.load_corpus(synth_cache).n_pois,
                             n_i=3, n_c=3)
@@ -511,7 +516,8 @@ class TestExitStatus:
         file.write_text("")
         capsys.readouterr()
         return {"tmp": tmp_path, "corpus": synth_cache, "empty": empty,
-                "checkins": checkins, "ck": ck, "file": file}
+                "checkins": checkins, "one_user": one_user, "ck": ck,
+                "file": file}
 
     @pytest.mark.parametrize("argv, message", [
         ("train --corpus {corpus} --out-dir {tmp}/run --seed -1", "--seed"),
@@ -527,16 +533,30 @@ class TestExitStatus:
         ("prepare --synth --users 4 --pois 20 --length 8 --out {file}/c.bin",
          "File exists"),
         ("prepare --synth --input {checkins} --out {tmp}/c.bin", "--input"),
+        ("prepare --input {checkins} --out {tmp}/c.bin", "no user"),
+        ("prepare --input {one_user} --out {tmp}/c.bin", "no user"),
+        ("grid --corpus {corpus} --out-dir {tmp}/g --seeds=", "--seeds"),
+        ("grid --corpus {corpus} --out-dir {tmp}/g --variants ,", "--variants"),
+        ("grid --corpus {corpus} --out-dir {tmp}/g --ablations=", "--ablations"),
+        ("grid --corpus {corpus} --out-dir {tmp}/g --cell-sizes ,,",
+         "--cell-sizes"),
+        ("grid --corpus {corpus} --out-dir {tmp}/g --batch-sizes=",
+         "--batch-sizes"),
+        ("eval --corpus {corpus} --checkpoint {ck} --topk=", "--topk"),
     ], ids=["train-seed-negative", "gradcheck-seed-negative",
             "grid-seeds-negative", "prepare-seed-negative",
             "train-empty-corpus", "grid-empty-corpus", "train-out-dir-file",
             "eval-out-dir-file", "grid-out-dir-file", "prepare-out-under-file",
-            "prepare-synth-and-input"])
+            "prepare-synth-and-input", "prepare-empty-file",
+            "prepare-every-user-cleaned", "grid-seeds-empty",
+            "grid-variants-empty", "grid-ablations-empty",
+            "grid-cell-sizes-empty", "grid-batch-sizes-empty", "eval-topk-empty"])
     def test_exits_2_with_one_line_and_writes_nothing(self, inputs, capsys,
                                                       argv, message):
         before = sorted(inputs["tmp"].rglob("*"))
         assert status(*[tok.format(**inputs) for tok in argv.split()]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""           # no command output before it fails
         assert len(err.strip().splitlines()) == 1
         assert message in err and "Traceback" not in err
         assert sorted(inputs["tmp"].rglob("*")) == before

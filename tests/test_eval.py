@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -238,14 +240,34 @@ class TestEvaluate:
             E.collect_ranks(params, cfg, corpus)
 
 
-class TestBatchedMatchesStreaming:
-    """collect_ranks runs users as a padded batch; its ranks must equal the
-    one-user-at-a-time oracle (helpers.step + rank_of) bit for bit."""
+def ragged_corpus(n_users, seed):
+    """A corpus of ``n_users`` users in shuffled length order: histories of
+    2 to 48 records, split anywhere from one training record to none left
+    for testing, so that every packed chunk runs a different live prefix at
+    each step."""
+    rng = np.random.default_rng(seed)
+    corpus = data.synth_corpus(seed, n_users=n_users, n_pois=6 * n_users,
+                               length=48, pattern="interval")
+    users = []
+    for u, n in zip(corpus.users, rng.permutation(np.linspace(2, 48, n_users)
+                                                   .astype(int))):
+        users.append(dataclasses.replace(
+            u, pois=u.pois[:n], dts=u.dts[:n - 1], dds=u.dds[:n - 1],
+            n_train=int(rng.integers(1, n + 1))))
+    return data.Corpus(users=users, vocab=corpus.vocab)
 
-    @pytest.fixture(scope="class", params=["periodic", "interval"])
+
+class TestBatchedMatchesStreaming:
+    """collect_ranks runs users packed, in length order; its ranks must
+    equal the one-user-at-a-time oracle (helpers.step + rank_of) bit for
+    bit, in corpus order."""
+
+    @pytest.fixture(scope="class", params=["periodic", "interval", "ragged"])
     def corpus(self, request):
         # more users than one evaluation chunk, some of them cold
         n_users = E.EVAL_CHUNK + 6
+        if request.param == "ragged":
+            return ragged_corpus(2 * E.EVAL_CHUNK + 9, seed=4)
         return data.synth_corpus(3, n_users=n_users, n_pois=6 * n_users,
                                  length=12, pattern=request.param, n_short=4)
 
@@ -263,3 +285,20 @@ class TestBatchedMatchesStreaming:
                for r in E.collect_ranks(params, cfg, corpus, **kw)]
         want = streaming_ranks(params, cfg, corpus, **kw)
         assert want and got == want
+
+    def test_chunks_run_in_length_order(self, corpus, monkeypatch):
+        # each chunk reaches the forward already in length-descending order,
+        # so forward_batch returns a view of its workspace, not a copy
+        lengths = []
+
+        def recording(params, cfg, seqs):
+            lengths.extend(len(s[0]) for s in seqs)
+            return forward_batch(params, cfg, seqs)
+
+        forward_batch = E.forward_batch
+        monkeypatch.setattr(E, "forward_batch", recording)
+        cfg = M.ModelConfig(variant="lstm", vocab=corpus.n_pois, n_i=3, n_c=4)
+        E.collect_ranks(M.init_model(cfg, np.random.default_rng(1)), cfg, corpus)
+        ranked = [len(u.pois) - 1 for u in corpus.users
+                  if len(u.pois) > u.n_train]
+        assert lengths == sorted(ranked, reverse=True)

@@ -126,6 +126,42 @@ class TestForward:
                 np.testing.assert_array_equal(
                     M.readout(params, hs[b, t:t + 1])[0], logits)
 
+    @pytest.mark.parametrize("term_rows", [M.TERM_ROWS, 10])
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_packed_forward_of_an_unsorted_ragged_batch(self, variant,
+                                                        term_rows, monkeypatch):
+        # the longest row is neither first nor alone, lengths tie, and one
+        # row is a single step, so the live prefix shrinks unevenly; at 10
+        # term rows a block holds from one to several steps
+        monkeypatch.setattr(M, "TERM_ROWS", term_rows)
+        cfg = tiny_cfg(variant, vocab=20, n_i=5, n_c=6)
+        rng = np.random.default_rng(9)
+        params = M.init_model(cfg, rng)
+        lengths = (3, 11, 1, 7, 20, 11, 4, 20, 2)
+        seqs = [random_seq(rng, cfg.vocab, n)[:3] for n in lengths]
+        heights = {"step": [], "terms": []}
+
+        def recording(name, kernel):
+            def run(params, rows, *args):
+                heights[name].append(len(rows))       # z or x rows
+                return kernel(params, rows, *args)
+            return run
+
+        monkeypatch.setattr(M, "cell_step", recording("step", M.cell_step))
+        monkeypatch.setattr(M, "interval_terms",
+                            recording("terms", M.interval_terms))
+        hs = M.forward_batch(params, cfg, seqs)
+        # step t runs the sequences longer than t, and no term block is
+        # taller than TERM_ROWS unless it holds a single step
+        assert heights["step"] == [sum(n > t for n in lengths)
+                                   for t in range(max(lengths))]
+        assert sum(heights["terms"]) == sum(lengths)
+        assert all(h <= max(term_rows, len(seqs)) for h in heights["terms"])
+        np.testing.assert_array_equal(hs, per_step_forward(params, cfg, seqs))
+        order = sorted(range(len(seqs)), key=lambda b: -len(seqs[b][0]))
+        np.testing.assert_array_equal(
+            M.forward_batch(params, cfg, [seqs[b] for b in order]), hs[order])
+
     def test_id_out_of_vocab(self):
         cfg = tiny_cfg("lstm")
         params = zero_model(cfg)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stpoi import eval as evalmod
 from stpoi import model, numkit
 from stpoi.cells import CellParams
 
@@ -164,9 +165,10 @@ class TestTileInvariance:
 
     @pytest.mark.parametrize("which", range(len(SHAPES)))
     def test_every_height_at_the_edges(self, pools, which):
+        # packed evaluation runs a step at every height up to EVAL_CHUNK
         rng = np.random.default_rng(which)
-        for n in (*range(1, 34), model.TERM_ROWS - 1, model.TERM_ROWS,
-                  model.TERM_ROWS + 1, self.ROWS):
+        for n in (*range(1, evalmod.EVAL_CHUNK + 2), model.TERM_ROWS - 1,
+                  model.TERM_ROWS, model.TERM_ROWS + 1, self.ROWS):
             self.check_rows(pools[which], rng.integers(0, self.POOL, n))
 
     @settings(max_examples=20, deadline=None)
