@@ -256,7 +256,13 @@ def cmd_train(args) -> int:
 
 # ------------------------------------------------------------------- eval
 
-def _emit_metrics(reports, out_dir, dump, results_by_cohort):
+def _emit_metrics(results_by_cohort, ks, out_dir, dump):
+    reports = []
+    for cohort, results in results_by_cohort.items():
+        if results:
+            reports.append(evalmod.summarize(results, cohort, ks))
+        else:
+            print(f"cohort {cohort}\nn_instances 0\n")
     lines = []
     for rep in reports:
         lines.extend(rep.lines())
@@ -269,34 +275,10 @@ def _emit_metrics(reports, out_dir, dump, results_by_cohort):
                     [rep.to_dict() for rep in reports])
         if dump:
             rows = ["user\tstep\trank"]
-            for cohort, results in results_by_cohort.items():
+            for results in results_by_cohort.values():
                 rows += [f"{r.user}\t{r.step}\t{r.rank}" for r in results]
             (out_dir / "ranks.tsv").write_text("\n".join(rows) + "\n",
                                                encoding="utf-8")
-
-
-def _rank_cohorts(params, cfg, corpus, args):
-    """``(reports, results_by_cohort)`` of the cohorts ``args`` asks for;
-    an explicitly requested empty cohort is an error."""
-    cohorts = ("all", "cold") if args.cohort == "both" else (args.cohort,)
-    reports = []
-    results_by_cohort = {}
-    for cohort in cohorts:
-        results = evalmod.collect_ranks(
-            params, cfg, corpus, cohort=cohort,
-            cold_threshold=args.cold_threshold,
-            exclude_visited=args.exclude_visited,
-        )
-        if not results:
-            if args.cohort == cohort:
-                raise evalmod.EmptyCohortError(
-                    f"cohort {cohort!r} is empty under cold-threshold "
-                    f"{args.cold_threshold}")
-            print(f"cohort {cohort}\nn_instances 0\n")
-            continue
-        reports.append(evalmod.summarize(results, cohort, tuple(args.topk)))
-        results_by_cohort[cohort] = results
-    return reports, results_by_cohort
 
 
 def cmd_eval(args) -> int:
@@ -309,13 +291,16 @@ def cmd_eval(args) -> int:
         out_dir = Path(args.out_dir)
         made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
+    cohorts = ("all", "cold") if args.cohort == "both" else (args.cohort,)
     try:
-        reports, results_by_cohort = _rank_cohorts(params, cfg, corpus, args)
+        results_by_cohort = evalmod.rank_cohorts(
+            params, cfg, corpus, cohorts, cold_threshold=args.cold_threshold,
+            exclude_visited=args.exclude_visited)
     except BaseException:
         for d in made:
             d.rmdir()
         raise
-    _emit_metrics(reports, out_dir, args.dump_ranks, results_by_cohort)
+    _emit_metrics(results_by_cohort, tuple(args.topk), out_dir, args.dump_ranks)
     return 0
 
 
@@ -469,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated K values for Acc@K")
     p.add_argument("--out-dir", default=None)
     p.add_argument("--dump-ranks", action="store_true",
-                   help="also write one rank per test instance")
+                   help="also write one rank per test instance of each cohort")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grid", help="variant/ablation/size comparison table")

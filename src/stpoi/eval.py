@@ -7,14 +7,15 @@ each position.  Rank is 1-based: 1 + the number of strictly higher logits +
 the number of equal logits at lower ids, so ties go to the lower id; this
 is the package's one tie-break rule (``_ranks``).
 
-The ``cold`` cohort keeps users with fewer than ``cold_threshold`` training
-records.  MAP uses one relevant item per instance, so it reduces to the mean
-reciprocal rank.
+``collect_ranks`` makes one pass over the ranked users, and a cohort is a
+filter over its results (``rank_cohorts``): ``all`` keeps every user,
+``cold`` those with fewer than ``cold_threshold`` training records.  MAP uses
+one relevant item per instance, so it reduces to the mean reciprocal rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -94,9 +95,8 @@ def _ranks(logits, targets, visited=None) -> np.ndarray:
 
 
 def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
-                  cohort: str = "all", cold_threshold: int = 5,
                   exclude_visited: bool = False) -> list:
-    """One RankingResult per test transition of every cohort user.
+    """One RankingResult per test transition of every user of ``corpus``.
 
     Users run ``EVAL_CHUNK`` at a time through the cache-free forward, each
     over its training inputs then its test inputs.  Chunks are taken in
@@ -106,19 +106,15 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
     corpus order, each user's in step order.  The tiled kernels make every
     rank equal, bit for bit, to stepping each user alone
     (``tests/helpers.py`` keeps that oracle).  Parameters that could
-    overflow a gate or logit on the cohort's inputs raise
+    overflow a gate or logit on the ranked users' inputs raise
     ``NonFiniteError`` before any step (``cells.check_bounded``).
     """
-    if cohort not in COHORTS:
-        raise ValueError(f"unknown cohort {cohort!r}; expected one of {COHORTS}")
     if cfg.vocab != corpus.n_pois:
         raise ValueError(
             f"vocabulary size mismatch: model has {cfg.vocab}, corpus has "
             f"{corpus.n_pois}"
         )
-    users = [u for u in corpus.users
-             if len(u.pois) > u.n_train
-             and (cohort == "all" or u.n_train < cold_threshold)]
+    users = [u for u in corpus.users if len(u.pois) > u.n_train]
     check_bounded(params, 1.0, [np.max(u.dts, initial=0.0) for u in users],
                   [np.max(u.dds, initial=0.0) for u in users], "collect_ranks")
     # chunks in stable length-descending order, so that each step of a
@@ -154,12 +150,29 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
     return [r for user_results in ranked for r in user_results]
 
 
+def rank_cohorts(params: ModelParams, cfg: ModelConfig, corpus, cohorts, *,
+                 cold_threshold: int = 5, exclude_visited: bool = False) -> dict:
+    """cohort -> its users' RankingResults, in corpus order, from one
+    ``collect_ranks`` pass over the widest of ``cohorts``.  ``cold`` holds
+    the users with fewer than ``cold_threshold`` training records.  A
+    cohort asked for alone must not be empty; next to another, it may be.
+    """
+    if not set(cohorts) <= set(COHORTS):
+        raise ValueError(f"unknown cohort in {cohorts}; expected one of {COHORTS}")
+    cold = [u for u in corpus.users if u.n_train < cold_threshold]
+    results = collect_ranks(params, cfg, corpus if "all" in cohorts
+                            else replace(corpus, users=cold),
+                            exclude_visited=exclude_visited)
+    names = {u.user for u in cold}
+    by_cohort = {c: results if c == "all" else [r for r in results if r.user in names]
+                 for c in cohorts}
+    if len(cohorts) == 1 and not results:
+        raise EmptyCohortError(f"cohort {cohorts[0]!r} is empty under "
+                               f"cold-threshold {cold_threshold}")
+    return by_cohort
+
+
 def summarize(results, cohort: str, ks=ACC_KS) -> MetricsReport:
-    if not results:
-        raise EmptyCohortError(
-            f"cohort {cohort!r} is empty; no users matched and no instances "
-            "were scored"
-        )
     return MetricsReport(
         cohort=cohort,
         n_instances=len(results),
@@ -171,7 +184,7 @@ def summarize(results, cohort: str, ks=ACC_KS) -> MetricsReport:
 def evaluate(params: ModelParams, cfg: ModelConfig, corpus, *,
              cohort: str = "all", cold_threshold: int = 5,
              exclude_visited: bool = False, ks=ACC_KS) -> MetricsReport:
-    results = collect_ranks(params, cfg, corpus, cohort=cohort,
-                            cold_threshold=cold_threshold,
-                            exclude_visited=exclude_visited)
+    results = rank_cohorts(params, cfg, corpus, (cohort,),
+                           cold_threshold=cold_threshold,
+                           exclude_visited=exclude_visited)[cohort]
     return summarize(results, cohort, ks)

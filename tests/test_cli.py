@@ -362,6 +362,68 @@ class TestEval:
         assert "truncated" in err and len(err.strip().splitlines()) == 1
 
 
+class TestEvalCohorts:
+    """`stpoi eval` ranks each user once, whatever the cohorts asked for,
+    on a corpus of 20 users of which 6 are cold."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("cohorts")
+        corpus = data.synth_corpus(0, n_users=20, n_pois=40, length=30,
+                                   n_short=6)
+        corpus_path = tmp / "c.bin"
+        data.save_corpus(corpus, corpus_path)
+        cfg = M.ModelConfig(variant="st-clstm", vocab=corpus.n_pois, n_i=6,
+                            n_c=8)
+        ck = tmp / "ck.bin"
+        M.save_checkpoint(ck, M.init_model(cfg, np.random.default_rng(2)), cfg)
+        return corpus, corpus_path, ck, tmp
+
+    @pytest.mark.parametrize("cohort", ["both", "all", "cold"])
+    def test_each_user_forwarded_once(self, setup, cohort, monkeypatch):
+        from stpoi import eval as E
+
+        corpus, corpus_path, ck, _ = setup
+        lengths = []
+
+        def counting(params, cfg, seqs):
+            lengths.extend(len(s[0]) for s in seqs)
+            return forward_batch(params, cfg, seqs)
+
+        forward_batch = E.forward_batch
+        monkeypatch.setattr(E, "forward_batch", counting)
+        assert run("eval", "--corpus", str(corpus_path), "--checkpoint",
+                   str(ck), "--cohort", cohort) == 0
+        ranked = [u for u in corpus.users if len(u.pois) > u.n_train
+                  and (cohort != "cold" or u.n_train < 5)]
+        assert len(ranked) == (6 if cohort == "cold" else 20)
+        assert sorted(lengths) == sorted(len(u.pois) - 1 for u in ranked)
+
+    @pytest.mark.parametrize("exclude", [False, True])
+    def test_both_is_all_then_cold(self, setup, exclude, capsys):
+        _, corpus_path, ck, tmp = setup
+        got = {}
+        for cohort in ("all", "cold", "both"):
+            out = tmp / f"{cohort}-{exclude}"
+            argv = ["eval", "--corpus", str(corpus_path), "--checkpoint",
+                    str(ck), "--cohort", cohort, "--out-dir", str(out),
+                    "--dump-ranks"] + ["--exclude-visited"] * exclude
+            assert run(*argv) == 0
+            got[cohort] = (capsys.readouterr().out,
+                           (out / "metrics.txt").read_text(),
+                           json.loads((out / "metrics.json").read_text()),
+                           (out / "ranks.tsv").read_text().splitlines())
+        stdout, text, payload, ranks = got["both"]
+        # reports are separated by one blank line
+        assert stdout == got["all"][0] + "\n" + got["cold"][0]
+        assert text == got["all"][1] + "\n" + got["cold"][1]
+        assert payload == got["all"][2] + got["cold"][2]
+        assert [rep["cohort"] for rep in payload] == ["all", "cold"]
+        assert ranks[0] == "user\tstep\trank"
+        assert ranks == got["all"][3] + got["cold"][3][1:]
+        assert len(got["cold"][3]) > 1
+
+
 class TestGrid:
     def test_cross_product_and_determinism(self, synth_cache, tmp_path,
                                            capsys):

@@ -144,13 +144,18 @@ class TestEvaluate:
     def test_cold_cohort_selects_short_users(self):
         corpus = self.make_corpus()
         params, cfg = zero_model(corpus.n_pois)
-        cold = E.collect_ranks(params, cfg, corpus, cohort="cold",
-                               cold_threshold=5)
+        cold = E.rank_cohorts(params, cfg, corpus, ("cold",),
+                              cold_threshold=5)["cold"]
         cold_users = {u.user for u in corpus.users if u.n_train < 5}
         assert cold_users and {r.user for r in cold} == cold_users
         n_expected = sum(len(user_test_steps(u)[0]) for u in corpus.users
                          if u.n_train < 5)
         assert len(cold) == n_expected
+        # asked for next to "all", the cold cohort is the same filter
+        both = E.rank_cohorts(params, cfg, corpus, ("all", "cold"),
+                              cold_threshold=5)
+        assert both["cold"] == cold
+        assert both["all"] == E.collect_ranks(params, cfg, corpus)
 
     def test_all_warm_corpus_gives_empty_cold_cohort(self):
         corpus = data.synth_corpus(5, n_users=4, n_pois=16, length=12)
@@ -279,12 +284,14 @@ class TestBatchedMatchesStreaming:
         cfg = M.ModelConfig(variant=variant, vocab=corpus.n_pois, n_i=6,
                             n_c=8)
         params = M.init_model(cfg, np.random.default_rng(1))
-        kw = dict(cohort=cohort, cold_threshold=5,
-                  exclude_visited=exclude_visited)
-        got = [(r.user, r.step, r.rank)
-               for r in E.collect_ranks(params, cfg, corpus, **kw)]
-        want = streaming_ranks(params, cfg, corpus, **kw)
-        assert want and got == want
+        kw = dict(cold_threshold=5, exclude_visited=exclude_visited)
+        want = streaming_ranks(params, cfg, corpus, cohort=cohort, **kw)
+        # the cold cohort both ranked alone and filtered out of "all"'s pass
+        runs = [("all",)] if cohort == "all" else [("cold",), ("all", "cold")]
+        for cohorts in runs:
+            got = [(r.user, r.step, r.rank) for r in
+                   E.rank_cohorts(params, cfg, corpus, cohorts, **kw)[cohort]]
+            assert want and got == want
 
     def test_chunks_run_in_length_order(self, corpus, monkeypatch):
         # each chunk reaches the forward already in length-descending order,
