@@ -52,24 +52,28 @@ layout (``zeros_like``), so the optimizer makes one pass over the buffer.
 
 One forward and one backward serve all three variants, with one product per
 gate group in each direction, on row batches: x is (B, n_i), dt/dd are (B,)
-and states, caches and gradients are (B, n_c); rows are independent
-sequences.  The forward is ``interval_terms``, the interval gates, which
-read no h and so can run for many steps at once, then ``cell_step``, the
-step kernel; neither checks anything (see ``check_bounded``).  The
-backward mirrors that split: ``step_backward`` is the recurrence alone,
-the elementwise chain of a step and the gradients it hands the step before,
-which the time loop needs; ``input_backward`` is the rest, which feeds no
-earlier step and so runs for many steps at once: every parameter gradient,
-the interval gates' chain and the input gradient.  The model calls the four
-parts.  The public ``cell_forward`` wraps the forward for one step, with
-per-call checks of shapes, variant, x, state, intervals and the bound; it
-reads a 1-D x or state and scalar dt/dd as a batch of one, and lstm ignores
-dt/dd.
+and states and gradients are (B, n_c); rows are independent sequences.
+The forward is ``interval_terms``, the interval gates, which read no h and
+so can run for many steps at once, then ``cell_step``, the step kernel,
+which writes a step's gates through ``out=`` into a batch's ``Gates``
+buffers; neither checks anything (see ``check_bounded``).  Multi-gate
+values (the sigmoid z-gates, the interval terms, the gate gradients) are
+gate-major, so that every elementwise operation of a step runs on
+contiguous (B, n_c) blocks.  The backward mirrors the forward's split:
+``step_backward`` is the recurrence alone, the elementwise chain of a step
+and the gradients it hands the step before, which the time loop needs;
+``input_backward`` is the rest, which feeds no earlier step and so runs for
+many steps at once: every parameter gradient, the interval gates' chain and
+the input gradient.  The model calls the four parts.  The public
+``cell_forward`` wraps the forward for one step, with per-call checks of
+shapes, variant, x, state, intervals and the bound; it reads a 1-D x or
+state and scalar dt/dd as a batch of one, and lstm ignores dt/dd.
 """
 
 from __future__ import annotations
 
 import copyreg
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -83,6 +87,10 @@ VARIANTS = ("lstm", "st-lstm", "st-clstm")
 # the most check_bounded lets a pre-activation or logit reach, far enough
 # below the float64 maximum (1.8e308) that rounding cannot cross it
 BOUND = 1e300
+
+# bytes of stacked w_z and w_x gradient products per step group of
+# input_backward: many toy-shape steps, one paper-shape step
+STEP_GROUP_BYTES = 1 << 20
 
 # ablation presets: which interval gates get pinned to the all-ones vector
 ABLATION_PRESETS = {
@@ -162,24 +170,15 @@ class CellParams(dict):
         return copyreg.__newobj__, (type(self),), (self.layout, self.flat.copy())
 
     def __setstate__(self, state):
-        """Hold views of ``flat`` for ``state = (layout, flat)``: the
-        tensors in their order, except that a gate group's members follow
-        its first one."""
+        """Hold views of ``flat`` for ``state = (layout, flat)``, placed by
+        the layout's ``_view_plan``."""
         self.layout, self.flat = layout, flat = state
-        self.variant, shapes = layout[0], dict(layout[1])
-        group_of = {m: (block, members) for block, members
-                    in _gate_groups(self.variant).items() for m in members}
-        self.blocks, views, at = {}, {}, 0
-        for name, shape in shapes.items():
-            if name in views:
-                continue
-            block, members = group_of.get(name, (None, (name,)))
-            chunk = flat[at:at + len(members) * math.prod(shape)]
-            at += chunk.size
-            views.update(zip(members, chunk.reshape(len(members), *shape)))
-            if block is not None:
-                self.blocks[block] = chunk.reshape(-1, *shape[1:])
-        dict.update(self, ((name, views[name]) for name in shapes))
+        self.variant = layout[0]
+        names, blocks = _view_plan(layout)
+        self.blocks = {block: flat[a:b].reshape(shape)
+                       for block, a, b, shape in blocks}
+        dict.update(self, ((name, flat[a:b].reshape(shape))
+                           for name, a, b, shape in names))
 
     def __setitem__(self, name, value):
         if name not in self or value is not self[name]:
@@ -206,6 +205,29 @@ class CellParams(dict):
         return self["w_i"].shape[1] - self["w_i"].shape[0]
 
 
+@functools.lru_cache(maxsize=64)
+def _view_plan(layout) -> tuple:
+    """Where each view of a ``CellParams`` layout lies in its buffer:
+    ``(tensors, blocks)``, each a tuple of (name, start, stop, shape).  The
+    tensors come in their order, except that a gate group's members follow
+    its first one; a group's block spans its members."""
+    variant, shapes = layout[0], dict(layout[1])
+    group_of = {m: (block, members) for block, members
+                in _gate_groups(variant).items() for m in members}
+    spans, blocks, at = {}, [], 0
+    for name, shape in shapes.items():
+        if name in spans:
+            continue
+        block, members = group_of.get(name, (None, (name,)))
+        start, size = at, math.prod(shape)
+        for member in members:
+            spans[member] = (at, at + size, shape)
+            at += size
+        if block is not None:
+            blocks.append((block, start, at, (-1, *shape[1:])))
+    return tuple((name, *spans[name]) for name in shapes), tuple(blocks)
+
+
 def LstmParams(**tensors) -> CellParams:
     """The plain cell's eight tensors as CellParams, sized by w_i."""
     n_c, n_z = np.shape(tensors["w_i"])
@@ -229,7 +251,8 @@ def check_shapes(tensors: dict, shapes: dict, who: str) -> None:
 
 @dataclass
 class StepCache:
-    """Everything the backward pass needs from one forward step."""
+    """Everything the backward pass needs from one ``cell_forward`` step:
+    (B, ·) views of its one-slot ``Gates``, ``buffers``."""
 
     z: np.ndarray               # [h_prev | x]
     i: np.ndarray
@@ -245,6 +268,7 @@ class StepCache:
     u: Optional[np.ndarray] = None      # (B, 4, 1) dt, dt, dd, dd; None for lstm
     iv: Optional[np.ndarray] = None     # (B, 4, n_c) interval gates t1, t2, d1, d2
     inner: Optional[np.ndarray] = None  # (B, 4, n_c) their sigmoid(u * w_u) terms
+    buffers: Optional["Gates"] = None
 
     @property
     def gates(self) -> dict:
@@ -253,6 +277,40 @@ class StepCache:
             return {}
         return {gate: (self.iv[:, k], self.inner[:, k])
                 for k, gate in enumerate(INTERVAL_GATES)}
+
+
+class Gates:
+    """The gate values of a row batch's steps, which ``cell_step`` writes
+    through ``out=`` and ``step_backward`` reads: step t in slot t % slots
+    of (slots, rows, n_c) buffers, and the carry ``c``, whose slot
+    t % (slots + 1) holds step t's c_prev (zero at step 0).  One slot per
+    step keeps every step for the backward; one slot keeps the last, for a
+    forward alone.
+
+    ``s`` (slots, G - 1, rows, n_c) holds the sigmoid z-gates i[, f], o
+    gate-major, so that a step's gate is one contiguous (rows, n_c) block,
+    as are the write and keep gates ``w1``/``w2`` and ``k1``/``k2``: views
+    of i or f where a variant has no gate of its own.
+    """
+
+    def __init__(self, p: CellParams, slots: int, rows: int):
+        n = p.n_c
+
+        def new(*lead):
+            return np.empty((slots, *lead, rows, n))
+        self.s = new(p.blocks["b_z"].size // n - 1)
+        self.g, self.c_hat, self.tch = new(), new(), new()
+        self.c = np.zeros((slots + 1, rows, n))
+        self.w1, self.w2 = (new(), new()) if "w_to" in p else (self.s[:, 0],) * 2
+        self.k1, self.k2 = (self.s[:, 1],) * 2 if "w_f" in p else (new(), new())
+
+    def hoist(self) -> None:
+        """The backward's factors that need no gradient, over every step at
+        once, each with the per-element expression of a step's: ``ds`` =
+        1 - s, ``dg`` = 1 - g**2 and ``dtch`` = 1 - tanh(c_hat)**2."""
+        self.ds = 1.0 - self.s
+        self.dg = 1.0 - self.g * self.g
+        self.dtch = 1.0 - self.tch * self.tch
 
 
 def _tensor_shapes(variant: str, n_i: int, n_c: int) -> dict:
@@ -431,55 +489,65 @@ def interval_terms(p: CellParams, x, dt, dd, ablation: Optional[GateAblation] = 
     """The interval gates of R rows: x (R, n_i) and dt/dd (R,).
 
     They read only the transition's input, never h, so the model computes
-    them for many steps at once.  Returns ``(u, inner, iv)``: u (R, 4, 1)
-    holds dt, dt, dd, dd; inner (R, 4, n_c) the sigmoid(u * w_u) terms and
-    iv (R, 4, n_c) the gates t1, t2, d1, d2, a pinned gate exactly 1.  All
-    three are None for lstm.  Nothing is checked (see ``check_bounded``).
+    them for many steps at once.  Returns ``(u, inner, iv, ow)``, each
+    gate-major: u (4, R, 1) holds dt, dt, dd, dd; inner (4, R, n_c) the
+    sigmoid(u * w_u) terms, iv (4, R, n_c) the gates t1, t2, d1, d2, a
+    pinned gate exactly 1, and ow (2, R, n_c) the output gate's terms
+    dt * w_to and dd * w_do.  All four are None for lstm.  Nothing is
+    checked (see ``check_bounded``).
     """
     if "w_to" not in p:
-        return None, None, None
+        return None, None, None, None
     ablation = ablation or GateAblation()
     n = p.n_c
-    u = np.stack([dt, dt, dd, dd], axis=1)[:, :, None]
-    inner = numkit.sigmoid(u * p.blocks["w_u"].reshape(4, n))
-    iv = numkit.sigmoid(numkit.affine(p.blocks["w_x"], x, p.blocks["b_x"])
-                        .reshape(-1, 4, n) + inner)
-    iv[:, [k for k, gate in enumerate(INTERVAL_GATES)
-           if getattr(ablation, f"fix_{gate}")]] = 1.0
-    return u, inner, iv
+    u = np.stack([dt, dt, dd, dd])[:, :, None]
+    inner = numkit.sigmoid(u * p.blocks["w_u"].reshape(4, 1, n))
+    pre = numkit.affine(p.blocks["w_x"], x, p.blocks["b_x"]).reshape(-1, 4, n)
+    iv = numkit.sigmoid(inner + pre.transpose(1, 0, 2))
+    iv[[k for k, gate in enumerate(INTERVAL_GATES)
+        if getattr(ablation, f"fix_{gate}")]] = 1.0
+    ow = u[::2] * np.stack([p["w_to"], p["w_do"]])[:, None]
+    return u, inner, iv, ow
 
 
-def cell_step(p: CellParams, z, c_prev, u, inner, iv, h):
-    """One step over the (B, n_c + n_i) rows ``z`` = [h_prev | x] from their
-    ``interval_terms``; writes h into the (B, n_c) array ``h`` and returns
-    (CellState, StepCache), the cache holding ``z`` itself.  Expects finite
-    inputs that pass ``check_bounded``; checks nothing.
+def cell_step(p: CellParams, h, z, ow, iv, gates: Gates, t: int):
+    """Step t of the first k = len(h) rows of a batch: writes their h into
+    the (k, n_c) array ``h`` and their gates into ``gates``.  ``z`` holds
+    the rows' [h_prev | x] in its first k rows and has at least
+    ``numkit.TILE_ROWS`` rows, so that the gate product is one BLAS call on
+    it; its other rows may hold anything finite.  ``ow``/``iv`` are the k
+    rows' gate-major ``interval_terms``.  Expects finite inputs that pass
+    ``check_bounded``; checks nothing.
     """
-    n = p.n_c
-    a = numkit.affine(p.blocks["w_z"], z, p.blocks["b_z"])
+    k, n = h.shape
+    j, slots = t % len(gates.g), len(gates.c)
+    c_prev, c = gates.c[t % slots, :k], gates.c[(t + 1) % slots, :k]
+    a = numkit.affine(p.blocks["w_z"], z, p.blocks["b_z"])[:k]
+    # the sigmoid gates' pre-activations, gate-major
+    pre = a[:, :-n].reshape(k, -1, n).transpose(1, 0, 2).copy()
     if iv is not None:
-        a_o = a[:, -2 * n:-n]
-        a_o += u[:, 0] * p["w_to"]
-        a_o += u[:, 2] * p["w_do"]
-    s = numkit.sigmoid(a[:, :-n])
-    i, o = s[:, :n], s[:, -n:]
-    f = s[:, n:2 * n] if "w_f" in p else None
-    g = np.tanh(a[:, -n:])
-    w1 = w2 = i
+        pre[-1] += ow[0]
+        pre[-1] += ow[1]
+    s = numkit.sigmoid(pre, out=gates.s[j, :, :k])
+    i, o = s[0], s[-1]
+    g = np.tanh(a[:, -n:], out=gates.g[j, :k])
+    w1, w2, k1, k2 = gates.w1[j, :k], gates.w2[j, :k], gates.k1[j, :k], gates.k2[j, :k]
     if iv is not None:
-        t1, t2, d1, d2 = iv.transpose(1, 0, 2)
-        w1 = i * t1 * d1
-        w2 = i * t2 * d2
-    k1, k2 = (f, f) if f is not None else (1.0 - w1, 1.0 - i)
-    c_hat = k1 * c_prev + w1 * g
-    c = k2 * c_prev + w2 * g if iv is not None else c_hat
-    tch = np.tanh(c_hat)
-    np.multiply(o, tch, out=h)
-    cache = StepCache(
-        z=z, i=i, f=f, g=g, o=o, c_prev=c_prev, w1=w1, w2=w2, k1=k1, k2=k2,
-        tanh_c_hat=tch, u=u, iv=iv, inner=inner,
-    )
-    return CellState(c=c, h=h, c_hat=c_hat), cache
+        np.multiply(i, iv[0], out=w1)
+        w1 *= iv[2]
+        np.multiply(i, iv[1], out=w2)
+        w2 *= iv[3]
+    if "w_f" not in p:
+        np.subtract(1.0, w1, out=k1)
+        np.subtract(1.0, i, out=k2)
+    c_hat = np.multiply(k1, c_prev, out=gates.c_hat[j, :k])
+    c_hat += w1 * g
+    if iv is None:
+        c[...] = c_hat
+    else:
+        np.multiply(k2, c_prev, out=c)
+        c += w2 * g
+    np.multiply(o, np.tanh(c_hat, out=gates.tch[j, :k]), out=h)
 
 
 def cell_forward(variant, p: CellParams, step: StepInput, prev: CellState,
@@ -490,89 +558,134 @@ def cell_forward(variant, p: CellParams, step: StepInput, prev: CellState,
         raise ValueError(f"cell_forward: params hold the {p.variant} tensors, "
                          f"not those of {variant!r}")
     x, dt, dd, c_prev, h_prev = _promote(p, step, prev, "w_to" in p)
-    z = np.concatenate([h_prev, x], axis=1)
+    n, b = p.n_c, len(x)
+    z = np.zeros((max(b, numkit.TILE_ROWS), n + p.n_i))
+    z[:b, :n] = h_prev
+    z[:b, n:] = x
     check_bounded(p, np.abs(z).max(initial=0.0), dt, dd, "cell forward")
-    return cell_step(p, z, c_prev, *interval_terms(p, x, dt, dd, ablation),
-                     np.empty_like(c_prev))
+    terms = interval_terms(p, x, dt, dd, ablation)
+    gates = Gates(p, 1, b)
+    gates.c[0] = c_prev
+    h = np.empty_like(c_prev)
+    cell_step(p, h, z, terms[3], terms[2], gates, 0)
+    s = gates.s[0]
+    # the cache holds the interval terms row-major, (B, 4, ·)
+    u, inner, iv = (None if a is None else a.transpose(1, 0, 2) for a in terms[:3])
+    cache = StepCache(
+        z=z[:b], i=s[0], f=s[1] if "w_f" in p else None, g=gates.g[0],
+        o=s[-1], c_prev=gates.c[0], w1=gates.w1[0], w2=gates.w2[0],
+        k1=gates.k1[0], k2=gates.k2[0], tanh_c_hat=gates.tch[0], u=u, iv=iv,
+        inner=inner, buffers=gates)
+    return CellState(c=gates.c[1], h=h, c_hat=gates.c_hat[0]), cache
 
 
-def step_backward(p, cache: StepCache, gh, gc, da, dwi):
-    """The recurrent part of one step's backward, for the model's time loop.
+def step_backward(p, gates: Gates, t: int, iv, gh, gc, da, dw):
+    """The recurrent part of step t's backward, for the model's time loop,
+    over the B = len(gh) rows of ``gates`` (all of them, after
+    ``gates.hoist()``); ``iv`` (4, B, n_c) holds the rows' interval gates.
 
-    Writes the step's gate pre-activation gradients into ``da`` (B, G*n_c),
-    in the column order of ``w_z``, and, with interval gates, the products
-    of the gradients of the two write gates w1, w2 with i into ``dwi``
-    (B, 2, n_c).  Returns ``(grad_h_prev, grad_c_prev)``; the rest of the
-    step, which feeds no earlier step, is ``input_backward``.
+    Writes the step's gate pre-activation gradients into the first B rows
+    of ``da`` (G, >= ``numkit.TILE_ROWS``, n_c; zero past B), gate-major in
+    the order of ``w_z``, and the gradients of the two write gates w1, w2
+    into ``dw`` (2, B, n_c).  Returns ``(grad_h_prev, grad_c_prev)``; the
+    rest of the step, which feeds no earlier step, is ``input_backward``.
     """
-    i, g, o, f, iv = cache.i, cache.g, cache.o, cache.f, cache.iv
-    tch = cache.tanh_c_hat
-    c_prev = cache.c_prev
-    n = i.shape[1]
+    b, n = gh.shape
+    s, ds = gates.s[t], gates.ds[t]
+    i, o = s[0], s[-1]
+    g, tch, c_prev = gates.g[t], gates.tch[t], gates.c[t]
 
-    do = gh * tch
-    np.multiply(do * o, 1.0 - o, out=da[:, -2 * n:-n])
-    dch = gh * o * (1.0 - tch * tch)
+    np.multiply(gh * tch * o, ds[-1], out=da[-2, :b])
+    dch = gh * o * gates.dtch[t]
 
     # c_hat = k1 * c_prev + w1 * g  and  c = k2 * c_prev + w2 * g
-    dk1, dw1 = dch * c_prev, dch * g
-    dk2, dw2 = gc * c_prev, gc * g
-    dg = dch * cache.w1 + gc * cache.w2
-    dc_prev = dch * cache.k1 + gc * cache.k2
-    if f is not None:           # k1 = k2 = f
-        np.multiply((dk1 + dk2) * f, 1.0 - f, out=da[:, n:2 * n])
+    dk1, dw1 = dch * c_prev, np.multiply(dch, g, out=dw[0])
+    dk2, dw2 = gc * c_prev, np.multiply(gc, g, out=dw[1])
+    dg = dch * gates.w1[t] + gc * gates.w2[t]
+    dc_prev = dch * gates.k1[t] + gc * gates.k2[t]
+    if "w_f" in p:              # k1 = k2 = f
+        np.multiply((dk1 + dk2) * s[1], ds[1], out=da[1, :b])
         di = 0.0
     else:                       # k1 = 1 - w1, k2 = 1 - i
-        dw1 = dw1 - dk1
+        dw1 -= dk1
         di = -dk2
     if iv is None:              # w1 = w2 = i
         di = di + dw1 + dw2
     else:                       # w1 = i * t1 * d1, w2 = i * t2 * d2
-        t1, t2, d1, d2 = iv.transpose(1, 0, 2)
-        di = di + dw1 * t1 * d1 + dw2 * t2 * d2
-        np.multiply(dw1, i, out=dwi[:, 0])
-        np.multiply(dw2, i, out=dwi[:, 1])
+        di = di + dw1 * iv[0] * iv[2] + dw2 * iv[1] * iv[3]
 
-    np.multiply(di * i, 1.0 - i, out=da[:, :n])
-    np.multiply(dg, 1.0 - g * g, out=da[:, -n:])
-    return numkit.matmul_rows(da, p.blocks["w_z"][:, :n]), dc_prev
+    np.multiply(di * i, ds[0], out=da[0, :b])
+    np.multiply(dg, gates.dg[t], out=da[-1, :b])
+    rows = da.transpose(1, 0, 2).reshape(da.shape[1], -1)
+    return numkit.matmul_rows(rows, p.blocks["w_z"][:, :n])[:b], dc_prev
 
 
-def input_backward(p, z, terms, da, dwi, grads, batch):
-    """The part of the backward that feeds no earlier step, for R rows of
-    ``step_backward`` output: every cell parameter gradient, the interval
-    gates' chain and the input gradient.
+def _add_last_first(total, parts) -> None:
+    """total += parts[0], then parts[1], and so on: the bits of one ``+=``
+    per part, in one reduce over the (S, ...) ``parts``, which it
+    overwrites."""
+    if len(parts) == 1:
+        total += parts[0]
+        return
+    parts[0] += total
+    np.add.reduce(parts, axis=0, out=total)
 
-    ``z`` (R, n_c + n_i) the rows' ``[h_prev | x]``, x read in place from
-    it, ``terms`` (the ``interval_terms`` of those rows), ``da`` and ``dwi``
-    hold whole steps of ``batch`` rows each, in step order.  Adds each step's
-    rank-``batch`` sums into the cell's gradients in ``grads`` (a
+
+def input_backward(p, z, terms, i, da, dw, grads):
+    """The part of the backward that feeds no earlier step, for S steps of
+    B rows of ``step_backward`` output: every cell parameter gradient, the
+    interval gates' chain and the input gradient.
+
+    ``z`` (S, B, n_c + n_i) holds the rows' ``[h_prev | x]``, x read in
+    place from it, ``terms`` their ``interval_terms`` (S * B rows,
+    step-major), ``i`` (S, B, n_c) their input gates, ``da`` (S, G, >= B,
+    n_c) and ``dw`` (S, 2, B, n_c) the steps' ``step_backward`` output.
+    Adds each step's rank-B sums into the cell's gradients in ``grads`` (a
     ``p.zeros_like()``), the last step first, each gate group's block in
-    place; a pinned gate is exactly 1, so its gradients stay exactly 0.
-    Returns the input gradient (R, n_i).  As in the forward, one product
-    over all R rows gives each row the bits of a per-step one.
+    place; a pinned gate is exactly 1, so its gradients stay exactly 0.  The
+    sums run on groups of steps, as many as ``STEP_GROUP_BYTES`` holds of
+    the stacked ``w_z`` and ``w_x`` products (one step at least): one
+    stacked product per gate group, one stacked reduction per sum, then one
+    reduce per gradient that adds the group's steps in order.  Returns the
+    input gradient (S * B, n_i).  As in the forward, one product over all
+    S * B rows gives each row the bits of a per-step one.
     """
-    u, inner, iv = terms
+    u, inner, iv, _ = terms
+    steps, b, _ = z.shape
     n = p.n_c
-    x = z[:, n:]
-    dx = numkit.matmul_rows(da, p.blocks["w_z"][:, n:])
+    x = z[:, :, n:]
+    # the rows' gate pre-activation gradients in the column order of w_z
+    da = da[:, :, :b].transpose(0, 2, 1, 3).reshape(steps, b, -1)
+    dx = numkit.matmul_rows(da.reshape(steps * b, -1), p.blocks["w_z"][:, n:])
+    step_bytes = p.blocks["w_z"].nbytes
     if iv is not None:
         # d/d(t1, t2, d1, d2) = (dw1 * i * d1, dw2 * i * d2, dw1 * i * t1, dw2 * i * t2)
-        dgate = dwi[:, [0, 1, 0, 1]] * iv[:, [2, 3, 0, 1]]
-        dpre = dgate * iv * (1.0 - iv)
-        dw_u = u * (dpre * inner * (1.0 - inner))
-        dpre = dpre.reshape(len(x), -1)
+        dwi = (dw * i[:, None]).transpose(1, 0, 2, 3).reshape(2, -1, n)
+        dpre = np.concatenate([dwi * iv[2:], dwi * iv[:2]]) * iv * (1.0 - iv)
+        dw_u = dpre * inner
+        dw_u *= 1.0 - inner
+        dw_u *= u
+        dw_u = dw_u.reshape(4, steps, b, n).sum(axis=2).transpose(1, 0, 2)
+        dpre = dpre.transpose(1, 0, 2).reshape(steps * b, -1)
         dx += numkit.matmul_rows(dpre, p.blocks["w_x"])
-    for r in reversed(range(0, len(x), batch)):
-        rows = slice(r, r + batch)
-        grads.blocks["w_z"] += da[rows].T @ z[rows]
-        grads.blocks["b_z"] += da[rows].sum(axis=0)
+        dpre = dpre.reshape(steps, b, -1)
+        u = u.reshape(4, steps, b, 1)
+        step_bytes += p.blocks["w_x"].nbytes
+    group = max(1, STEP_GROUP_BYTES // step_bytes)
+    for s1 in range(steps, 0, -group):
+        last_first = slice(s1 - 1, s1 - group - 1 if s1 > group else None, -1)
+        d = da[last_first]
+        _add_last_first(grads.blocks["w_z"],
+                        np.matmul(d.transpose(0, 2, 1), z[last_first]))
+        _add_last_first(grads.blocks["b_z"], d.sum(axis=1))
         if iv is None:
             continue
-        da_o = da[rows, -2 * n:-n]
-        grads["w_to"] += (u[rows, 0] * da_o).sum(axis=0)
-        grads["w_do"] += (u[rows, 2] * da_o).sum(axis=0)
-        grads.blocks["w_u"] += dw_u[rows].sum(axis=0).reshape(-1)
-        grads.blocks["w_x"] += dpre[rows].T @ x[rows]
-        grads.blocks["b_x"] += dpre[rows].sum(axis=0)
+        d_o = d[:, :, -2 * n:-n]
+        _add_last_first(grads["w_to"], (u[0, last_first] * d_o).sum(axis=1))
+        _add_last_first(grads["w_do"], (u[2, last_first] * d_o).sum(axis=1))
+        _add_last_first(grads.blocks["w_u"], dw_u[last_first].reshape(-1, 4 * n))
+        dp = dpre[last_first]
+        _add_last_first(grads.blocks["w_x"],
+                        np.matmul(dp.transpose(0, 2, 1), x[last_first]))
+        _add_last_first(grads.blocks["b_x"], dp.sum(axis=1))
     return dx

@@ -257,17 +257,11 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------------- eval
 
 def _emit_metrics(results_by_cohort, ks, out_dir, dump):
-    reports = []
-    for cohort, results in results_by_cohort.items():
-        if results:
-            reports.append(evalmod.summarize(results, cohort, ks))
-        else:
-            print(f"cohort {cohort}\nn_instances 0\n")
-    lines = []
-    for rep in reports:
-        lines.extend(rep.lines())
-        lines.append("")
-    text = "\n".join(lines)
+    """One report per cohort, in the order asked, to stdout and, byte for
+    byte, to ``metrics.txt``; ``metrics.json`` holds the same reports."""
+    reports = [evalmod.summarize(results, cohort, ks)
+               for cohort, results in results_by_cohort.items()]
+    text = "\n".join("\n".join(rep.lines()) + "\n" for rep in reports)
     print(text, end="")
     if out_dir is not None:
         (out_dir / "metrics.txt").write_text(text, encoding="utf-8")

@@ -16,7 +16,7 @@ one relevant item per instance, so it reduces to the mean reciprocal rank.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class MetricsReport:
     cohort: str
     n_instances: int
     acc: dict        # K -> fraction of instances with rank <= K
-    mean_ap: float
+    mean_ap: Optional[float]     # None for an empty cohort, which has no acc
 
     def to_dict(self) -> dict:
         return {
@@ -60,7 +60,8 @@ class MetricsReport:
         out = [f"cohort {self.cohort}", f"n_instances {self.n_instances}"]
         for k, v in sorted(self.acc.items()):
             out.append(f"acc@{k} {v:.6f}")
-        out.append(f"map {self.mean_ap:.6f}")
+        if self.mean_ap is not None:
+            out.append(f"map {self.mean_ap:.6f}")
         return out
 
 
@@ -173,6 +174,9 @@ def rank_cohorts(params: ModelParams, cfg: ModelConfig, corpus, cohorts, *,
 
 
 def summarize(results, cohort: str, ks=ACC_KS) -> MetricsReport:
+    """The metrics of ``results``; an empty cohort reports its count alone."""
+    if not results:
+        return MetricsReport(cohort=cohort, n_instances=0, acc={}, mean_ap=None)
     return MetricsReport(
         cohort=cohort,
         n_instances=len(results),

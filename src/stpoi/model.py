@@ -12,8 +12,11 @@ rows in length-descending order, step t only on the sequences longer than
 t.  Training's cell loop alone runs every padded row: padded positions
 provably contribute exactly zero gradient, so the batched path and the
 per-sequence path agree.  Every step's z = [h_prev | x] lives in one
-(T + 1, B, n_c + n_i) array, its x half filled once from the embedding
-gather; past training's cell loop only the real (b, t) rows are kept.
+(T + 1, max(B, 16), n_c + n_i) array, its x half filled once from the
+embedding gather of the live rows, the rows past B zero, so that each step's
+gate product runs on a view of at least 16 rows (see ``numkit``); a step's
+gates go into one ``cells.Gates`` per batch.  Past training's cell loop
+only the real (b, t) rows are kept.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from . import container
 from .cells import (
     CellParams,
     GateAblation,
+    Gates,
     VARIANTS,
     _tensor_shapes,
     cell_step,
@@ -40,7 +44,7 @@ from .cells import (
     interval_terms,
     step_backward,
 )
-from .numkit import affine, matmul_rows, softmax_xent_rows
+from .numkit import TILE_ROWS, affine, matmul_rows, softmax_xent_rows
 from .optim import AdamState
 
 CHECKPOINT_KIND = "stpoi-checkpoint"
@@ -195,11 +199,16 @@ def _pad(seqs, cfg: ModelConfig, who: str):
     return pois, dts, dds, np.array(lengths)
 
 
-def _workspace(params: ModelParams, cfg: ModelConfig, pois):
-    """The (T + 1, B, n_c + n_i) z of (B, T) ``pois``: z[t] is step t's
-    [h_prev | x], its x half gathered here, its h half zero until written."""
-    z = np.zeros((pois.shape[1] + 1, pois.shape[0], cfg.n_c + cfg.n_i))
-    z[:-1, :, cfg.n_c:] = params.embedding[pois.T]
+def _workspace(params: ModelParams, cfg: ModelConfig, pois, live):
+    """The (T + 1, max(B, TILE_ROWS), n_c + n_i) z of (B, T) ``pois``: z[t]
+    is step t's [h_prev | x], its x half gathered here for the first
+    ``live[t]`` rows, everything else zero until a step writes h.  The rows
+    past B are zero, so that every step's product is one BLAS call on a
+    view of at least ``TILE_ROWS`` rows."""
+    B, T = pois.shape
+    z = np.zeros((T + 1, max(B, TILE_ROWS), cfg.n_c + cfg.n_i))
+    ts, bs = np.nonzero(np.arange(B) < np.asarray(live)[:, None])
+    z[ts, bs, cfg.n_c:] = params.embedding[pois[bs, ts]]
     return z
 
 
@@ -217,31 +226,27 @@ def _term_blocks(params: ModelParams, cfg: ModelConfig, z, dts, dds, live):
             height += live[t1]
             t1 += 1
         r = rows[t0:t1]
-        yield t0, t1, interval_terms(params, z[t0:t1, :, cfg.n_c:][r],
+        yield t0, t1, interval_terms(params, z[t0:t1, :B, cfg.n_c:][r],
                                      dts.T[t0:t1][r], dds.T[t0:t1][r],
                                      cfg.ablation)
         t0 = t1
 
 
-def _unroll(params: ModelParams, cfg: ModelConfig, z, live, blocks):
-    """Yield the cache of each step of ``cells.cell_step`` over the
-    ``_workspace`` z from the zero state: step t runs on its first
-    ``live[t]`` rows (a non-increasing count), reads z[t] and writes its h
-    into z[t + 1, :, :n_c]; the other rows of z are left as they are.
+def _unroll(params: ModelParams, cfg: ModelConfig, z, live, blocks, gates):
+    """Run ``cells.cell_step`` over the ``_workspace`` z from the zero
+    state: step t runs on its first ``live[t]`` rows (a non-increasing
+    count), reads z[t] and writes its h into z[t + 1, :, :n_c] and its
+    gates into ``gates``; the other rows of z are left as they are.
     ``blocks`` are the ``_term_blocks`` of z with the same ``live`` (the
     caller's ``_pad`` checked the inputs)."""
-    c = np.zeros((z.shape[1], cfg.n_c))
-    for t0, t1, terms in blocks:
+    for t0, t1, (_, _, iv, ow) in blocks:
         r = 0
         for t in range(t0, t1):
             k = live[t]
-            state, cache = cell_step(
-                params, z[t, :k], c[:k],
-                *(None if a is None else a[r:r + k] for a in terms),
-                z[t + 1, :k, :cfg.n_c])
+            cell_step(params, z[t + 1, :k, :cfg.n_c], z[t, :max(k, TILE_ROWS)],
+                      None if iv is None else ow[:, r:r + k],
+                      None if iv is None else iv[:, r:r + k], gates, t)
             r += k
-            c = state.c
-            yield cache
 
 
 def forward_batch(params: ModelParams, cfg: ModelConfig, seqs):
@@ -250,20 +255,21 @@ def forward_batch(params: ModelParams, cfg: ModelConfig, seqs):
     Returns hs (B, T, n_c), row b the hidden state of ``seqs[b]`` after
     every step, zero past its length.  The batch runs packed: its rows in
     stable length-descending order, step t only on the sequences longer
-    than t.  For a batch already in that order hs is a view of the
+    than t, and the workspace holds the embedding rows of those steps
+    alone.  For a batch already in that order hs is a view of the
     ``_workspace``; otherwise it is a copy put back in the caller's order.
-    Parameters are not checked here: callers run ``cells.check_bounded``
-    once per call.  The interval terms of a block of steps are computed
-    just ahead of the steps that read them.
+    Gates are kept for the last step only.  Parameters are not checked
+    here: callers run ``cells.check_bounded`` once per call.  The interval
+    terms of a block of steps are computed just ahead of the steps that
+    read them.
     """
     pois, dts, dds, lengths = _pad(seqs, cfg, "forward_batch")
     order = np.argsort(-lengths, kind="stable")
     live = (lengths[:, None] > np.arange(pois.shape[1])).sum(axis=0).tolist()
-    z = _workspace(params, cfg, pois[order])
+    z = _workspace(params, cfg, pois[order], live)
     blocks = _term_blocks(params, cfg, z, dts[order], dds[order], live)
-    for _ in _unroll(params, cfg, z, live, blocks):
-        pass
-    hs = z[1:, :, :cfg.n_c].transpose(1, 0, 2)
+    _unroll(params, cfg, z, live, blocks, Gates(params, 1, len(seqs)))
+    hs = z[1:, :len(seqs), :cfg.n_c].transpose(1, 0, 2)
     if (order == np.arange(len(order))).all():
         return hs
     return hs[np.argsort(order)]
@@ -304,9 +310,10 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
 
     # every step runs all B rows: padded rows contribute exactly zero
     live = [B] * T
-    z = _workspace(params, cfg, pois)
+    z = _workspace(params, cfg, pois, live)
     blocks = list(_term_blocks(params, cfg, z, dts, dds, live))
-    caches = list(_unroll(params, cfg, z, live, blocks))
+    gates = Gates(params, T, B)
+    _unroll(params, cfg, z, live, blocks, gates)
 
     # real rows step-major, step t's at[t]:at[t + 1]; padded rows keep 0 loss, dh
     real_t, real_b = np.nonzero(mask.T)
@@ -335,26 +342,31 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
             d = dlog[at[t]:at[t + 1], v:v + VOCAB_ROWS]
             gw += d.T @ h[at[t]:at[t + 1]]
             gb += d.sum(axis=0)
-    del dlog
+    del dlog, d     # the last view too, or it keeps dlog alive
 
-    # per step: the gate pre-activation gradients and, with interval gates,
-    # the write-gate gradients times i (see cells.step_backward)
-    das = np.empty((T, B, params.blocks["w_z"].shape[0]))
-    dwis = np.empty((T, B, 2, n)) if "w_to" in params else None
+    # per step: the gate pre-activation gradients, zero-padded to the
+    # workspace's rows, and the write-gate gradients (see
+    # cells.step_backward)
+    gates.hoist()
+    das = np.zeros((T, params.blocks["w_z"].shape[0] // n, z.shape[1], n))
+    dws = np.empty((T, 2, B, n))
     dh_next = dc_next = np.zeros((B, n))
-    for t in reversed(range(T)):
-        dh_next, dc_next = step_backward(params, caches[t], dhs[t] + dh_next,
-                                         dc_next, das[t],
-                                         None if dwis is None else dwis[t])
-        if cfg.bptt_cap is not None and t % cfg.bptt_cap == 0:
-            dh_next = dc_next = np.zeros((B, n))
+    for t0, t1, (_, _, iv, _) in reversed(blocks):
+        for t in reversed(range(t0, t1)):
+            r = (t - t0) * B
+            dh_next, dc_next = step_backward(
+                params, gates, t, None if iv is None else iv[:, r:r + B],
+                dhs[t] + dh_next, dc_next, das[t], dws[t])
+            if cfg.bptt_cap is not None and t % cfg.bptt_cap == 0:
+                dh_next = dc_next = np.zeros((B, n))
+    # of the gates only i feeds the input part
+    i = gates.s[:, 0]
+    del gates
     dxs = np.empty((T, B, cfg.n_i))
     for t0, t1, terms in reversed(blocks):
         dxs[t0:t1] = input_backward(
-            params, z[t0:t1].reshape(-1, n + cfg.n_i), terms,
-            das[t0:t1].reshape((t1 - t0) * B, -1),
-            None if dwis is None else dwis[t0:t1].reshape(-1, 2, n),
-            grads, B).reshape(t1 - t0, B, cfg.n_i)
+            params, z[t0:t1, :B], terms, i[t0:t1], das[t0:t1], dws[t0:t1],
+            grads).reshape(t1 - t0, B, -1)
     # reduce duplicate POIs within each step first, rows in batch order:
     # each embedding row then receives one delta per step, added in
     # descending t, which keeps a duplicated batch exactly twice the single

@@ -6,12 +6,15 @@ elementwise functions take any shape.  Default precision is float64.
 
 Matrix products over a row batch (``affine``, ``matmul_rows``) give each row
 the bits of a ``TILE_ROWS``-row BLAS call, whatever the batch size and the
-row's place in it, and make as few calls as that allows.  A batch of at
-most ``TILE_ROWS`` rows is one call, zero-padded to ``TILE_ROWS``; below 16
+row's place in it, and make as few calls as that allows.  A batch of fewer
+than ``TILE_ROWS`` rows is one call, zero-padded to ``TILE_ROWS``; below 16
 rows the bits can differ from a 16-row call's, which is why 16 is the least
-call height.  A taller batch is one call over all its rows where that gives
-the same bits, and ``TILE_ROWS``-row tiles, the last one zero-padded, in
-one batched call elsewhere.  Where it does not: OpenBLAS computes small
+call height.  The model's step products need no padding here: they run on
+views of at least ``TILE_ROWS`` rows of its workspaces, whose rows past the
+live ones are zero or finite (a row's bits do not depend on the others).  A
+taller batch is one call over all its rows where that gives the same bits,
+and ``TILE_ROWS``-row tiles, the last one zero-padded, in one batched call
+elsewhere.  Where it does not: OpenBLAS computes small
 products with a second kernel (with the SkylakeX kernels: up to 10^6
 multiply-adds and, for a transposed matrix, 1200 outputs from K >= 32),
 whose bits can differ from the large kernel's, so one call over B rows
@@ -59,14 +62,15 @@ class NonFiniteError(ValueError):
     """An input or parameter holds a NaN or inf."""
 
 
-def sigmoid(a: np.ndarray) -> np.ndarray:
+def sigmoid(a: np.ndarray, out=None) -> np.ndarray:
     """Elementwise logistic function 1 / (1 + exp(-a)) of a float array,
-    overflow-safe: the operations of ``where(a >= 0, 1, e) / (1 + e)``,
-    e = exp(-|a|), run in place on two temporaries."""
-    e = np.abs(a)
-    np.negative(e, out=e)
+    overflow-safe: exp(min(a, 0)) / (1 + exp(-|a|)), into ``out`` if given.
+    Both exponents are -|a| where a < 0, so this is exactly the two-branch
+    ``where(a >= 0, 1, e) / (1 + e)``, e = exp(-|a|), with no branch."""
+    out = np.minimum(a, 0.0, out=out)
+    np.exp(out, out=out)
+    e = np.copysign(a, -1.0)
     np.exp(e, out=e)
-    out = np.where(a >= 0, 1.0, e)
     e += 1.0
     out /= e
     return out
@@ -136,10 +140,11 @@ def matmul_rows(a, m) -> np.ndarray:
     whatever B and the row's place in the batch.
 
     Same contract as ``a @ m`` for 2-D arrays; the backward passes use it
-    wherever a per-row product feeds gradient accumulation.  B <= TILE_ROWS
+    wherever a per-row product feeds gradient accumulation.  B < TILE_ROWS
     is one call on the rows zero-padded to TILE_ROWS.  A taller batch is
     one call over all its rows where ``_one_call_exact`` holds for both
-    column blocks, and TILE_ROWS-row tiles otherwise.  The first
+    column blocks, and TILE_ROWS-row tiles otherwise; exactly TILE_ROWS
+    contiguous rows are one call on ``a`` itself, with no copy.  The first
     ``O - O % TAIL_COLS`` columns are one product against a view of ``m``;
     the last ``O % TAIL_COLS`` columns are one product against those
     columns of ``m`` zero-padded to ``TAIL_COLS``, so no column falls in
@@ -152,13 +157,13 @@ def matmul_rows(a, m) -> np.ndarray:
     if main < width:
         pad = np.zeros((k, TAIL_COLS))
         pad[:, :width - main] = m[:, main:]
-    if n <= TILE_ROWS:
+    if n < TILE_ROWS:
         rows = np.zeros((TILE_ROWS, k))
         rows[:n] = a
         product = np.matmul
     else:
         rows = np.ascontiguousarray(a, dtype=np.float64)
-        exact = _one_call_exact(m[:, :main], n) and (
+        exact = n == TILE_ROWS or _one_call_exact(m[:, :main], n) and (
             pad is None or _one_call_exact(pad, n))
         product = np.matmul if exact else _in_tiles
     out = np.empty((len(rows), width))

@@ -5,13 +5,14 @@ used as the finite-difference harness; a generic central-difference oracle
 that perturbs one coordinate at a time; and plain-loop oracles of the
 batched library paths: a per-gate cell forward, a streaming model step, a
 per-step unroll through the public cell forward, a per-step cell backward
-that shares no code with ``cells``' backward, a per-step training readout
-and embedding scatter, a one-logit-vector rank, a one-row softmax
-cross-entropy, the two-branch sigmoid, a one-user-at-a-time evaluation, a
-per-tensor Adam step and gradient clipping, and the product in fixed 16-row
-tiles.  Also a model whose finite parameters overflow the readout, the
-largest pre-activation or logit in plain numpy, a user's test transitions
-and a corpus's raw-id index, which only tests read."""
+that shares no code with ``cells``' backward, the per-step parameter sums
+of ``cells.input_backward``, a per-step training readout and embedding
+scatter, a one-logit-vector rank, a one-row softmax cross-entropy, the
+two-branch sigmoid, a one-user-at-a-time evaluation, a per-tensor Adam step
+and gradient clipping, and the product in fixed 16-row tiles.  Also a
+model whose finite parameters overflow the readout, the largest
+pre-activation or logit in plain numpy, a user's test transitions and a
+corpus's raw-id index, which only tests read."""
 
 import numpy as np
 
@@ -48,16 +49,21 @@ def unrolled_readout_loss(variant, p, seq, readouts, ablation=None):
 
 
 def one_step_backward(p, cache, gh, gc, grads):
-    """The library backward through one step: ``cells.step_backward``, then
-    ``cells.input_backward`` on the step's rows.  Adds the parameter
-    gradients into ``grads`` and returns ``(grad_h_prev, grad_c_prev,
-    grad_x)``."""
+    """The library backward through one ``cell_forward`` step:
+    ``cells.step_backward`` on the step's gates, then
+    ``cells.input_backward`` on its rows.  Adds the parameter gradients into
+    ``grads`` and returns ``(grad_h_prev, grad_c_prev, grad_x)``."""
     B, n = cache.i.shape
-    da = np.empty((B, p.blocks["w_z"].shape[0]))
-    dwi = None if cache.iv is None else np.empty((B, 2, n))
-    dh, dc = cells.step_backward(p, cache, gh, gc, da, dwi)
-    dx = cells.input_backward(p, cache.z, (cache.u, cache.inner, cache.iv),
-                              da, dwi, grads, B)
+    gates = cache.buffers
+    gates.hoist()
+    da = np.zeros((1, p.blocks["w_z"].shape[0] // n, max(B, numkit.TILE_ROWS), n))
+    dw = np.empty((1, 2, B, n))
+    # the library's interval terms are gate-major, (4, B, ·)
+    terms = tuple(None if a is None else a.transpose(1, 0, 2)
+                  for a in (cache.u, cache.inner, cache.iv)) + (None,)
+    dh, dc = cells.step_backward(p, gates, 0, terms[2], gh, gc, da[0], dw[0])
+    dx = cells.input_backward(p, cache.z[None], terms, cache.i[None], da, dw,
+                              grads)
     return dh, dc, dx
 
 
@@ -296,6 +302,40 @@ def per_step_cell_backward(p, cache, grad_h, grad_c, grads):
     if iv is not None:
         dx = dx + matmul_in_tiles(dpre, p.blocks["w_x"])
     return dz[:, :n], dc_prev, dx
+
+
+def per_step_input_sums(p, z, terms, i, da, dw, grads):
+    """Oracle of cells.input_backward, independent of it: for S steps of B
+    rows (its arguments, gate-major ``terms``/``da``/``dw``), one step at a
+    time from the last, each step's rows in row-major (B, ·) form, every
+    parameter sum added on its own into ``grads``, and the input gradient
+    from 16-row tiles (``matmul_in_tiles``).  Returns it, (S * B, n_i)."""
+    u, inner, iv, _ = terms
+    S, B, _ = z.shape
+    n = p.n_c
+    dxs = []
+    for s in reversed(range(S)):
+        d = np.concatenate(list(da[s, :, :B]), axis=1)     # (B, G * n)
+        grads.blocks["w_z"] += d.T @ z[s]
+        grads.blocks["b_z"] += d.sum(axis=0)
+        dx = matmul_in_tiles(d, p.blocks["w_z"][:, n:])
+        if iv is not None:
+            rows = slice(s * B, (s + 1) * B)
+            us, inn, gates = (a[:, rows].transpose(1, 0, 2) for a in (u, inner, iv))
+            dw1, dw2 = dw[s, 0] * i[s], dw[s, 1] * i[s]
+            t1, t2, d1, d2 = gates.transpose(1, 0, 2)
+            dgate = np.stack([dw1 * d1, dw2 * d2, dw1 * t1, dw2 * t2], axis=1)
+            dpre = dgate * gates * (1.0 - gates)
+            da_o = d[:, -2 * n:-n]
+            grads["w_to"] += (us[:, 0] * da_o).sum(axis=0)
+            grads["w_do"] += (us[:, 2] * da_o).sum(axis=0)
+            grads.blocks["w_u"] += (us * (dpre * inn * (1.0 - inn))).sum(axis=0).reshape(-1)
+            dpre = dpre.reshape(B, -1)
+            grads.blocks["w_x"] += dpre.T @ z[s, :, n:]
+            grads.blocks["b_x"] += dpre.sum(axis=0)
+            dx = dx + matmul_in_tiles(dpre, p.blocks["w_x"])
+        dxs.append(dx)
+    return np.concatenate(dxs[::-1])
 
 
 def per_step_loss_and_grads(params, cfg, seqs):

@@ -13,6 +13,7 @@ from helpers import (
     central_diff,
     one_step_backward,
     per_gate_forward,
+    per_step_input_sums,
     random_cell_setup,
     rel_err,
     unrolled_readout_grads,
@@ -339,6 +340,69 @@ class TestBackward:
             np.testing.assert_allclose(dx_b[r], dx_r[0], atol=1e-12)
         for k in summed:
             np.testing.assert_allclose(grads_b[k], summed[k], atol=1e-11, err_msg=k)
+
+
+class TestStepGroupedSums:
+    """``input_backward`` adds each step's parameter sums from one stacked
+    product or reduction per group of steps, groups sized by
+    ``STEP_GROUP_BYTES``.  Onto a running gradient, so that the order of the
+    adds shows, every gradient and the input gradient must equal the
+    per-step oracle bit for bit, whatever the group size; padding rows of
+    ``da`` (NaN here) are never read."""
+
+    @staticmethod
+    def step_bytes(p):
+        return p.blocks["w_z"].nbytes + (p.blocks["w_x"].nbytes if "w_x" in p.blocks else 0)
+
+    def check(self, variant, n, b, steps, ablation="none"):
+        rng = np.random.default_rng(61)
+        p = cells.init_params(variant, n, n, rng)
+        rows = steps * b
+        x = rng.uniform(-1.0, 1.0, (rows, n))
+        terms = cells.interval_terms(p, x, rng.uniform(0.0, 30.0, rows),
+                                     rng.uniform(0.0, 20.0, rows),
+                                     GateAblation.from_name(ablation))
+        z = np.concatenate([rng.uniform(-1.0, 1.0, (steps, b, n)),
+                            x.reshape(steps, b, n)], axis=2)
+        da = np.full((steps, p.blocks["w_z"].shape[0] // n, max(b, 16), n), np.nan)
+        da[:, :, :b] = rng.normal(size=(steps, da.shape[1], b, n))
+        dw = rng.normal(size=(steps, 2, b, n))
+        i = rng.uniform(0.0, 1.0, (steps, b, n))
+        start = p.zeros_like()
+        start.flat[...] = rng.normal(size=start.flat.size)
+        want, got = copy.deepcopy(start), copy.deepcopy(start)
+        want_dx = per_step_input_sums(p, z, terms, i, da, dw.copy(), want)
+        got_dx = cells.input_backward(p, z, terms, i, da, dw.copy(), got)
+        np.testing.assert_array_equal(got_dx, want_dx)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+        return p
+
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_toy_shape_one_group(self, variant):
+        p = self.check(variant, 16, 4, 40)
+        assert cells.STEP_GROUP_BYTES // self.step_bytes(p) >= 40
+
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_toy_shape_groups_of_three_and_a_short_last(self, variant,
+                                                         monkeypatch):
+        p = cells.init_params(variant, 16, 16, np.random.default_rng(0))
+        monkeypatch.setattr(cells, "STEP_GROUP_BYTES", 3 * self.step_bytes(p) + 1)
+        self.check(variant, 16, 4, 40, "short-only")
+
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_one_step_groups(self, variant, monkeypatch):
+        monkeypatch.setattr(cells, "STEP_GROUP_BYTES", 1)
+        self.check(variant, 16, 4, 40, "time-only")
+
+    def test_paper_shape_one_step_groups(self):
+        p = self.check("st-clstm", 128, 10, 3)
+        assert cells.STEP_GROUP_BYTES // self.step_bytes(p) == 0
+
+    def test_paper_shape_groups_of_two(self, monkeypatch):
+        p = cells.init_params("st-lstm", 128, 128, np.random.default_rng(0))
+        monkeypatch.setattr(cells, "STEP_GROUP_BYTES", 2 * self.step_bytes(p))
+        self.check("st-lstm", 128, 10, 3)
 
 
 class TestStateFlow:

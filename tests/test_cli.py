@@ -423,6 +423,31 @@ class TestEvalCohorts:
         assert ranks == got["all"][3] + got["cold"][3][1:]
         assert len(got["cold"][3]) > 1
 
+    def test_empty_cold_cohort_is_reported_in_order(self, tmp_path, capsys):
+        # every user has at least 5 training records, so cold is empty
+        corpus = data.synth_corpus(3, n_users=8, n_pois=40, length=30)
+        assert all(u.n_train >= 5 for u in corpus.users)
+        corpus_path = tmp_path / "c.bin"
+        data.save_corpus(corpus, corpus_path)
+        cfg = M.ModelConfig(variant="st-lstm", vocab=corpus.n_pois, n_i=4,
+                            n_c=6)
+        ck = tmp_path / "ck.bin"
+        M.save_checkpoint(ck, M.init_model(cfg, np.random.default_rng(4)), cfg)
+        out = tmp_path / "eval"
+        assert run("eval", "--corpus", str(corpus_path), "--checkpoint",
+                   str(ck), "--cohort", "both", "--out-dir", str(out),
+                   "--dump-ranks") == 0
+        stdout = capsys.readouterr().out
+        assert stdout == (out / "metrics.txt").read_text()
+        assert stdout.startswith("cohort all\n")
+        assert stdout.endswith("\n\ncohort cold\nn_instances 0\n")
+        payload = json.loads((out / "metrics.json").read_text())
+        assert [rep["cohort"] for rep in payload] == ["all", "cold"]
+        assert payload[1] == {"cohort": "cold", "n_instances": 0, "acc": {},
+                              "map": None}
+        ranks = (out / "ranks.tsv").read_text().splitlines()
+        assert len(ranks) == 1 + payload[0]["n_instances"]
+
 
 class TestGrid:
     def test_cross_product_and_determinism(self, synth_cache, tmp_path,

@@ -283,6 +283,25 @@ class TestGradients:
         for name in g_none:
             np.testing.assert_array_equal(g_none[name], g_big[name])
 
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_ragged_unsorted_batch_matches_per_step_oracle(self, variant,
+                                                           monkeypatch):
+        # the longest row is neither first nor alone, lengths tie and one
+        # row is a single step; the parameter sums run three steps a group
+        cfg = tiny_cfg(variant, vocab=30, n_i=5, n_c=6)
+        rng = np.random.default_rng(54)
+        params = M.init_model(cfg, rng)
+        step_bytes = sum(params.blocks[b].nbytes for b in ("w_z", "w_x")
+                         if b in params.blocks)
+        monkeypatch.setattr(cells, "STEP_GROUP_BYTES", 3 * step_bytes)
+        seqs = [random_seq(rng, cfg.vocab, n)
+                for n in (3, 11, 1, 7, 20, 11, 4, 20, 2)]
+        loss, grads = M.batch_loss_and_grads(params, cfg, seqs)
+        want_loss, want = per_step_loss_and_grads(params, cfg, seqs)
+        assert loss == want_loss
+        for name in want:
+            np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
+
 
 class TestHoistedTerms:
     """The model computes the interval gates ahead for blocks of steps and
