@@ -282,15 +282,17 @@ class StepCache:
 class Gates:
     """The gate values of a row batch's steps, which ``cell_step`` writes
     through ``out=`` and ``step_backward`` reads: step t in slot t % slots
-    of (slots, rows, n_c) buffers, and the carry ``c``, whose slot
-    t % (slots + 1) holds step t's c_prev (zero at step 0).  One slot per
-    step keeps every step for the backward; one slot keeps the last, for a
+    of (slots, ..., rows, n_c) buffers, and the cell memories ``c``, whose
+    slot (t + 1) % (slots + 1) holds step t's pair [c_hat, c], so that slot
+    t % (slots + 1) holds its c_prev (zero at step 0).  One slot per step
+    keeps every step for the backward; one slot keeps the last, for a
     forward alone.
 
     ``s`` (slots, G - 1, rows, n_c) holds the sigmoid z-gates i[, f], o
-    gate-major, so that a step's gate is one contiguous (rows, n_c) block,
-    as are the write and keep gates ``w1``/``w2`` and ``k1``/``k2``: views
-    of i or f where a variant has no gate of its own.
+    gate-major, so that a step's gate is one contiguous (rows, n_c) block.
+    The write gates ``w`` = [w1, w2] and keep gates ``k`` = [k1, k2] are
+    (slots, 2, rows, n_c) pairs, so that one call covers both of a pair:
+    stride-0 pair views of i or f where a variant has no gates of its own.
     """
 
     def __init__(self, p: CellParams, slots: int, rows: int):
@@ -298,19 +300,28 @@ class Gates:
 
         def new(*lead):
             return np.empty((slots, *lead, rows, n))
+
+        def pair(gate):
+            return np.broadcast_to(gate[:, None], (slots, 2, rows, n))
         self.s = new(p.blocks["b_z"].size // n - 1)
-        self.g, self.c_hat, self.tch = new(), new(), new()
-        self.c = np.zeros((slots + 1, rows, n))
-        self.w1, self.w2 = (new(), new()) if "w_to" in p else (self.s[:, 0],) * 2
-        self.k1, self.k2 = (self.s[:, 1],) * 2 if "w_f" in p else (new(), new())
+        self.g, self.tch = new(), new()
+        self.c = np.zeros((slots + 1, 2, rows, n))
+        self.w = new(2) if "w_to" in p else pair(self.s[:, 0])
+        self.k = pair(self.s[:, 1]) if "w_f" in p else new(2)
+        # the step kernels read a slot's views from lists built once here,
+        # which costs less than indexing the buffers at every step
+        self.slot = list(zip(self.s, self.g, self.tch, self.w, self.k))
+        self.carry = list(self.c)
 
     def hoist(self) -> None:
         """The backward's factors that need no gradient, over every step at
         once, each with the per-element expression of a step's: ``ds`` =
-        1 - s, ``dg`` = 1 - g**2 and ``dtch`` = 1 - tanh(c_hat)**2."""
+        1 - s, ``dg`` = 1 - g**2 and ``dtch`` = 1 - tanh(c_hat)**2; step
+        t's are ``back[t]``."""
         self.ds = 1.0 - self.s
         self.dg = 1.0 - self.g * self.g
         self.dtch = 1.0 - self.tch * self.tch
+        self.back = list(zip(self.ds, self.dg, self.dtch))
 
 
 def _tensor_shapes(variant: str, n_i: int, n_c: int) -> dict:
@@ -500,13 +511,15 @@ def interval_terms(p: CellParams, x, dt, dd, ablation: Optional[GateAblation] = 
         return None, None, None, None
     ablation = ablation or GateAblation()
     n = p.n_c
-    u = np.stack([dt, dt, dd, dd])[:, :, None]
+    u = np.array((dt, dt, dd, dd))[:, :, None]
     inner = numkit.sigmoid(u * p.blocks["w_u"].reshape(4, 1, n))
     pre = numkit.affine(p.blocks["w_x"], x, p.blocks["b_x"]).reshape(-1, 4, n)
     iv = numkit.sigmoid(inner + pre.transpose(1, 0, 2))
-    iv[[k for k, gate in enumerate(INTERVAL_GATES)
-        if getattr(ablation, f"fix_{gate}")]] = 1.0
-    ow = u[::2] * np.stack([p["w_to"], p["w_do"]])[:, None]
+    fixed = [k for k, gate in enumerate(INTERVAL_GATES)
+             if getattr(ablation, f"fix_{gate}")]
+    if fixed:
+        iv[fixed] = 1.0
+    ow = u[::2] * np.array((p["w_to"], p["w_do"]))[:, None]
     return u, inner, iv, ow
 
 
@@ -520,34 +533,31 @@ def cell_step(p: CellParams, h, z, ow, iv, gates: Gates, t: int):
     ``check_bounded``; checks nothing.
     """
     k, n = h.shape
-    j, slots = t % len(gates.g), len(gates.c)
-    c_prev, c = gates.c[t % slots, :k], gates.c[(t + 1) % slots, :k]
+    s, g, tch, w, keep = gates.slot[t % len(gates.slot)]
+    c_prev = gates.carry[t % len(gates.carry)][1]
+    c = gates.carry[(t + 1) % len(gates.carry)]
+    if k < len(g):
+        s, g, tch, w, keep = s[:, :k], g[:k], tch[:k], w[:, :k], keep[:, :k]
+        c_prev, c = c_prev[:k], c[:, :k]
     a = numkit.affine(p.blocks["w_z"], z, p.blocks["b_z"])[:k]
     # the sigmoid gates' pre-activations, gate-major
     pre = a[:, :-n].reshape(k, -1, n).transpose(1, 0, 2).copy()
     if iv is not None:
         pre[-1] += ow[0]
         pre[-1] += ow[1]
-    s = numkit.sigmoid(pre, out=gates.s[j, :, :k])
+    numkit.sigmoid(pre, out=s)
     i, o = s[0], s[-1]
-    g = np.tanh(a[:, -n:], out=gates.g[j, :k])
-    w1, w2, k1, k2 = gates.w1[j, :k], gates.w2[j, :k], gates.k1[j, :k], gates.k2[j, :k]
-    if iv is not None:
-        np.multiply(i, iv[0], out=w1)
-        w1 *= iv[2]
-        np.multiply(i, iv[1], out=w2)
-        w2 *= iv[3]
-    if "w_f" not in p:
-        np.subtract(1.0, w1, out=k1)
-        np.subtract(1.0, i, out=k2)
-    c_hat = np.multiply(k1, c_prev, out=gates.c_hat[j, :k])
-    c_hat += w1 * g
-    if iv is None:
-        c[...] = c_hat
-    else:
-        np.multiply(k2, c_prev, out=c)
-        c += w2 * g
-    np.multiply(o, np.tanh(c_hat, out=gates.tch[j, :k]), out=h)
+    np.tanh(a[:, -n:], out=g)
+    if iv is not None:          # [w1, w2] = i * [t1, t2] * [d1, d2]
+        np.multiply(i, iv[:2], out=w)
+        w *= iv[2:]
+    if "w_f" not in p:          # [k1, k2] = [1 - w1, 1 - i]
+        np.subtract(1.0, w[0], out=keep[0])
+        np.subtract(1.0, i, out=keep[1])
+    # [c_hat, c] = [k1, k2] * c_prev + [w1, w2] * g; lstm's c is its c_hat
+    np.multiply(keep, c_prev, out=c)
+    c += w * g
+    np.multiply(o, np.tanh(c[0], out=tch), out=h)
 
 
 def cell_forward(variant, p: CellParams, step: StepInput, prev: CellState,
@@ -565,7 +575,7 @@ def cell_forward(variant, p: CellParams, step: StepInput, prev: CellState,
     check_bounded(p, np.abs(z).max(initial=0.0), dt, dd, "cell forward")
     terms = interval_terms(p, x, dt, dd, ablation)
     gates = Gates(p, 1, b)
-    gates.c[0] = c_prev
+    gates.c[0, 1] = c_prev
     h = np.empty_like(c_prev)
     cell_step(p, h, z, terms[3], terms[2], gates, 0)
     s = gates.s[0]
@@ -573,51 +583,72 @@ def cell_forward(variant, p: CellParams, step: StepInput, prev: CellState,
     u, inner, iv = (None if a is None else a.transpose(1, 0, 2) for a in terms[:3])
     cache = StepCache(
         z=z[:b], i=s[0], f=s[1] if "w_f" in p else None, g=gates.g[0],
-        o=s[-1], c_prev=gates.c[0], w1=gates.w1[0], w2=gates.w2[0],
-        k1=gates.k1[0], k2=gates.k2[0], tanh_c_hat=gates.tch[0], u=u, iv=iv,
-        inner=inner, buffers=gates)
-    return CellState(c=gates.c[1], h=h, c_hat=gates.c_hat[0]), cache
+        o=s[-1], c_prev=gates.c[0, 1], w1=gates.w[0, 0], w2=gates.w[0, 1],
+        k1=gates.k[0, 0], k2=gates.k[0, 1], tanh_c_hat=gates.tch[0], u=u,
+        iv=iv, inner=inner, buffers=gates)
+    return CellState(c=gates.c[1, 1], h=h, c_hat=gates.c[1, 0]), cache
 
 
-def step_backward(p, gates: Gates, t: int, iv, gh, gc, da, dw):
+def step_backward(p, gates: Gates, t: int, iv, gh, dc, da, dw):
     """The recurrent part of step t's backward, for the model's time loop,
     over the B = len(gh) rows of ``gates`` (all of them, after
     ``gates.hoist()``); ``iv`` (4, B, n_c) holds the rows' interval gates.
 
-    Writes the step's gate pre-activation gradients into the first B rows
-    of ``da`` (G, >= ``numkit.TILE_ROWS``, n_c; zero past B), gate-major in
-    the order of ``w_z``, and the gradients of the two write gates w1, w2
-    into ``dw`` (2, B, n_c).  Returns ``(grad_h_prev, grad_c_prev)``; the
+    ``dc`` (2, B, n_c) holds the gradient of the step's c in ``dc[1]``; the
+    step writes the gradient of its c_hat into ``dc[0]`` and that of its
+    c_prev into ``dc[1]``.  Writes the step's gate pre-activation gradients
+    into the first B rows of ``da`` (G, >= ``numkit.TILE_ROWS``, n_c; zero
+    past B), gate-major in the order of ``w_z``, and the gradients of the
+    write gates [w1, w2] into ``dw`` (2, B, n_c).  Returns grad_h_prev; the
     rest of the step, which feeds no earlier step, is ``input_backward``.
     """
     b, n = gh.shape
-    s, ds = gates.s[t], gates.ds[t]
+    s, g, tch, w, keep = gates.slot[t]
+    ds, dgt, dtch = gates.back[t]
+    c_prev = gates.carry[t][1]
     i, o = s[0], s[-1]
-    g, tch, c_prev = gates.g[t], gates.tch[t], gates.c[t]
+    dch, gc = dc[0], dc[1]
 
     np.multiply(gh * tch * o, ds[-1], out=da[-2, :b])
-    dch = gh * o * gates.dtch[t]
+    np.multiply(gh * o, dtch, out=dch)
 
-    # c_hat = k1 * c_prev + w1 * g  and  c = k2 * c_prev + w2 * g
-    dk1, dw1 = dch * c_prev, np.multiply(dch, g, out=dw[0])
-    dk2, dw2 = gc * c_prev, np.multiply(gc, g, out=dw[1])
-    dg = dch * gates.w1[t] + gc * gates.w2[t]
-    dc_prev = dch * gates.k1[t] + gc * gates.k2[t]
+    # [c_hat, c] = [k1, k2] * c_prev + [w1, w2] * g: a pair of a variant's
+    # own gates is one product with [dch, gc], a shared gate two
+    dk1, dk2 = dch * c_prev, gc * c_prev
+    dw1, dw2 = np.multiply(dch, g, out=dw[0]), np.multiply(gc, g, out=dw[1])
+    if iv is None:              # w1 = w2 = i
+        dg = dch * i + gc * i
+    else:
+        dg = dc * w
+        dg = dg[0] + dg[1]
     if "w_f" in p:              # k1 = k2 = f
-        np.multiply((dk1 + dk2) * s[1], ds[1], out=da[1, :b])
+        f = s[1]
+        np.add(dch * f, gc * f, out=gc)
+        np.multiply((dk1 + dk2) * f, ds[1], out=da[1, :b])
         di = 0.0
     else:                       # k1 = 1 - w1, k2 = 1 - i
+        dc_prev = dc * keep
+        np.add(dc_prev[0], dc_prev[1], out=gc)
         dw1 -= dk1
         di = -dk2
-    if iv is None:              # w1 = w2 = i
+    if iv is None:
         di = di + dw1 + dw2
-    else:                       # w1 = i * t1 * d1, w2 = i * t2 * d2
-        di = di + dw1 * iv[0] * iv[2] + dw2 * iv[1] * iv[3]
+    else:                       # [w1, w2] = i * [t1, t2] * [d1, d2]
+        dw_iv = dw * iv[:2]
+        dw_iv *= iv[2:]
+        di = di + dw_iv[0] + dw_iv[1]
 
     np.multiply(di * i, ds[0], out=da[0, :b])
-    np.multiply(dg, gates.dg[t], out=da[-1, :b])
+    np.multiply(dg, dgt, out=da[-1, :b])
     rows = da.transpose(1, 0, 2).reshape(da.shape[1], -1)
-    return numkit.matmul_rows(rows, p.blocks["w_z"][:, :n])[:b], dc_prev
+    return numkit.matmul_rows(rows, p.blocks["w_z"][:, :n])[:b]
+
+
+def step_groups(steps: int, group: int):
+    """Slices of ``steps`` steps in groups of at most ``group``, from the
+    last group to the first, each running from its last step down."""
+    for s1 in range(steps, 0, -group):
+        yield slice(s1 - 1, s1 - group - 1 if s1 > group else None, -1)
 
 
 def _add_last_first(total, parts) -> None:
@@ -671,9 +702,7 @@ def input_backward(p, z, terms, i, da, dw, grads):
         dpre = dpre.reshape(steps, b, -1)
         u = u.reshape(4, steps, b, 1)
         step_bytes += p.blocks["w_x"].nbytes
-    group = max(1, STEP_GROUP_BYTES // step_bytes)
-    for s1 in range(steps, 0, -group):
-        last_first = slice(s1 - 1, s1 - group - 1 if s1 > group else None, -1)
+    for last_first in step_groups(steps, max(1, STEP_GROUP_BYTES // step_bytes)):
         d = da[last_first]
         _add_last_first(grads.blocks["w_z"],
                         np.matmul(d.transpose(0, 2, 1), z[last_first]))

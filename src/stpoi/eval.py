@@ -140,9 +140,11 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
                 raise IndexError("collect_ranks: target POI out of vocabulary")
             visited = None
             if exclude_visited:
+                # one scatter of every instance's POI prefix, s + 1 long
                 visited = np.zeros((len(block), cfg.vocab), dtype=bool)
-                for j, (b, s) in enumerate(block):
-                    visited[j, chunk[b].pois[:s + 1]] = True
+                visited[np.repeat(np.arange(len(block)), s_idx[r0:r0 + EVAL_CHUNK] + 1),
+                        np.concatenate([chunk[b].pois[:s + 1]
+                                        for b, s in block])] = True
             ranks = _ranks(readout(params, hs[r0:r0 + EVAL_CHUNK]), targets, visited)
             for (b, s), rank in zip(block, ranks):
                 ranked[slot[b]].append(RankingResult(

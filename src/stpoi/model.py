@@ -16,7 +16,10 @@ per-sequence path agree.  Every step's z = [h_prev | x] lives in one
 embedding gather of the live rows, the rows past B zero, so that each step's
 gate product runs on a view of at least 16 rows (see ``numkit``); a step's
 gates go into one ``cells.Gates`` per batch.  Past training's cell loop
-only the real (b, t) rows are kept.
+only the real (b, t) rows are kept: the readout writes its logits into the
+batch's logit-gradient rows and turns them into gradients in place, and the
+``w_out``/``b_out`` sums run on groups of steps with equal real-row counts,
+as ``cells.input_backward`` does for the cell's.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import container
+from . import cells
 from .cells import (
     CellParams,
     GateAblation,
@@ -40,9 +44,11 @@ from .cells import (
     count_params,
     draw_tensors,
     formula_param_count,
+    _add_last_first,
     input_backward,
     interval_terms,
     step_backward,
+    step_groups,
 )
 from .numkit import TILE_ROWS, affine, matmul_rows, softmax_xent_rows
 from .optim import AdamState
@@ -157,46 +163,42 @@ def model_param_count(cfg: ModelConfig) -> dict:
     }
 
 
-def _check_ids(pois, vocab, who):
-    pois = np.asarray(pois)
-    if pois.size == 0:
-        raise ValueError(f"{who}: sequence must have length >= 1")
-    if pois.min() < 0 or pois.max() >= vocab:
-        raise IndexError(f"{who}: POI id out of vocabulary (size {vocab})")
-    return pois
-
-
 def readout(params: ModelParams, h) -> np.ndarray:
     """Logits over the whole vocabulary for a (B, n_c) row batch of states."""
     return affine(params.w_out, h, params.b_out)
 
 
-def _pad(seqs, cfg: ModelConfig, who: str):
-    """Stack ``(pois, dts, dds, ...)`` tuples into zero-padded (B, T) arrays.
+def _pad(seqs, cfg: ModelConfig, who: str, columns: int = 3):
+    """Stack the first ``columns`` of ``(pois, dts, dds, targets, ...)``
+    tuples into zero-padded (B, T) arrays.
 
-    Returns ``(pois, dts, dds, lengths)``.  Padding steps read POI 0 at zero
-    intervals; batch rows are independent, so they never reach a real step.
-    Every POI id and interval is checked here, once per batch: ids must lie
-    in the vocabulary (IndexError), intervals must be finite and
-    non-negative (ValueError), whatever the variant.
+    Returns them, POIs and targets as int64, then the lengths.  Padding
+    steps read POI 0 at zero intervals; batch rows are independent, so they
+    never reach a real step.  Every sequence must have length >= 1 and
+    columns of one length (ValueError); then each column is checked once
+    per batch: ids must lie in the vocabulary (IndexError), intervals must
+    be finite and non-negative (ValueError), whatever the variant.
     """
     if not seqs:
         raise ValueError(f"{who}: empty batch")
-    lengths = []
-    for seq in seqs:
-        _check_ids(seq[0], cfg.vocab, who)
-        if any(len(col) != len(seq[0]) for col in seq[1:]):
+    lengths = np.array([len(seq[0]) for seq in seqs])
+    for seq, n in zip(seqs, lengths):
+        if n == 0:
+            raise ValueError(f"{who}: sequence must have length >= 1")
+        if any(len(col) != n for col in seq[1:]):
             raise ValueError(f"{who}: ragged sequence tuple")
-        lengths.append(len(seq[0]))
-    B, T = len(seqs), max(lengths)
-    pois = np.zeros((B, T), dtype=np.int64)
-    dts = np.zeros((B, T))
-    dds = np.zeros((B, T))
-    for b, seq in enumerate(seqs):
-        for a, col in zip((pois, dts, dds), seq):
-            a[b, :lengths[b]] = col
-    check_intervals(dts, dds, who)
-    return pois, dts, dds, np.array(lengths)
+    real = np.arange(lengths.max()) < lengths[:, None]
+    padded = []
+    for c in range(columns):
+        col = np.concatenate([seq[c] for seq in seqs])
+        ids = c in (0, 3)
+        if ids and (col.min() < 0 or col.max() >= cfg.vocab):
+            raise IndexError(f"{who}: POI id out of vocabulary (size {cfg.vocab})")
+        a = np.zeros(real.shape, dtype=np.int64 if ids else float)
+        a[real] = col
+        padded.append(a)
+    check_intervals(padded[1], padded[2], who)
+    return (*padded, lengths)
 
 
 def _workspace(params: ModelParams, cfg: ModelConfig, pois, live):
@@ -289,23 +291,25 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     Only the cell loop runs padded rows.  After it, the readout, softmax and
     ``dlog @ w_out`` run once over the real (b, t) rows, step-major, in
     ``READOUT_ROWS``-row blocks (tile invariance gives each row the bits of
-    a per-step readout); the loss is summed per step in ascending t; the
-    ``w_out``/``b_out`` gradient adds each step's real rows in descending t,
-    one ``VOCAB_ROWS``-row vocabulary block at a time.  The backward mirrors
-    the forward: the time loop runs only ``cells.step_backward``, then
-    ``cells.input_backward`` runs once per block of interval terms, the last
-    first, and adds every cell parameter gradient.  The embedding gradient
-    gets each step's per-POI sums of the real rows' input gradients, added
-    in descending t.
+    a per-step readout); each block's logits are written into its rows of
+    the (R, V) ``dlog`` and turned into their gradients there.  The loss is
+    summed per step in ascending t.  The ``w_out``/``b_out`` gradient adds
+    each step's real rows in descending t, one ``VOCAB_ROWS``-row
+    vocabulary block at a time: within each run of steps with equal
+    real-row counts, one stacked product and one stacked sum per group of
+    steps (``cells.step_groups``, as many steps as ``STEP_GROUP_BYTES``
+    holds of ``w_out``, one at least), then one reduce per gradient that
+    adds the group's steps in order (``cells._add_last_first``).  The
+    backward mirrors the forward: the time loop runs only
+    ``cells.step_backward``, then ``cells.input_backward`` runs once per
+    block of interval terms, the last first, and adds every cell parameter
+    gradient.  The embedding gradient gets each step's per-POI sums of the
+    real rows' input gradients, added in descending t.
     """
-    pois, dts, dds, lengths = _pad(seqs, cfg, "batch_loss_and_grads")
+    pois, dts, dds, targets, lengths = _pad(seqs, cfg, "batch_loss_and_grads", 4)
     check_bounded(params, 1.0, dts, dds, "batch_loss_and_grads")
     B, T = pois.shape
     n = cfg.n_c
-    targets = np.zeros((B, T), dtype=np.int64)
-    for b, seq in enumerate(seqs):
-        targets[b, :lengths[b]] = _check_ids(seq[3], cfg.vocab,
-                                             "batch_loss_and_grads")
     mask = (np.arange(T) < lengths[:, None]).astype(float)
 
     # every step runs all B rows: padded rows contribute exactly zero
@@ -325,24 +329,37 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     for r in range(0, len(real_t), READOUT_ROWS):
         rows = slice(r, r + READOUT_ROWS)
         ts, bs = real_t[rows], real_b[rows]
-        losses[ts, bs], dlog[rows] = softmax_xent_rows(readout(params, h[rows]),
-                                                       targets[bs, ts])
-        dhs[ts, bs] = matmul_rows(dlog[rows], params.w_out)
+        # logits, then their gradients, in place in the block's dlog rows
+        block = affine(params.w_out, h[rows], params.b_out, out=dlog[rows])
+        losses[ts, bs] = softmax_xent_rows(block, targets[bs, ts], out=block)[0]
+        dhs[ts, bs] = matmul_rows(block, params.w_out)
     # the strided mask column, not a dense vector, fixes the order in which
-    # BLAS adds a step's losses; per-step oracles sum the same way
+    # BLAS adds a step's losses; per-step oracles sum the same way.  One
+    # stacked product makes the same dot call for every step.
     total_loss = 0.0
-    for t in range(T):
-        total_loss += float(losses[t] @ mask[:, t])
+    dots = np.matmul(losses[:, None], mask.T[:, :, None])
+    for loss in dots[:, 0, 0].tolist():
+        total_loss += loss
 
+    # the w_out/b_out sums over runs of steps with equal real-row counts
+    # (a run ends where a sequence does), the last run first, in step
+    # groups as in cells.input_backward
     grads = params.zeros_like()
+    group = max(1, cells.STEP_GROUP_BYTES // params.w_out.nbytes)
+    ends = sorted(set(lengths.tolist()))
+    runs = list(zip([0, *ends], ends))[::-1]
     for v in range(0, cfg.vocab, VOCAB_ROWS):
         gw = grads["w_out"][v:v + VOCAB_ROWS]
         gb = grads["b_out"][v:v + VOCAB_ROWS]
-        for t in reversed(range(T)):
-            d = dlog[at[t]:at[t + 1], v:v + VOCAB_ROWS]
-            gw += d.T @ h[at[t]:at[t + 1]]
-            gb += d.sum(axis=0)
-    del dlog, d     # the last view too, or it keeps dlog alive
+        for t0, t1 in runs:
+            k = at[t0 + 1] - at[t0]
+            d = dlog[at[t0]:at[t1], v:v + VOCAB_ROWS].reshape(t1 - t0, k, -1)
+            hr = h[at[t0]:at[t1]].reshape(t1 - t0, k, n)
+            for last_first in step_groups(t1 - t0, group):
+                _add_last_first(gw, np.matmul(d[last_first].transpose(0, 2, 1),
+                                              hr[last_first]))
+                _add_last_first(gb, d[last_first].sum(axis=1))
+    del dlog, block, d      # the last views too, or they keep dlog alive
 
     # per step: the gate pre-activation gradients, zero-padded to the
     # workspace's rows, and the write-gate gradients (see
@@ -350,15 +367,18 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     gates.hoist()
     das = np.zeros((T, params.blocks["w_z"].shape[0] // n, z.shape[1], n))
     dws = np.empty((T, 2, B, n))
-    dh_next = dc_next = np.zeros((B, n))
+    dh_next = np.zeros((B, n))
+    dc = np.zeros((2, B, n))    # [c_hat, c] gradients of the step running
     for t0, t1, (_, _, iv, _) in reversed(blocks):
+        # each step's four interval gates as one contiguous block
+        ivs = [None] * (t1 - t0) if iv is None else list(
+            iv.reshape(4, -1, B, n).transpose(1, 0, 2, 3).copy())
         for t in reversed(range(t0, t1)):
-            r = (t - t0) * B
-            dh_next, dc_next = step_backward(
-                params, gates, t, None if iv is None else iv[:, r:r + B],
-                dhs[t] + dh_next, dc_next, das[t], dws[t])
+            dh_next = step_backward(params, gates, t, ivs[t - t0],
+                                    dhs[t] + dh_next, dc, das[t], dws[t])
             if cfg.bptt_cap is not None and t % cfg.bptt_cap == 0:
-                dh_next = dc_next = np.zeros((B, n))
+                dh_next = np.zeros((B, n))
+                dc[1] = 0.0
     # of the gates only i feeds the input part
     i = gates.s[:, 0]
     del gates

@@ -6,7 +6,11 @@ elementwise functions take any shape.  Default precision is float64.
 
 Matrix products over a row batch (``affine``, ``matmul_rows``) give each row
 the bits of a ``TILE_ROWS``-row BLAS call, whatever the batch size and the
-row's place in it, and make as few calls as that allows.  A batch of fewer
+row's place in it, and make as few calls as that allows: exactly
+``TILE_ROWS`` rows at a width that is a multiple of ``TAIL_COLS`` are one
+``np.matmul`` with no padding, probe or tail.  The products and
+``softmax_xent_rows`` write into ``out=`` when given, so that the model's
+readout turns its logits into gradients in place.  A batch of fewer
 than ``TILE_ROWS`` rows is one call, zero-padded to ``TILE_ROWS``; below 16
 rows the bits can differ from a 16-row call's, which is why 16 is the least
 call height.  The model's step products need no padding here: they run on
@@ -66,10 +70,13 @@ def sigmoid(a: np.ndarray, out=None) -> np.ndarray:
     """Elementwise logistic function 1 / (1 + exp(-a)) of a float array,
     overflow-safe: exp(min(a, 0)) / (1 + exp(-|a|)), into ``out`` if given.
     Both exponents are -|a| where a < 0, so this is exactly the two-branch
-    ``where(a >= 0, 1, e) / (1 + e)``, e = exp(-|a|), with no branch."""
+    ``where(a >= 0, 1, e) / (1 + e)``, e = exp(-|a|), with no branch.
+    -|a| is ``negative(abs(a))``, the bits of ``copysign(a, -1)`` from two
+    vectorised calls."""
     out = np.minimum(a, 0.0, out=out)
     np.exp(out, out=out)
-    e = np.copysign(a, -1.0)
+    e = np.abs(a)
+    np.negative(e, out=e)
     np.exp(e, out=e)
     e += 1.0
     out /= e
@@ -127,32 +134,36 @@ def _one_call_exact(m: np.ndarray, n: int) -> bool:
     return n <= known
 
 
-def affine(w, x, b) -> np.ndarray:
-    """x @ w.T + b for a (B, K) row batch x: ``matmul_rows(x, w.T)`` plus
-    the bias."""
-    out = matmul_rows(x, w.T)
+def affine(w, x, b, out=None) -> np.ndarray:
+    """x @ w.T + b for a (B, K) row batch x: ``matmul_rows(x, w.T, out)``
+    plus the bias."""
+    out = matmul_rows(x, w.T, out)
     out += b
     return out
 
 
-def matmul_rows(a, m) -> np.ndarray:
+def matmul_rows(a, m, out=None) -> np.ndarray:
     """(B, K) @ (K, O) with the bits of TILE_ROWS-row BLAS calls per row,
-    whatever B and the row's place in the batch.
+    whatever B and the row's place in the batch, into the (B, O) ``out`` if
+    given.
 
     Same contract as ``a @ m`` for 2-D arrays; the backward passes use it
-    wherever a per-row product feeds gradient accumulation.  B < TILE_ROWS
-    is one call on the rows zero-padded to TILE_ROWS.  A taller batch is
-    one call over all its rows where ``_one_call_exact`` holds for both
-    column blocks, and TILE_ROWS-row tiles otherwise; exactly TILE_ROWS
-    contiguous rows are one call on ``a`` itself, with no copy.  The first
-    ``O - O % TAIL_COLS`` columns are one product against a view of ``m``;
-    the last ``O % TAIL_COLS`` columns are one product against those
-    columns of ``m`` zero-padded to ``TAIL_COLS``, so no column falls in
-    the BLAS's width remainder, whose bits vary with the row's slot.
+    wherever a per-row product feeds gradient accumulation.  Exactly
+    TILE_ROWS rows and an output width that is a multiple of TAIL_COLS are
+    one ``np.matmul`` on the contiguous rows.  B < TILE_ROWS is one call on
+    the rows zero-padded to TILE_ROWS.  A taller batch is one call over all
+    its rows where ``_one_call_exact`` holds for both column blocks, and
+    TILE_ROWS-row tiles otherwise.  The first ``O - O % TAIL_COLS`` columns
+    are one product against a view of ``m``; the last ``O % TAIL_COLS``
+    columns are one product against those columns of ``m`` zero-padded to
+    ``TAIL_COLS``, so no column falls in the BLAS's width remainder, whose
+    bits vary with the row's slot.
     """
     n, k = a.shape
     width = m.shape[1]
     main = width - width % TAIL_COLS
+    if n == TILE_ROWS and main == width:
+        return np.matmul(np.ascontiguousarray(a), m, out=out)
     pad = None
     if main < width:
         pad = np.zeros((k, TAIL_COLS))
@@ -166,22 +177,29 @@ def matmul_rows(a, m) -> np.ndarray:
         exact = n == TILE_ROWS or _one_call_exact(m[:, :main], n) and (
             pad is None or _one_call_exact(pad, n))
         product = np.matmul if exact else _in_tiles
-    out = np.empty((len(rows), width))
-    product(rows, m[:, :main], out[:, :main])
+    full = out
+    if out is None or n < TILE_ROWS:
+        full = np.empty((len(rows), width))
+    product(rows, m[:, :main], full[:, :main])
     if pad is not None:
         tail = np.empty((len(rows), TAIL_COLS))
         product(rows, pad, tail)
-        out[:, main:] = tail[:, :width - main]
-    return out[:n]
+        full[:, main:] = tail[:, :width - main]
+    if out is None:
+        return full[:n]
+    if full is not out:
+        out[...] = full[:n]
+    return out
 
 
-def softmax_xent_rows(logits, targets):
+def softmax_xent_rows(logits, targets, out=None):
     """Row-wise softmax cross-entropy for a batch.
 
     ``logits`` is (B, N), ``targets`` (B,) ints.  Returns ``(losses, grads)``
-    with losses (B,) and grads (B, N); used by the mini-batch training path.
-    A row whose target holds the maximum logit takes its loss as log1p of
-    the other classes' mass, so a tiny loss keeps full precision.
+    with losses (B,) and grads (B, N), written into ``out`` if given, which
+    may be ``logits`` itself; used by the mini-batch training path.  A row
+    whose target holds the maximum logit takes its loss as log1p of the
+    other classes' mass, so a tiny loss keeps full precision.
     """
     z = np.asarray(logits)
     t = np.asarray(targets)
@@ -191,15 +209,18 @@ def softmax_xent_rows(logits, targets):
         )
     if t.size and (t.min() < 0 or t.max() >= z.shape[1]):
         raise IndexError("softmax_xent_rows: target out of range")
-    m = z.max(axis=1, keepdims=True)
-    ex = np.exp(z - m)
-    total = ex.sum(axis=1, keepdims=True)
     rows = np.arange(z.shape[0])
-    losses = np.log(total[:, 0]) - (z[rows, t] - m[:, 0])
-    top = np.flatnonzero(z[rows, t] == m[:, 0])     # rows where ex[target] = 1
-    rest = ex[top]
-    rest[np.arange(top.size), t[top]] = 0.0
-    losses[top] = np.log1p(rest.sum(axis=1))
-    grads = ex / total
-    grads[rows, t] -= 1.0
-    return losses, grads
+    m = z.max(axis=1)
+    zt = z[rows, t]
+    ex = np.subtract(z, m[:, None], out=out)
+    np.exp(ex, out=ex)
+    total = ex.sum(axis=1, keepdims=True)
+    losses = np.log(total[:, 0]) - (zt - m)
+    top = np.flatnonzero(zt == m)       # rows where ex[target] = 1
+    if top.size:
+        rest = ex[top]
+        rest[np.arange(top.size), t[top]] = 0.0
+        losses[top] = np.log1p(rest.sum(axis=1))
+    ex /= total
+    ex[rows, t] -= 1.0
+    return losses, ex

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import CellParams
+from .cells import CellParams, _view_plan
 
 # floats of ``flat`` per slice of the Adam update
 ADAM_SLICE = 1 << 15
@@ -83,13 +83,15 @@ def project(tensors: dict, constrained) -> None:
 def clip_global_norm(grads: CellParams, max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm.
 
-    Returns the pre-clip norm, summed tensor by tensor in the mapping's
-    order.  ``max_norm <= 0`` disables clipping; a norm that is not finite
-    leaves the gradients as they are, for the caller to reject.
+    Returns the pre-clip norm: the squares of ``flat``, summed tensor by
+    tensor in the mapping's order, one reduce over each tensor's span.
+    ``max_norm <= 0`` disables clipping; a norm that is not finite leaves
+    the gradients as they are, for the caller to reject.
     """
+    squares = grads.flat * grads.flat
     sq = 0.0
-    for g in grads.values():
-        sq += float(np.sum(g * g))
+    for _, start, stop, _ in _view_plan(grads.layout)[0]:
+        sq += float(np.add.reduce(squares[start:stop]))
     norm = float(np.sqrt(sq))
     if max_norm > 0 and max_norm < norm < np.inf:
         grads.flat *= max_norm / norm

@@ -61,10 +61,12 @@ def one_step_backward(p, cache, gh, gc, grads):
     # the library's interval terms are gate-major, (4, B, ·)
     terms = tuple(None if a is None else a.transpose(1, 0, 2)
                   for a in (cache.u, cache.inner, cache.iv)) + (None,)
-    dh, dc = cells.step_backward(p, gates, 0, terms[2], gh, gc, da[0], dw[0])
+    dc = np.zeros((2, B, n))
+    dc[1] = gc
+    dh = cells.step_backward(p, gates, 0, terms[2], gh, dc, da[0], dw[0])
     dx = cells.input_backward(p, cache.z[None], terms, cache.i[None], da, dw,
                               grads)
-    return dh, dc, dx
+    return dh, dc[1], dx
 
 
 def unrolled_readout_grads(variant, p, seq, readouts, ablation=None):

@@ -303,6 +303,29 @@ class TestGradients:
             np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
 
 
+    # lengths 5, 9, 5, 2, 9, 9, 1 give runs of steps with 7, 6, 5 and 3
+    # real rows, one, one, three and four steps long; vocab 601 spans three
+    # VOCAB_ROWS blocks.  The budget gives whole runs (default), groups of
+    # two steps with a short last one, or one-step groups.
+    @pytest.mark.parametrize("steps_per_group", [None, 2, 0])
+    def test_step_grouped_readout_sums_match_per_step_oracle(
+            self, steps_per_group, monkeypatch):
+        cfg = tiny_cfg("st-clstm", vocab=601, n_i=5, n_c=6)
+        rng = np.random.default_rng(55)
+        params = M.init_model(cfg, rng)
+        if steps_per_group is None:
+            assert cells.STEP_GROUP_BYTES // params.w_out.nbytes >= 4
+        else:
+            monkeypatch.setattr(cells, "STEP_GROUP_BYTES",
+                                steps_per_group * params.w_out.nbytes)
+        seqs = [random_seq(rng, cfg.vocab, n) for n in (5, 9, 5, 2, 9, 9, 1)]
+        loss, grads = M.batch_loss_and_grads(params, cfg, seqs)
+        want_loss, want = per_step_loss_and_grads(params, cfg, seqs)
+        assert loss == want_loss
+        for name in want:
+            np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
+
+
 class TestHoistedTerms:
     """The model computes the interval gates ahead for blocks of steps and
     steps through the unchecked kernel; its backward runs only the

@@ -256,3 +256,58 @@ class TestSoftmaxXent:
             l1, g1 = softmax_xent(z[r], int(t[r]))
             assert abs(losses[r] - l1) < 1e-12
             np.testing.assert_allclose(grads[r], g1, atol=1e-14)
+
+    def test_in_place_rows_match_one_row_oracle(self):
+        # rows 0, 3 and 5 hold the maximum logit at the target, 30 above
+        # the rest, so their tiny loss needs the log1p path; out= writes the
+        # gradients over the logits themselves
+        rng = np.random.default_rng(10)
+        z = rng.normal(size=(6, 9)) * 3
+        t = rng.integers(9, size=6)
+        for r in (0, 3, 5):
+            z[r, t[r]] = z[r].max() + 30.0
+        logits = z.copy()
+        losses, grads = numkit.softmax_xent_rows(logits, t, out=logits)
+        assert grads is logits
+        for r in range(6):
+            loss, grad = softmax_xent(z[r], int(t[r]))
+            np.testing.assert_array_equal(grads[r], grad)
+            if r in (0, 3, 5):
+                assert 0.0 < loss < 1e-12
+                assert losses[r] == pytest.approx(loss, rel=1e-12)
+            else:
+                assert losses[r] == loss
+
+
+class TestSixteenRowCall:
+    """Exactly 16 rows at an output width that is a multiple of 8 are one
+    ``np.matmul`` on the contiguous rows, with the bits of the 16-row tile
+    oracle, for a transposed matrix and a non-contiguous view of the rows;
+    every height writes the same bits through ``out=``."""
+
+    @staticmethod
+    def operands(width, rows, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(width, 40))[:, 3:35]       # a (width, 32) view
+        a = rng.normal(size=(2 * rows, 48))[::2, 5:37]  # strided rows
+        return w, a
+
+    @pytest.mark.parametrize("width", [16, 48, 72])
+    def test_transposed_matrix_and_strided_rows(self, width):
+        w, a = self.operands(width, 16, width)
+        assert not a.flags.c_contiguous
+        want = matmul_in_tiles(a, w.T)
+        np.testing.assert_array_equal(numkit.matmul_rows(a, w.T), want)
+        b = np.linspace(-1.0, 1.0, width)
+        want += b
+        np.testing.assert_array_equal(numkit.affine(w, a, b), want)
+
+    @pytest.mark.parametrize("rows", [3, 16, 40])
+    @pytest.mark.parametrize("width", [48, 75])
+    def test_out_rows_of_a_wider_array(self, rows, width):
+        w, a = self.operands(width, rows, rows + width)
+        wide = np.full((rows, width + 9), np.nan)
+        out = wide[:, 4:4 + width]
+        assert numkit.matmul_rows(a, w.T, out=out) is out
+        np.testing.assert_array_equal(out, matmul_in_tiles(a, w.T))
+        assert np.isnan(wide[:, :4]).all() and np.isnan(wide[:, 4 + width:]).all()

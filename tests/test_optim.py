@@ -180,6 +180,18 @@ class TestClip:
         np.testing.assert_array_equal(g["a"], [30.0, 40.0])
 
 
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_norm_sums_each_tensor_on_its_own(self, variant):
+        # the embedding and w_out hold more than 8192 entries each
+        cfg = M.ModelConfig(variant=variant, vocab=600, n_i=16, n_c=16)
+        rng = np.random.default_rng(52)
+        grads = M.init_model(cfg, rng).zeros_like()
+        grads.flat[:] = rng.normal(size=grads.flat.size) * rng.uniform(0.1, 3.0)
+        assert grads.embedding.size > 8192 and grads.w_out.size > 8192
+        ref = {k: a.copy() for k, a in grads.items()}
+        assert optim.clip_global_norm(grads, 0.0) == clip_per_tensor(ref, 0.0)
+
+
 class TestFdCheck:
     def test_quadratic_gradient_passes_tightly(self):
         rng = np.random.default_rng(3)
