@@ -50,19 +50,15 @@ def save(path, meta: dict, arrays: dict) -> None:
     file in the same directory that then replaces ``path``, so a failed or
     interrupted write leaves any earlier file at ``path`` as it was.
     """
+    tensors = {name: np.asarray(arrays[name]) for name in sorted(arrays)}
     entries = []
-    payloads = []
-    for name in sorted(arrays):
-        # asarray(order="C") keeps 0-d shape; ascontiguousarray would not
-        arr = np.asarray(arrays[name], order="C")
+    for name, arr in tensors.items():
         dtype = arr.dtype.name
         if dtype not in _ALLOWED:
             raise TypeError(f"unsupported tensor dtype {dtype!r} for {name!r}")
-        le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         entries.append(
-            {"name": name, "dtype": dtype, "shape": list(arr.shape), "nbytes": le.nbytes}
+            {"name": name, "dtype": dtype, "shape": list(arr.shape), "nbytes": arr.nbytes}
         )
-        payloads.append(le.tobytes(order="C"))
     header = json.dumps(
         {"meta": meta, "tensors": entries}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
@@ -71,8 +67,11 @@ def save(path, meta: dict, arrays: dict) -> None:
         with open(tmp, "wb") as fh:
             fh.write(_PREFIX.pack(MAGIC, VERSION, len(header)))
             fh.write(header)
-            for blob in payloads:
-                fh.write(blob)
+            for arr in tensors.values():
+                # C order, little-endian: one tensor's copy at most, where
+                # it is not so already
+                fh.write(np.ascontiguousarray(arr, arr.dtype.newbyteorder("<"))
+                         .reshape(-1).view(np.uint8))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -16,10 +16,13 @@ per-sequence path agree.  Every step's z = [h_prev | x] lives in one
 embedding gather of the live rows, the rows past B zero, so that each step's
 gate product runs on a view of at least 16 rows (see ``numkit``); a step's
 gates go into one ``cells.Gates`` per batch.  Past training's cell loop
-only the real (b, t) rows are kept: the readout writes its logits into the
-batch's logit-gradient rows and turns them into gradients in place, and the
-``w_out``/``b_out`` sums run on groups of steps with equal real-row counts,
-as ``cells.input_backward`` does for the cell's.
+only the real (b, t) rows are kept, and the readout streams them through
+one buffer of ``READOUT_ROWS`` x vocab floats, a block of whole steps at a
+time from the last step backwards: it writes the block's logits there,
+turns them into gradients in place and runs the ``w_out``/``b_out`` sums
+on groups of steps with equal real-row counts, as ``cells.input_backward``
+does for the cell's, before the next block.  No (real rows, vocab) array
+is made.
 """
 
 from __future__ import annotations
@@ -219,18 +222,26 @@ def _term_blocks(params: ModelParams, cfg: ModelConfig, z, dts, dds, live):
     steps t0..t1-1 of the ``_workspace`` z and (B, T) intervals, step-major,
     for blocks of at most ``TERM_ROWS`` rows (one step at least).  Step t's
     live rows are its first ``live[t]`` batch rows."""
-    B, T = dts.shape
+    B = dts.shape[0]
     rows = np.arange(B) < np.asarray(live)[:, None]
-    t0 = 0
-    while t0 < T:
-        t1, height = t0 + 1, live[t0]
-        while t1 < T and height + live[t1] <= TERM_ROWS:
-            height += live[t1]
-            t1 += 1
+    for t0, t1 in _step_blocks(live, TERM_ROWS):
         r = rows[t0:t1]
         yield t0, t1, interval_terms(params, z[t0:t1, :B, cfg.n_c:][r],
                                      dts.T[t0:t1][r], dds.T[t0:t1][r],
                                      cfg.ablation)
+
+
+def _step_blocks(counts, most: int):
+    """Yield ``(t0, t1)``: runs of consecutive steps, the first first, each
+    of at most ``most`` rows in all (one step at least), step t having
+    ``counts[t]`` rows."""
+    t0 = 0
+    while t0 < len(counts):
+        t1, height = t0 + 1, counts[t0]
+        while t1 < len(counts) and height + counts[t1] <= most:
+            height += counts[t1]
+            t1 += 1
+        yield t0, t1
         t0 = t1
 
 
@@ -277,7 +288,7 @@ def forward_batch(params: ModelParams, cfg: ModelConfig, seqs):
     return hs[np.argsort(order)]
 
 
-def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
+def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs, out=None):
     """Mean per-step loss and its gradients over a mini-batch.
 
     ``seqs`` is a list of ``(pois, dts, dds, targets)`` tuples, one user
@@ -286,25 +297,30 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     to t-1 is severed at multiples of ``cfg.bptt_cap`` when a cap is set, so
     a loss reaches at most ``bptt_cap`` steps backwards.  The batch's ids
     and intervals, and then the bound of ``cells.check_bounded`` on the
-    parameters, are checked once, up front.
+    parameters, are checked once, up front.  The gradients are written into
+    ``out`` (a ``params.zeros_like()`` mapping, zeroed here) if given.
 
-    Only the cell loop runs padded rows.  After it, the readout, softmax and
-    ``dlog @ w_out`` run once over the real (b, t) rows, step-major, in
-    ``READOUT_ROWS``-row blocks (tile invariance gives each row the bits of
-    a per-step readout); each block's logits are written into its rows of
-    the (R, V) ``dlog`` and turned into their gradients there.  The loss is
-    summed per step in ascending t.  The ``w_out``/``b_out`` gradient adds
-    each step's real rows in descending t, one ``VOCAB_ROWS``-row
-    vocabulary block at a time: within each run of steps with equal
-    real-row counts, one stacked product and one stacked sum per group of
-    steps (``cells.step_groups``, as many steps as ``STEP_GROUP_BYTES``
-    holds of ``w_out``, one at least), then one reduce per gradient that
-    adds the group's steps in order (``cells._add_last_first``).  The
-    backward mirrors the forward: the time loop runs only
-    ``cells.step_backward``, then ``cells.input_backward`` runs once per
-    block of interval terms, the last first, and adds every cell parameter
-    gradient.  The embedding gradient gets each step's per-POI sums of the
-    real rows' input gradients, added in descending t.
+    Only the cell loop runs padded rows.  After it, the readout, softmax
+    and ``dlogits @ w_out`` run over the real (b, t) rows, step-major, in
+    blocks of whole steps of at most ``READOUT_ROWS`` rows (one step at
+    least), taken from the last step backwards; tile invariance gives each
+    row the bits of a per-step readout.  A block's logits are written into
+    one reused buffer of ``READOUT_ROWS`` (or the batch's width, if
+    larger) x vocab floats and turned into their gradients there, so the
+    readout's memory does not grow with the batch's real rows.  The loss
+    is summed per step in ascending t.  Before the next block, the
+    ``w_out``/``b_out`` gradient adds each of the block's steps in
+    descending t: within each run of steps with equal real-row counts, per
+    group of steps (``cells.step_groups``, as many steps as
+    ``STEP_GROUP_BYTES`` holds of ``w_out``, one at least), one stacked sum
+    over whole vocabulary rows and, per ``VOCAB_ROWS``-row vocabulary
+    block, one stacked product, then one reduce per gradient that adds the
+    group's steps in order (``cells._add_last_first``).  The backward
+    mirrors the forward: the time loop runs only ``cells.step_backward``,
+    then ``cells.input_backward`` runs once per block of interval terms,
+    the last first, and adds every cell parameter gradient.  The embedding
+    gradient gets each step's per-POI sums of the real rows' input
+    gradients, added in descending t.
     """
     pois, dts, dds, targets, lengths = _pad(seqs, cfg, "batch_loss_and_grads", 4)
     check_bounded(params, 1.0, dts, dds, "batch_loss_and_grads")
@@ -325,14 +341,43 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     h = z[real_t + 1, real_b, :n]
     losses = np.zeros((T, B))
     dhs = np.zeros((T, B, n))
-    dlog = np.empty((len(real_t), cfg.vocab))
-    for r in range(0, len(real_t), READOUT_ROWS):
-        rows = slice(r, r + READOUT_ROWS)
-        ts, bs = real_t[rows], real_b[rows]
-        # logits, then their gradients, in place in the block's dlog rows
-        block = affine(params.w_out, h[rows], params.b_out, out=dlog[rows])
-        losses[ts, bs] = softmax_xent_rows(block, targets[bs, ts], out=block)[0]
-        dhs[ts, bs] = matmul_rows(block, params.w_out)
+    grads = out
+    if out is not None:
+        out.flat[...] = 0.0
+    group = max(1, cells.STEP_GROUP_BYTES // params.w_out.nbytes)
+    counts = np.diff(at).tolist()
+    buf = np.empty((min(len(real_t), max(READOUT_ROWS, B)), cfg.vocab))
+    for e0, e1 in _step_blocks(counts[::-1], READOUT_ROWS):
+        s0, s1 = T - e1, T - e0     # blocks from the last step backwards
+        r0, r1 = at[s0], at[s1]
+        ts, bs = real_t[r0:r1], real_b[r0:r1]
+        # logits, then their gradients, in place in the buffer
+        d = affine(params.w_out, h[r0:r1], params.b_out, out=buf[:r1 - r0])
+        losses[ts, bs] = softmax_xent_rows(d, targets[bs, ts], out=d)[0]
+        dhs[ts, bs] = matmul_rows(d, params.w_out)
+        if grads is None:
+            # only now, after the products of the first and fullest block:
+            # a process's first products at a height run numkit's BLAS
+            # probes, whose memory then does not add to the gradients'
+            grads = params.zeros_like()
+        # the block's w_out/b_out sums over its runs of steps with equal
+        # real-row counts (a run ends where a sequence does), the last run
+        # first, in step groups as in cells.input_backward
+        cuts = [s0, *(t for t in range(s0 + 1, s1)
+                      if counts[t] < counts[t - 1]), s1]
+        groups = []
+        for t0, t1 in reversed(list(zip(cuts, cuts[1:]))):
+            shape = (t1 - t0, counts[t0], -1)
+            dr = d[at[t0] - r0:at[t1] - r0].reshape(shape)
+            hr = h[at[t0]:at[t1]].reshape(shape)
+            groups += [(dr[g], hr[g]) for g in step_groups(t1 - t0, group)]
+        for dg, _ in groups:
+            _add_last_first(grads["b_out"], dg.sum(axis=1))
+        for v in range(0, cfg.vocab, VOCAB_ROWS):
+            for dg, hg in groups:
+                _add_last_first(grads["w_out"][v:v + VOCAB_ROWS], np.matmul(
+                    dg[:, :, v:v + VOCAB_ROWS].transpose(0, 2, 1), hg))
+    del buf, d, dr, dg, groups  # the views too, or they keep the buffer alive
     # the strided mask column, not a dense vector, fixes the order in which
     # BLAS adds a step's losses; per-step oracles sum the same way.  One
     # stacked product makes the same dot call for every step.
@@ -340,26 +385,6 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs):
     dots = np.matmul(losses[:, None], mask.T[:, :, None])
     for loss in dots[:, 0, 0].tolist():
         total_loss += loss
-
-    # the w_out/b_out sums over runs of steps with equal real-row counts
-    # (a run ends where a sequence does), the last run first, in step
-    # groups as in cells.input_backward
-    grads = params.zeros_like()
-    group = max(1, cells.STEP_GROUP_BYTES // params.w_out.nbytes)
-    ends = sorted(set(lengths.tolist()))
-    runs = list(zip([0, *ends], ends))[::-1]
-    for v in range(0, cfg.vocab, VOCAB_ROWS):
-        gw = grads["w_out"][v:v + VOCAB_ROWS]
-        gb = grads["b_out"][v:v + VOCAB_ROWS]
-        for t0, t1 in runs:
-            k = at[t0 + 1] - at[t0]
-            d = dlog[at[t0]:at[t1], v:v + VOCAB_ROWS].reshape(t1 - t0, k, -1)
-            hr = h[at[t0]:at[t1]].reshape(t1 - t0, k, n)
-            for last_first in step_groups(t1 - t0, group):
-                _add_last_first(gw, np.matmul(d[last_first].transpose(0, 2, 1),
-                                              hr[last_first]))
-                _add_last_first(gb, d[last_first].sum(axis=1))
-    del dlog, block, d      # the last views too, or they keep dlog alive
 
     # per step: the gate pre-activation gradients, zero-padded to the
     # workspace's rows, and the write-gate gradients (see

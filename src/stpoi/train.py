@@ -104,6 +104,7 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
 
     result = FitResult(adam=adam)
     best = np.inf
+    grads = None    # one gradient buffer, which every batch rewrites
     flat_epochs = 0
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(sequences))
@@ -113,7 +114,7 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
             idx = order[b0:b0 + batch_size]
             batch = [sequences[j] for j in idx]
             try:
-                loss, grads = batch_loss_and_grads(params, cfg, batch)
+                loss, grads = batch_loss_and_grads(params, cfg, batch, out=grads)
                 norm = clip_global_norm(grads, clip_norm)
                 error = (None if np.isfinite(loss) and np.isfinite(norm) else
                          f"non-finite loss {loss!r} or gradient norm {norm!r}")

@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,56 @@ def test_non_contiguous_and_scalar_ok(tmp_path):
     _, arrays = container.load(path)
     np.testing.assert_array_equal(arrays["v"], arr)
     assert arrays["s"].shape == () and arrays["s"] == 2.5
+
+
+# struct codes of the allowed dtypes, for payloads built without numpy
+_CODES = {"float64": "d", "float32": "f", "int64": "q", "int32": "i", "uint8": "B"}
+
+
+def test_odd_layouts_written_as_documented(tmp_path):
+    # 0-d, empty, non-contiguous, Fortran-order and big-endian tensors: the
+    # file is the prefix, the sorted compact JSON header, then each
+    # tensor's values in C order as little-endian scalars
+    arrays = {
+        "a_scalar": np.float64(2.5),
+        "b_scalar_be": np.array(-7, dtype=">i4"),
+        "c_empty": np.zeros((0, 4)),
+        "d_empty_be": np.zeros((3, 0), dtype=">f4"),
+        "e_strided": np.arange(24.0).reshape(4, 6)[::2, ::-3],
+        "f_fortran": np.asfortranarray(np.arange(6, dtype=np.int64).reshape(2, 3)),
+        "g_be": np.arange(6, dtype=">f8").reshape(2, 3) / 7,
+        "h_be_strided": np.arange(12, dtype=">f4").reshape(3, 4).T,
+        "i_bytes": np.arange(5, dtype=np.uint8)[::2],
+    }
+    path = tmp_path / "x.bin"
+    container.save(path, {"k": 1}, arrays)
+    entries, payload = [], b""
+    for name, arr in arrays.items():
+        dtype = np.dtype(arr.dtype).name
+        values = np.ravel(arr, order="C").tolist()
+        blob = struct.pack("<" + _CODES[dtype] * len(values), *values)
+        entries.append({"name": name, "dtype": dtype, "shape": list(np.shape(arr)),
+                        "nbytes": len(blob)})
+        payload += blob
+    header = json.dumps({"meta": {"k": 1}, "tensors": entries},
+                        sort_keys=True, separators=(",", ":")).encode()
+    assert path.read_bytes() == (b"STPK" + struct.pack("<IQ", 1, len(header))
+                                 + header + payload)
+
+
+def test_at_most_one_tensor_copy_while_saving(tmp_path):
+    # four 512 KB tensors that each need a converted copy: one copy at a
+    # time stays below two tensors' bytes
+    base = np.arange(4 * 2 * 65536, dtype=np.float64).reshape(4, 2 * 65536)
+    arrays = {"strided": base[0, ::2], "reversed": base[1, ::-2],
+              "be": base[2, :65536].astype(">f8"), "be2": base[3, 65536:].astype(">f8")}
+    tracemalloc.start()
+    try:
+        container.save(tmp_path / "x.bin", {}, arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 65536 * 8
 
 
 def test_rejects_unsupported_dtype(tmp_path):

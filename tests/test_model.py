@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,7 +311,22 @@ class TestGradients:
     @pytest.mark.parametrize("steps_per_group", [None, 2, 0])
     def test_step_grouped_readout_sums_match_per_step_oracle(
             self, steps_per_group, monkeypatch):
-        cfg = tiny_cfg("st-clstm", vocab=601, n_i=5, n_c=6)
+        self.check_readout_sums("st-clstm", steps_per_group, monkeypatch)
+
+    # readout blocks of one step each, every step taller than the block
+    # height; or of at most 6 rows: steps 0-4 one block each (step 0's 7
+    # rows taller than a block, the 5-row run of steps 2-4 cut into single
+    # steps), then steps 5-6 and 7-8, which cut the 3-row run in two
+    @pytest.mark.parametrize("steps_per_group", [None, 2])
+    @pytest.mark.parametrize("readout_rows", [1, 6])
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_streamed_readout_blocks_match_per_step_oracle(
+            self, variant, readout_rows, steps_per_group, monkeypatch):
+        monkeypatch.setattr(M, "READOUT_ROWS", readout_rows)
+        self.check_readout_sums(variant, steps_per_group, monkeypatch)
+
+    def check_readout_sums(self, variant, steps_per_group, monkeypatch):
+        cfg = tiny_cfg(variant, vocab=601, n_i=5, n_c=6)
         rng = np.random.default_rng(55)
         params = M.init_model(cfg, rng)
         if steps_per_group is None:
@@ -324,6 +340,34 @@ class TestGradients:
         assert loss == want_loss
         for name in want:
             np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
+
+    def test_gradients_into_a_used_buffer_match_fresh_ones(self):
+        cfg = tiny_cfg("st-lstm", vocab=30, n_i=5, n_c=6)
+        rng = np.random.default_rng(57)
+        params = M.init_model(cfg, rng)
+        seqs = [random_seq(rng, cfg.vocab, n) for n in (4, 9, 2)]
+        loss, fresh = M.batch_loss_and_grads(params, cfg, seqs)
+        used = params.zeros_like()
+        used.flat[...] = np.nan
+        loss_out, grads = M.batch_loss_and_grads(params, cfg, seqs, out=used)
+        assert grads is used and loss_out == loss
+        np.testing.assert_array_equal(grads.flat, fresh.flat)
+
+    def test_readout_memory_does_not_scale_with_rows_times_vocab(self):
+        # 200 real rows at vocab 20 000: an (R, V) array alone is 32 MB,
+        # the readout buffer READOUT_ROWS x V floats, 10 MB
+        cfg = tiny_cfg("st-clstm", vocab=20_000, n_i=4, n_c=4)
+        rng = np.random.default_rng(56)
+        params = M.init_model(cfg, rng)
+        seqs = [random_seq(rng, cfg.vocab, 10) for _ in range(20)]
+        M.batch_loss_and_grads(params, cfg, seqs)   # numkit's one-off probes
+        tracemalloc.start()
+        try:
+            M.batch_loss_and_grads(params, cfg, seqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * cfg.vocab * 8
 
 
 class TestHoistedTerms:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -88,9 +89,9 @@ class TestFit:
         real = M.batch_loss_and_grads
         calls = {"n": 0}
 
-        def flaky(p, c, batch):
+        def flaky(p, c, batch, **kwargs):
             calls["n"] += 1
-            loss, grads = real(p, c, batch)
+            loss, grads = real(p, c, batch, **kwargs)
             if calls["n"] == 2:
                 return float("nan"), grads
             return loss, grads
@@ -160,9 +161,9 @@ class TestFit:
         real = T.batch_loss_and_grads
         batches = []
 
-        def recording(p, c, batch):
+        def recording(p, c, batch, **kwargs):
             batches.append(batch)
-            return real(p, c, batch)
+            return real(p, c, batch, **kwargs)
 
         last = -(-len(seqs) // 4) - 1
 
@@ -191,8 +192,8 @@ class TestFit:
         real = T.batch_loss_and_grads
         batches = []
 
-        def poisoned(p, c, batch):
-            loss, grads = real(p, c, batch)
+        def poisoned(p, c, batch, **kwargs):
+            loss, grads = real(p, c, batch, **kwargs)
             batches.append(batch)
             if len(batches) == 5:
                 grads.w_out[2, 3] = np.inf
@@ -242,6 +243,28 @@ class TestFit:
               on_step=lambda e, b, p: calls.append((e, b)))
         batches_per_epoch = -(-len(seqs) // 3)
         assert len(calls) == 2 * batches_per_epoch
+
+    def test_one_gradient_buffer_alive_at_a_time(self, monkeypatch):
+        # every batch after the first writes into the buffer the one before
+        # it returned, and no other batch's gradients are alive when it starts
+        corpus = small_corpus()
+        seqs, _ = T.train_sequences(corpus)
+        params, cfg = fresh("st-clstm", corpus)
+        earlier = []
+
+        def tracked(*args, **kwargs):
+            out = kwargs.get("out")
+            alive = {id(flat) for flat in (ref() for ref in earlier)
+                     if flat is not None}
+            assert alive <= ({id(out.flat)} if out is not None else set())
+            loss, grads = M.batch_loss_and_grads(*args, **kwargs)
+            assert out is None or grads is out
+            earlier.append(weakref.ref(grads.flat))
+            return loss, grads
+
+        monkeypatch.setattr(T, "batch_loss_and_grads", tracked)
+        T.fit(params, cfg, seqs, epochs=2, batch_size=3, seed=1)
+        assert len(earlier) == 2 * -(-len(seqs) // 3)
 
     def test_empty_sequences_rejected(self):
         corpus = small_corpus()
