@@ -79,20 +79,33 @@ def mean_ap(results: Iterable[RankingResult]) -> float:
     return sum(1.0 / r for r in ranks) / len(ranks)
 
 
-def _ranks(logits, targets, visited=None) -> np.ndarray:
+def _ranks(logits, targets, keep=None, out=None) -> np.ndarray:
     """1-based rank of ``targets[r]`` in row r of a (R, V) logit block,
     logit descending and ties to the lower id.
 
-    ``visited`` is an optional (R, V) mask of excluded candidates; the
-    target itself is never counted, so it is never excluded either.  The
-    logits must be finite, which ``collect_ranks``' bound check proves.
+    ``keep`` is an optional (R, V) mask of the candidates that count; no
+    row's target is ever ahead of itself, so it never matters whether the
+    target is kept.  ``out`` is an optional (R, V) bool scratch array.  The
+    logits must be finite, which ``collect_ranks``' bound check proves, so
+    every target equals itself and a row has a tie exactly when its count
+    of logits equal to the target's exceeds one; the lower-id rule runs on
+    those rows alone.
     """
-    lt = logits[np.arange(len(targets)), targets][:, None]
-    ahead = (logits > lt) | ((logits == lt)
-                             & (np.arange(logits.shape[1]) < targets[:, None]))
-    if visited is not None:
-        ahead &= ~visited
-    return 1 + ahead.sum(axis=1)
+    n = len(targets)
+    lt = logits[np.arange(n), targets][:, None]
+    ahead = np.greater(logits, lt, out=out)
+    if keep is not None:
+        ahead &= keep
+    # one count per row: faster than a reduction along the rows
+    ranks = 1 + np.fromiter(map(np.count_nonzero, ahead), np.int64, n)
+    tied = np.equal(logits, lt, out=ahead)
+    if np.count_nonzero(tied) > n:
+        for r in np.flatnonzero(np.count_nonzero(tied, axis=1) > 1).tolist():
+            lower = tied[r, :targets[r]]
+            if keep is not None:
+                lower &= keep[r, :targets[r]]
+            ranks[r] += np.count_nonzero(lower)
+    return ranks
 
 
 def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
@@ -103,10 +116,14 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
     over its training inputs then its test inputs.  Chunks are taken in
     stable length-descending order and run packed (see
     ``model.forward_batch``): no step runs a padded row, and the readout
-    runs only on the hidden states at test positions.  Results come back in
-    corpus order, each user's in step order.  The tiled kernels make every
-    rank equal, bit for bit, to stepping each user alone
-    (``tests/helpers.py`` keeps that oracle).  Parameters that could
+    runs only on the hidden states at test positions, ``EVAL_CHUNK``
+    instances a block.  Every block's logits go into one (``EVAL_CHUNK``,
+    vocab) buffer per call and its ranking's bool masks into two more, and
+    a chunk's instance, target and visited indices are built once per
+    chunk.
+    Results come back in corpus order, each user's in step order.  The
+    tiled kernels make every rank equal, bit for bit, to stepping each user
+    alone (``tests/helpers.py`` keeps that oracle).  Parameters that could
     overflow a gate or logit on the ranked users' inputs raise
     ``NonFiniteError`` before any step (``cells.check_bounded``).
     """
@@ -122,34 +139,51 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
     # chunk's forward runs only its live rows; results in corpus order
     order = sorted(range(len(users)), key=lambda j: -len(users[j].pois))
     ranked = [[] for _ in users]
+    # every readout block's logits, ranking scratch and exclusion mask
+    logits = np.empty((EVAL_CHUNK, cfg.vocab))
+    ahead = np.empty(logits.shape, dtype=bool)
+    keep = np.empty(logits.shape, dtype=bool)
     for c0 in range(0, len(order), EVAL_CHUNK):
         slot = order[c0:c0 + EVAL_CHUNK]
         chunk = [users[j] for j in slot]
-        # one instance per test input position s of user row b; its test
-        # step is s - n_train + 1 and its target the POI visited next
-        rows = [(b, s) for b, u in enumerate(chunk)
-                for s in range(u.n_train - 1, len(u.pois) - 1)]
+        # one instance per test input position s of user row b, instances
+        # user by user in step order: its test step is s - n_train + 1 and
+        # its target the POI visited next, at starts[b] + s + 1 in pois
+        pois = np.concatenate([u.pois for u in chunk])
+        lengths = np.array([len(u.pois) for u in chunk])
+        starts = np.cumsum(lengths) - lengths
+        firsts = np.array([u.n_train - 1 for u in chunk])
+        counts = lengths - 1 - firsts
+        b_idx = np.repeat(np.arange(len(chunk)), counts)
+        steps = np.arange(len(b_idx)) - np.repeat(np.cumsum(counts) - counts,
+                                                  counts)
+        s_idx = firsts[b_idx] + steps
+        targets = pois[starts[b_idx] + s_idx + 1]
+        if targets.min() < 0 or targets.max() >= cfg.vocab:
+            raise IndexError("collect_ranks: target POI out of vocabulary")
+        if exclude_visited:
+            # every instance's POI prefix, s + 1 long: instance r's are
+            # entries at[r]:at[r + 1] of vis_row and vis_poi
+            at = np.concatenate(([0], np.cumsum(s_idx + 1)))
+            vis_row = np.repeat(np.arange(len(b_idx)), s_idx + 1)
+            vis_poi = pois[np.arange(at[-1]) - np.repeat(at[:-1] - starts[b_idx],
+                                                         s_idx + 1)]
         # gather the instances' states once, freeing the forward's workspace
-        b_idx, s_idx = np.array(rows).T
         hs = forward_batch(params, cfg, [(u.pois[:-1], u.dts, u.dds)
                                          for u in chunk])[b_idx, s_idx]
-        for r0 in range(0, len(rows), EVAL_CHUNK):
-            block = rows[r0:r0 + EVAL_CHUNK]
-            targets = np.array([chunk[b].pois[s + 1] for b, s in block])
-            if targets.min() < 0 or targets.max() >= cfg.vocab:
-                raise IndexError("collect_ranks: target POI out of vocabulary")
-            visited = None
+        for r0 in range(0, len(b_idx), EVAL_CHUNK):
+            r1 = min(r0 + EVAL_CHUNK, len(b_idx))
+            mask = None
             if exclude_visited:
-                # one scatter of every instance's POI prefix, s + 1 long
-                visited = np.zeros((len(block), cfg.vocab), dtype=bool)
-                visited[np.repeat(np.arange(len(block)), s_idx[r0:r0 + EVAL_CHUNK] + 1),
-                        np.concatenate([chunk[b].pois[:s + 1]
-                                        for b, s in block])] = True
-            ranks = _ranks(readout(params, hs[r0:r0 + EVAL_CHUNK]), targets, visited)
-            for (b, s), rank in zip(block, ranks):
+                mask = keep[:r1 - r0]
+                mask.fill(True)
+                mask[vis_row[at[r0]:at[r1]] - r0, vis_poi[at[r0]:at[r1]]] = False
+            ranks = _ranks(readout(params, hs[r0:r1], out=logits[:r1 - r0]),
+                           targets[r0:r1], mask, ahead[:r1 - r0])
+            for b, step, rank in zip(b_idx[r0:r1].tolist(),
+                                     steps[r0:r1].tolist(), ranks.tolist()):
                 ranked[slot[b]].append(RankingResult(
-                    user=chunk[b].user, step=s - chunk[b].n_train + 1,
-                    rank=int(rank)))
+                    user=chunk[b].user, step=step, rank=rank))
     return [r for user_results in ranked for r in user_results]
 
 

@@ -62,9 +62,11 @@ CHECKPOINT_KIND = "stpoi-checkpoint"
 READOUT_ROWS = 64
 # w_out rows per block of the w_out/b_out gradient sum
 VOCAB_ROWS = 256
-# (b, t) rows per block of the interval terms, computed ahead of the steps
-# and backpropagated after them (one step at least)
-TERM_ROWS = 512
+# bytes of one (4, rows, n_c) block of interval terms, computed ahead of the
+# steps and backpropagated after them (one step at least): 64 rows at n_c
+# 128, so a block stays in a core's L2 next to the steps that read it, and
+# 512 at n_c 16
+TERM_BYTES = 256 * 1024
 
 
 @dataclass
@@ -166,9 +168,10 @@ def model_param_count(cfg: ModelConfig) -> dict:
     }
 
 
-def readout(params: ModelParams, h) -> np.ndarray:
-    """Logits over the whole vocabulary for a (B, n_c) row batch of states."""
-    return affine(params.w_out, h, params.b_out)
+def readout(params: ModelParams, h, out=None) -> np.ndarray:
+    """Logits over the whole vocabulary for a (B, n_c) row batch of states,
+    written into the (B, vocab) ``out`` if given."""
+    return affine(params.w_out, h, params.b_out, out=out)
 
 
 def _pad(seqs, cfg: ModelConfig, who: str, columns: int = 3):
@@ -220,15 +223,21 @@ def _workspace(params: ModelParams, cfg: ModelConfig, pois, live):
 def _term_blocks(params: ModelParams, cfg: ModelConfig, z, dts, dds, live):
     """Yield ``(t0, t1, terms)``: the ``interval_terms`` of the live rows of
     steps t0..t1-1 of the ``_workspace`` z and (B, T) intervals, step-major,
-    for blocks of at most ``TERM_ROWS`` rows (one step at least).  Step t's
-    live rows are its first ``live[t]`` batch rows."""
+    for blocks of at most ``term_rows(cfg.n_c)`` rows (one step at least).
+    Step t's live rows are its first ``live[t]`` batch rows."""
     B = dts.shape[0]
     rows = np.arange(B) < np.asarray(live)[:, None]
-    for t0, t1 in _step_blocks(live, TERM_ROWS):
+    for t0, t1 in _step_blocks(live, term_rows(cfg.n_c)):
         r = rows[t0:t1]
         yield t0, t1, interval_terms(params, z[t0:t1, :B, cfg.n_c:][r],
                                      dts.T[t0:t1][r], dds.T[t0:t1][r],
                                      cfg.ablation)
+
+
+def term_rows(n_c: int) -> int:
+    """Rows per block of interval terms at cell width ``n_c``: as many as
+    fit a (4, rows, n_c) float array in ``TERM_BYTES``, one at least."""
+    return max(1, TERM_BYTES // (32 * n_c))
 
 
 def _step_blocks(counts, most: int):
@@ -274,7 +283,8 @@ def forward_batch(params: ModelParams, cfg: ModelConfig, seqs):
     Gates are kept for the last step only.  Parameters are not checked
     here: callers run ``cells.check_bounded`` once per call.  The interval
     terms of a block of steps are computed just ahead of the steps that
-    read them.
+    read them, at most ``TERM_BYTES`` a block (``term_rows``), so that at
+    the paper's n_c they are still in a core's L2 cache when read.
     """
     pois, dts, dds, lengths = _pad(seqs, cfg, "forward_batch")
     order = np.argsort(-lengths, kind="stable")

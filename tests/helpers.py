@@ -7,9 +7,10 @@ batched library paths: a per-gate cell forward, a streaming model step, a
 per-step unroll through the public cell forward, a per-step cell backward
 that shares no code with ``cells``' backward, the per-step parameter sums
 of ``cells.input_backward``, a per-step training readout and embedding
-scatter, a one-logit-vector rank, a one-row softmax cross-entropy, the
-two-branch sigmoid, a one-user-at-a-time evaluation, a per-tensor Adam step
-and gradient clipping, and the product in fixed 16-row tiles.  Also a
+scatter, a one-logit-vector rank and a rank by sorting every candidate, a
+one-row softmax cross-entropy, the two-branch sigmoid, a one-user-at-a-time
+evaluation, a per-tensor Adam step and gradient clipping, and the product
+in fixed 16-row tiles.  Also a
 model whose finite parameters overflow the readout, the largest
 pre-activation or logit in plain numpy, a user's test transitions and a
 corpus's raw-id index, which only tests read."""
@@ -402,6 +403,18 @@ def rank_of(logits, target, exclude=()):
     higher = int(np.sum(keep & (logits > lt)))
     tied_before = int(np.sum(keep[:target] & (logits[:target] == lt)))
     return 1 + higher + tied_before
+
+
+def brute_force_rank(logits, target, exclude=()):
+    """1-based place of ``target`` in the plain-Python sort of every
+    candidate id but the excluded ones (never the target itself) by logit
+    descending, then id ascending; an oracle of eval._ranks that shares no
+    code with it or with ``rank_of``."""
+    values = [float(v) for v in logits]
+    excluded = {int(i) for i in exclude} - {int(target)}
+    candidates = sorted((i for i in range(len(values)) if i not in excluded),
+                        key=lambda i: (-values[i], i))
+    return candidates.index(int(target)) + 1
 
 
 def softmax_xent(logits, target):

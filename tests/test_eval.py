@@ -11,7 +11,8 @@ from stpoi.data import CheckIn
 
 from stpoi.numkit import NonFiniteError
 
-from helpers import overflowing_readout, rank_of, streaming_ranks, user_test_steps
+from helpers import (brute_force_rank, overflowing_readout, rank_of,
+                     streaming_ranks, user_test_steps)
 
 
 def rr(ranks):
@@ -79,10 +80,10 @@ class TestMetrics:
 def ranks_of(logits, targets, exclude=()):
     """eval._ranks with one shared logit vector and exclusion set per row."""
     logits = np.asarray(logits, dtype=float)
-    visited = np.zeros((len(targets), len(logits)), dtype=bool)
-    visited[:, list(exclude)] = True
+    keep = np.ones((len(targets), len(logits)), dtype=bool)
+    keep[:, list(exclude)] = False
     return E._ranks(np.tile(logits, (len(targets), 1)), np.asarray(targets),
-                    visited).tolist()
+                    keep).tolist()
 
 
 class TestRankOf:
@@ -90,6 +91,7 @@ class TestRankOf:
         logits = [0.5, 2.0, 2.0, -1.0]
         # tie between ids 1 and 2: the higher id loses
         assert ranks_of(logits, [1, 2, 0, 3]) == [1, 2, 3, 4]
+        assert ranks_of(logits, [2]) == [2]     # a block's one tie
         assert [rank_of(logits, t) for t in (1, 2, 0, 3)] == [1, 2, 3, 4]
 
     def test_matches_topk_position(self):
@@ -110,6 +112,55 @@ class TestRankOf:
                               ([0, 1, 2], 1)):
             assert ranks_of(logits, [2], exclude) == [want]
             assert rank_of(logits, 2, exclude) == want
+
+
+class TestRanksOracle:
+    """eval._ranks on readout blocks of 1, EVAL_CHUNK - 1 and EVAL_CHUNK
+    rows against sorting every candidate (helpers.brute_force_rank), in a
+    reused scratch array, with and without a mask of kept candidates."""
+
+    VOCAB = 23
+
+    def block(self, rows, first):
+        """Logits with few distinct values, so that most rows tie their
+        target at lower and at higher ids, and row 0 ``first``: "ties",
+        descending logits with target 11 tied at ids 6, 9 and 15, and ids
+        9, 11 and 15 visited; or "constant", a constant row.  Returns the
+        logits, targets and visited mask."""
+        rng = np.random.default_rng(rows)
+        logits = rng.integers(-3, 4, size=(rows, self.VOCAB)).astype(float)
+        targets = rng.integers(0, self.VOCAB, size=rows)
+        visited = rng.random((rows, self.VOCAB)) < 0.3
+        targets[0] = 11
+        if first == "ties":
+            logits[0] = -np.arange(self.VOCAB)
+            logits[0, [6, 9, 15]] = logits[0, 11]
+            visited[0] = False
+            visited[0, [9, 11, 15]] = True
+        else:
+            logits[0] = 0.25
+        return logits, targets, visited
+
+    @pytest.mark.parametrize("first", ["ties", "constant"])
+    @pytest.mark.parametrize("rows", [1, E.EVAL_CHUNK - 1, E.EVAL_CHUNK])
+    def test_ranks_equal_sorting_every_candidate(self, rows, first):
+        logits, targets, visited = self.block(rows, first)
+        keep = ~visited
+        got = []
+        for mask in (None, keep):
+            scratch = np.ones((E.EVAL_CHUNK, self.VOCAB), dtype=bool)
+            got.append(E._ranks(logits, targets, mask, scratch[:rows]).tolist())
+            want = [brute_force_rank(logits[r], targets[r], () if mask is None
+                                     else np.flatnonzero(visited[r]))
+                    for r in range(rows)]
+            assert got[-1] == want
+        np.testing.assert_array_equal(keep, ~visited)    # read, not written
+        if first == "ties":
+            # ids 0-10 come first, 6 and 9 by the lower-id rule, 15 after;
+            # excluding the visited drops 9 alone
+            assert (got[0][0], got[1][0]) == (12, 11)
+        else:
+            assert (got[0][0], got[1][0]) == (12, 12 - int(visited[0, :11].sum()))
 
 
 class TestEvaluate:
@@ -309,3 +360,50 @@ class TestBatchedMatchesStreaming:
         ranked = [len(u.pois) - 1 for u in corpus.users
                   if len(u.pois) > u.n_train]
         assert lengths == sorted(ranked, reverse=True)
+
+
+class TestReadoutBlocks:
+    """collect_ranks reads every block out into one (EVAL_CHUNK, vocab)
+    buffer and ranks it with one scratch mask; a block that is not full
+    must see only its own rows, and a full chunk nothing of the last one."""
+
+    @staticmethod
+    def held_out(n_users, n_test):
+        """An interval corpus of ``n_users`` users, user j with its last
+        ``n_test[j % len(n_test)]`` transitions held out for testing."""
+        corpus = data.synth_corpus(6, n_users=n_users, n_pois=6 * n_users,
+                                   length=14, pattern="interval")
+        users = [dataclasses.replace(u, n_train=len(u.pois)
+                                     - n_test[j % len(n_test)])
+                 for j, u in enumerate(corpus.users)]
+        return data.Corpus(users=users, vocab=corpus.vocab)
+
+    @pytest.mark.parametrize("exclude_visited", [False, True])
+    @pytest.mark.parametrize("n_users, n_test, blocks", [
+        # one chunk of exactly EVAL_CHUNK instances: one full block
+        (16, (4,), [E.EVAL_CHUNK]),
+        # one chunk of a full block then a partial one
+        (10, (7,), [E.EVAL_CHUNK, 6]),
+        # a full chunk of users (127 instances), then a chunk of 6
+        (E.EVAL_CHUNK + 3, (1, 2, 3), [E.EVAL_CHUNK, E.EVAL_CHUNK - 1, 6]),
+    ])
+    def test_blocks_equal_stepping_each_user_alone(self, n_users, n_test,
+                                                   blocks, exclude_visited,
+                                                   monkeypatch):
+        corpus = self.held_out(n_users, n_test)
+        cfg = M.ModelConfig(variant="st-clstm", vocab=corpus.n_pois, n_i=6,
+                            n_c=8)
+        params = M.init_model(cfg, np.random.default_rng(2))
+        heights = []
+
+        def recording(params, h, out=None):
+            heights.append(len(h))
+            return readout(params, h, out=out)
+
+        readout = E.readout
+        monkeypatch.setattr(E, "readout", recording)
+        got = E.collect_ranks(params, cfg, corpus,
+                              exclude_visited=exclude_visited)
+        assert heights == blocks
+        assert [(r.user, r.step, r.rank) for r in got] == streaming_ranks(
+            params, cfg, corpus, exclude_visited=exclude_visited)

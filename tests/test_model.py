@@ -34,10 +34,16 @@ def seq_logits(params, cfg, pois, dts, dds):
     return M.readout(params, M.forward_batch(params, cfg, [(pois, dts, dds)])[0])
 
 
-def last_ranks(params, cfg, pois, dts, dds, visited=None):
+def last_ranks(params, cfg, pois, dts, dds, keep=None):
     """Rank of every id after the final step (1 = predicted first)."""
     logits = seq_logits(params, cfg, pois, dts, dds)[-1:].repeat(cfg.vocab, 0)
-    return E._ranks(logits, np.arange(cfg.vocab), visited)
+    return E._ranks(logits, np.arange(cfg.vocab), keep)
+
+
+def cap_term_rows(monkeypatch, n_c, rows):
+    """Set the byte cap on interval-term blocks to ``rows`` rows at ``n_c``."""
+    monkeypatch.setattr(M, "TERM_BYTES", 32 * n_c * rows)
+    assert M.term_rows(n_c) == rows
 
 
 def zero_model(cfg):
@@ -127,15 +133,15 @@ class TestForward:
                 np.testing.assert_array_equal(
                     M.readout(params, hs[b, t:t + 1])[0], logits)
 
-    @pytest.mark.parametrize("term_rows", [M.TERM_ROWS, 10])
+    @pytest.mark.parametrize("term_rows", [512, 10])
     @pytest.mark.parametrize("variant", cells.VARIANTS)
     def test_packed_forward_of_an_unsorted_ragged_batch(self, variant,
                                                         term_rows, monkeypatch):
         # the longest row is neither first nor alone, lengths tie, and one
         # row is a single step, so the live prefix shrinks unevenly; at 10
         # term rows a block holds from one to several steps
-        monkeypatch.setattr(M, "TERM_ROWS", term_rows)
         cfg = tiny_cfg(variant, vocab=20, n_i=5, n_c=6)
+        cap_term_rows(monkeypatch, cfg.n_c, term_rows)
         rng = np.random.default_rng(9)
         params = M.init_model(cfg, rng)
         lengths = (3, 11, 1, 7, 20, 11, 4, 20, 2)
@@ -153,7 +159,7 @@ class TestForward:
                             recording("terms", M.interval_terms))
         hs = M.forward_batch(params, cfg, seqs)
         # step t runs the sequences longer than t, and no term block is
-        # taller than TERM_ROWS unless it holds a single step
+        # taller than term_rows unless it holds a single step
         assert heights["step"] == [sum(n > t for n in lengths)
                                    for t in range(max(lengths))]
         assert sum(heights["terms"]) == sum(lengths)
@@ -162,6 +168,24 @@ class TestForward:
         order = sorted(range(len(seqs)), key=lambda b: -len(seqs[b][0]))
         np.testing.assert_array_equal(
             M.forward_batch(params, cfg, [seqs[b] for b in order]), hs[order])
+
+    def test_readout_into_a_buffer_is_bit_equal(self):
+        cfg = tiny_cfg("st-clstm", vocab=37, n_c=24)
+        rng = np.random.default_rng(8)
+        params = M.init_model(cfg, rng)
+        buf = np.full((E.EVAL_CHUNK, cfg.vocab), np.nan)
+        for rows in (1, 15, 16, 17, E.EVAL_CHUNK - 1, E.EVAL_CHUNK):
+            h = rng.uniform(-1.0, 1.0, size=(rows, cfg.n_c))
+            got = M.readout(params, h, out=buf[:rows])
+            assert np.shares_memory(got, buf)
+            np.testing.assert_array_equal(got, M.readout(params, h))
+
+    def test_term_blocks_are_capped_in_bytes(self):
+        # at the paper's n_c 128 a block of terms stays in a core's L2 next
+        # to the steps that read it; at the toy's n_c 16 a whole toy batch
+        # (108 rows) is one block; a cell too wide for one row takes one
+        assert (M.term_rows(128), M.term_rows(16)) == (64, 512)
+        assert M.term_rows(M.TERM_BYTES) == 1
 
     def test_id_out_of_vocab(self):
         cfg = tiny_cfg("lstm")
@@ -386,7 +410,7 @@ class TestHoistedTerms:
         # ragged, with repeated POIs within a step; B * T spans two blocks
         seqs = [random_seq(rng, cfg.vocab, int(n))
                 for n in (*rng.integers(1, 60, 12), 60)]
-        assert len(seqs) * 60 > M.TERM_ROWS
+        assert len(seqs) * 60 > M.term_rows(cfg.n_c)
         np.testing.assert_array_equal(
             M.forward_batch(params, cfg, [s[:3] for s in seqs]),
             per_step_forward(params, cfg, seqs))
@@ -402,7 +426,7 @@ class TestHoistedTerms:
         self.check_against_oracle(variant, ablation)
 
     def test_blocks_of_one_step_when_the_batch_is_wider(self, monkeypatch):
-        monkeypatch.setattr(M, "TERM_ROWS", 5)
+        cap_term_rows(monkeypatch, 12, 5)
         self.check_against_oracle("st-lstm", "short-only")
 
     @pytest.mark.parametrize("variant", cells.VARIANTS)
@@ -411,7 +435,7 @@ class TestHoistedTerms:
         # 13 rows a step, seven steps (91 rows) a block, and the last four
         # of the 60 steps in a shorter one: each block's input gradient is
         # one product over rows of several steps
-        monkeypatch.setattr(M, "TERM_ROWS", 91)
+        cap_term_rows(monkeypatch, 12, 91)
         self.check_against_oracle(variant, "none")
 
     @pytest.mark.parametrize("variant", cells.VARIANTS)
@@ -539,9 +563,9 @@ class TestPredict:
     def test_exclusion(self):
         cfg = tiny_cfg("lstm", vocab=5)
         params = zero_model(cfg)
-        visited = np.zeros((5, 5), dtype=bool)
-        visited[:, [0, 1]] = True
-        ranks = last_ranks(params, cfg, [0], [0.0], [0.0], visited)
+        keep = np.ones((5, 5), dtype=bool)
+        keep[:, [0, 1]] = False
+        ranks = last_ranks(params, cfg, [0], [0.0], [0.0], keep)
         assert ranks[2:].tolist() == [1, 2, 3]
 
     def test_empty_history_rejected(self):

@@ -100,7 +100,9 @@ class TestTileInvariance:
     blocks."""
 
     POOL = 40
-    ROWS = model.TERM_ROWS + 100
+    # the model's interval-term block heights at the cell widths of SHAPES
+    TERM_HEIGHTS = (model.term_rows(16), model.term_rows(128))
+    ROWS = max(TERM_HEIGHTS) + 100
     # (rows of w, cols of w, leading and trailing columns of a wider matrix
     # that w is a view without): one toy gate and the toy readout, one
     # paper gate and the paper readout, a readout whose affine (4937, 128)
@@ -167,8 +169,9 @@ class TestTileInvariance:
     def test_every_height_at_the_edges(self, pools, which):
         # packed evaluation runs a step at every height up to EVAL_CHUNK
         rng = np.random.default_rng(which)
-        for n in (*range(1, evalmod.EVAL_CHUNK + 2), model.TERM_ROWS - 1,
-                  model.TERM_ROWS, model.TERM_ROWS + 1, self.ROWS):
+        for n in (*range(1, evalmod.EVAL_CHUNK + 2),
+                  *(h + d for h in self.TERM_HEIGHTS for d in (-1, 0, 1)),
+                  self.ROWS):
             self.check_rows(pools[which], rng.integers(0, self.POOL, n))
 
     @settings(max_examples=20, deadline=None)
