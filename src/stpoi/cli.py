@@ -10,7 +10,8 @@ Subcommands:
     eval       rank all test transitions of a corpus under a checkpoint and
                emit Acc@{1,5,10,15,20} plus MAP per cohort
     grid       cross-product of variants x ablations x cell sizes x batch
-               sizes, one ranked comparison table
+               sizes x seeds, one ranked comparison table; each leg is a
+               training run with a run directory of its own
     gradcheck  finite-difference audit of the analytic gradients
 
 Every run directory holds enough to reproduce the run exactly: resolved
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -78,12 +80,13 @@ _at_least_two = _checked(int, lambda v: v >= 2, "an integer >= 2")
 
 def _list_of(item):
     """argparse type: comma-separated values, each parsed by ``item``; at
-    least one value."""
+    least one value, and no value twice."""
     def parse(text: str):
         values = [item(tok) for tok in text.split(",") if tok]
-        if not values:
+        if not values or len(set(values)) < len(values):
             raise argparse.ArgumentTypeError(
-                f"expected a comma-separated list, got {text!r}")
+                f"expected a comma-separated list of distinct values, "
+                f"got {text!r}")
         return values
     return parse
 
@@ -106,44 +109,17 @@ def _write_json(path, payload):
                           encoding="utf-8")
 
 
-def _ablation_from_args(args) -> GateAblation:
-    preset = ABLATION_PRESETS[args.ablation]
-    return GateAblation(**{f"fix_{g}": g in preset or getattr(args, f"fix_{g}")
-                           for g in INTERVAL_GATES})
-
-
-def _add_model_flags(p):
-    p.add_argument("--variant", choices=VARIANTS, default="st-clstm")
-    p.add_argument("--cell-size", type=_positive_int, default=128,
-                   help="recurrent state width (default 128)")
+def _add_run_flags(p):
+    """The flags of a training run that ``train`` and ``grid`` share."""
     p.add_argument("--embed-size", type=_positive_int, default=128,
                    help="POI embedding width (default 128)")
-    p.add_argument("--ablation", choices=tuple(ABLATION_PRESETS), default="none",
-                   help="named gate-pinning preset")
-    p.add_argument("--fix-t1", action="store_true",
-                   help="pin the short-term time gate to ones")
-    p.add_argument("--fix-t2", action="store_true",
-                   help="pin the long-term time gate to ones")
-    p.add_argument("--fix-d1", action="store_true",
-                   help="pin the short-term distance gate to ones")
-    p.add_argument("--fix-d2", action="store_true",
-                   help="pin the long-term distance gate to ones")
     p.add_argument("--constraint-target", choices=("interval", "input"),
                    default="interval",
                    help="which tensors the non-positivity projection clamps")
-    p.add_argument("--bptt-cap", type=_positive_int, default=None,
-                   help="truncate gradient flow to this many steps")
-
-
-def _add_train_flags(p):
     p.add_argument("--epochs", type=_positive_int, default=100)
-    p.add_argument("--batch-size", type=_positive_int, default=10)
     p.add_argument("--lr", type=_positive_float, default=1e-3)
     p.add_argument("--clip-norm", type=_finite_float, default=5.0,
                    help="global gradient norm cap; <= 0 disables")
-    p.add_argument("--early-stop", action="store_true",
-                   help="stop after --patience epochs without improvement")
-    p.add_argument("--patience", type=_positive_int, default=10)
 
 
 # ---------------------------------------------------------------- prepare
@@ -187,25 +163,35 @@ def cmd_prepare(args) -> int:
 
 # ------------------------------------------------------------------ train
 
-def _resolved_train_config(args, corpus_path) -> dict:
-    return {
-        "command": "train",
-        "corpus": str(corpus_path),
-        "corpus_sha256": _sha256(corpus_path),
-        "variant": args.variant,
-        "embed_size": args.embed_size,
-        "cell_size": args.cell_size,
-        "ablation": _ablation_from_args(args).to_dict(),
-        "constraint_target": args.constraint_target,
-        "bptt_cap": args.bptt_cap,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "lr": args.lr,
-        "clip_norm": args.clip_norm,
-        "early_stop": args.early_stop,
-        "patience": args.patience,
-        "seed": args.seed,
-    }
+_FIT_ARGS = ("epochs", "batch_size", "lr", "clip_norm", "early_stop",
+             "patience", "seed")
+
+
+def _start_run(job, corpus_sha256: str, vocab: int):
+    """Model config and ``train.fit`` keyword arguments of one training job:
+    ``train``'s parsed flags or a grid leg's values.  Makes ``job.out_dir``
+    and writes the job there as ``config.json`` first, so the file records
+    what runs."""
+    preset = ABLATION_PRESETS[job.ablation]
+    ablation = GateAblation(**{f"fix_{g}": g in preset or getattr(job, f"fix_{g}")
+                               for g in INTERVAL_GATES})
+    cfg = ModelConfig(
+        variant=job.variant, vocab=vocab, n_i=job.embed_size,
+        n_c=job.cell_size, ablation=ablation, bptt_cap=job.bptt_cap,
+        constraint_target=job.constraint_target,
+    )
+    fit_args = {k: getattr(job, k) for k in _FIT_ARGS}
+    out_dir = Path(job.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(out_dir / "config.json", {
+        "command": job.command, "corpus": str(job.corpus),
+        "corpus_sha256": corpus_sha256, "variant": cfg.variant,
+        "embed_size": cfg.n_i, "cell_size": cfg.n_c,
+        "ablation": ablation.to_dict(),
+        "constraint_target": cfg.constraint_target, "bptt_cap": cfg.bptt_cap,
+        **fit_args,
+    })
+    return cfg, {**fit_args, "out_dir": out_dir}
 
 
 def _train_sequences(corpus):
@@ -220,15 +206,7 @@ def _train_sequences(corpus):
 def cmd_train(args) -> int:
     corpus = data.load_corpus(args.corpus)
     seqs, names = _train_sequences(corpus)
-    cfg = ModelConfig(
-        variant=args.variant, vocab=corpus.n_pois, n_i=args.embed_size,
-        n_c=args.cell_size, ablation=_ablation_from_args(args),
-        bptt_cap=args.bptt_cap, constraint_target=args.constraint_target,
-    )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "config.json",
-                _resolved_train_config(args, args.corpus))
+    cfg, job = _start_run(args, _sha256(args.corpus), corpus.n_pois)
     counts = model_param_count(cfg)
     print(f"parameters (enumerated, incl. embedding): "
           f"{counts['enumerated_total']}")
@@ -236,21 +214,12 @@ def cmd_train(args) -> int:
     print(f"parameters (quoted formula, cell+readout): "
           f"{formula if formula is not None else 'n/a for this variant'} "
           f"vs enumerated {counts['enumerated_cell_and_readout']}")
-    params = init_model(cfg, np.random.default_rng(args.seed))
-    result = trainmod.fit(
-        params, cfg, seqs, epochs=args.epochs, batch_size=args.batch_size,
-        lr=args.lr, clip_norm=args.clip_norm, seed=args.seed,
-        early_stop=args.early_stop, patience=args.patience,
-        out_dir=out_dir, names=names,
-    )
-    loss_lines = [f"{e + 1}\t{loss:.10f}"
-                  for e, loss in enumerate(result.losses)]
-    (out_dir / "losses.tsv").write_text("\n".join(loss_lines) + "\n",
-                                        encoding="utf-8")
+    params = init_model(cfg, np.random.default_rng(job["seed"]))
+    result = trainmod.fit(params, cfg, seqs, names=names, **job)
     print(f"epochs run: {result.epochs_run}"
           + (" (early stop)" if result.stopped_early else ""))
     print(f"final epoch loss: {result.losses[-1]:.6f}")
-    print(f"checkpoint: {out_dir / 'checkpoint.bin'}")
+    print(f"checkpoint: {job['out_dir'] / 'checkpoint.bin'}")
     return 0
 
 
@@ -301,50 +270,38 @@ def cmd_eval(args) -> int:
 # ------------------------------------------------------------------- grid
 
 def cmd_grid(args) -> int:
+    legs = [leg for leg in itertools.product(
+                args.variants, args.ablations, args.cell_sizes,
+                args.batch_sizes, args.seeds)
+            if leg[0] != "lstm" or leg[1] == "none"]  # lstm has no gate to pin
+    if not legs:
+        raise ValueError("no legs: lstm takes only the none ablation")
     corpus = data.load_corpus(args.corpus)
     seqs, names = _train_sequences(corpus)
+    corpus_sha256 = _sha256(args.corpus)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    failures = 0
-    for variant in args.variants:
-        for ablation in args.ablations:
-            if variant == "lstm" and ablation != "none":
-                continue            # gate ablations only exist for st cells
-            for n_c in args.cell_sizes:
-                for batch in args.batch_sizes:
-                    for seed in args.seeds:
-                        leg = (f"{variant}-{ablation}-c{n_c}-b{batch}"
-                               f"-s{seed}")
-                        leg_dir = out_dir / leg
-                        row = {"leg": leg, "variant": variant, "ablation": ablation,
-                               "cell": n_c, "batch": batch, "seed": seed}
-                        try:
-                            cfg = ModelConfig(
-                                variant=variant, vocab=corpus.n_pois,
-                                n_i=args.embed_size, n_c=n_c,
-                                ablation=GateAblation.from_name(ablation),
-                                constraint_target=args.constraint_target,
-                            )
-                            params = init_model(
-                                cfg, np.random.default_rng(seed))
-                            trainmod.fit(
-                                params, cfg, seqs, epochs=args.epochs,
-                                batch_size=batch, lr=args.lr,
-                                clip_norm=args.clip_norm, seed=seed,
-                                names=names, out_dir=leg_dir,
-                            )
-                            rep = evalmod.evaluate(params, cfg, corpus)
-                            row.update(acc1=rep.acc[1], acc5=rep.acc[5],
-                                       acc10=rep.acc[10], map=rep.mean_ap,
-                                       status="ok")
-                        except Exception as exc:      # leg isolation
-                            log.warning("grid leg %s failed: %s", leg, exc)
-                            failures += 1
-                            nan = float("nan")
-                            row.update(acc1=nan, acc5=nan, acc10=nan, map=nan,
-                                       status=f"failed: {exc}")
-                        rows.append(row)
+    for variant, ablation, n_c, batch, seed in legs:
+        leg = f"{variant}-{ablation}-c{n_c}-b{batch}-s{seed}"
+        row = {"leg": leg, "variant": variant, "ablation": ablation,
+               "cell": n_c, "batch": batch, "seed": seed}
+        try:
+            cfg, job = _start_run(argparse.Namespace(**{
+                **vars(args), "variant": variant, "ablation": ablation,
+                "cell_size": n_c, "batch_size": batch, "seed": seed,
+                "out_dir": out_dir / leg}), corpus_sha256, corpus.n_pois)
+            params = init_model(cfg, np.random.default_rng(job["seed"]))
+            trainmod.fit(params, cfg, seqs, names=names, **job)
+            rep = evalmod.evaluate(params, cfg, corpus)
+            row.update(acc1=rep.acc[1], acc5=rep.acc[5], acc10=rep.acc[10],
+                       map=rep.mean_ap, status="ok")
+        except Exception as exc:      # leg isolation
+            log.warning("grid leg %s failed: %s", leg, exc)
+            nan = float("nan")
+            row.update(acc1=nan, acc5=nan, acc10=nan, map=nan,
+                       status=f"failed: {exc}")
+        rows.append(row)
     rows.sort(key=lambda r: (-(r["acc1"] if r["acc1"] == r["acc1"] else -1.0),
                              -(r["map"] if r["map"] == r["map"] else -1.0),
                              r["leg"]))
@@ -361,6 +318,7 @@ def cmd_grid(args) -> int:
     table = "\n".join(lines) + "\n"
     (out_dir / "grid.tsv").write_text(table, encoding="utf-8")
     print(table, end="")
+    failures = sum(r["status"] != "ok" for r in rows)
     if failures:
         print(f"grid: {failures} leg(s) failed", file=sys.stderr)
         return 1
@@ -431,8 +389,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out-dir", required=True)
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_run_flags(p)
+    p.add_argument("--variant", choices=VARIANTS, default="st-clstm")
+    p.add_argument("--cell-size", type=_positive_int, default=128,
+                   help="recurrent state width (default 128)")
+    p.add_argument("--ablation", choices=tuple(ABLATION_PRESETS), default="none",
+                   help="named gate-pinning preset")
+    p.add_argument("--fix-t1", action="store_true",
+                   help="pin the short-term time gate to ones")
+    p.add_argument("--fix-t2", action="store_true",
+                   help="pin the long-term time gate to ones")
+    p.add_argument("--fix-d1", action="store_true",
+                   help="pin the short-term distance gate to ones")
+    p.add_argument("--fix-d2", action="store_true",
+                   help="pin the long-term distance gate to ones")
+    p.add_argument("--bptt-cap", type=_positive_int, default=None,
+                   help="truncate gradient flow to this many steps")
+    p.add_argument("--batch-size", type=_positive_int, default=10)
+    p.add_argument("--early-stop", action="store_true",
+                   help="stop after --patience epochs without improvement")
+    p.add_argument("--patience", type=_positive_int, default=10)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
@@ -461,13 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-sizes", type=_list_of(_positive_int), default="128")
     p.add_argument("--batch-sizes", type=_list_of(_positive_int), default="10")
     p.add_argument("--seeds", type=_list_of(_nonnegative_int), default="0")
-    p.add_argument("--embed-size", type=_positive_int, default=128)
-    p.add_argument("--constraint-target", choices=("interval", "input"),
-                   default="interval")
-    p.add_argument("--epochs", type=_positive_int, default=100)
-    p.add_argument("--lr", type=_positive_float, default=1e-3)
-    p.add_argument("--clip-norm", type=_finite_float, default=5.0)
-    p.set_defaults(func=cmd_grid)
+    _add_run_flags(p)
+    # every leg runs with train's defaults for the train flags grid lacks
+    p.set_defaults(func=cmd_grid, bptt_cap=None, early_stop=False, patience=10,
+                   **{f"fix_{g}": False for g in INTERVAL_GATES})
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("--variant", choices=VARIANTS + ("all",), default="all")

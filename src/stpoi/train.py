@@ -81,8 +81,11 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
     ``early_stop``, training ends once ``patience`` consecutive epochs bring
     no relative improvement of at least ``REL_TOL`` over the best epoch loss.
     ``out_dir`` (optional) receives one checkpoint per epoch plus a final
-    ``checkpoint.bin``.  ``on_step(epoch, batch_index, params)`` runs after
-    every optimizer step, after projection.  Raises ``TrainingDiverged``
+    ``checkpoint.bin``; after each epoch's checkpoint it rewrites
+    ``losses.tsv``, one ``epoch<TAB>loss`` line per finished epoch, so a
+    run that diverges or is killed keeps the losses of the epochs it
+    finished.  ``on_step(epoch, batch_index, params)`` runs after every
+    optimizer step, after projection.  Raises ``TrainingDiverged``
     before a step whose loss or gradient norm is not finite or whose
     parameters fail ``cells.check_bounded``, and at the end of an epoch,
     before any checkpoint, when they fail it on any of ``sequences``.
@@ -149,6 +152,10 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
         if out_dir is not None:
             save_checkpoint(out_dir / f"epoch-{epoch:04d}.bin", params, cfg,
                             adam)
+            (out_dir / "losses.tsv").write_text(
+                "".join(f"{e}\t{loss:.10f}\n"
+                        for e, loss in enumerate(result.losses, 1)),
+                encoding="utf-8")
         if stop:
             result.stopped_early = True
             log.info("early stop after epoch %d (no improvement for %d "

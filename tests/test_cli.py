@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from stpoi import data
 from stpoi import model as M
+from stpoi.cells import GateAblation
 from stpoi.cli import build_parser, main
 from stpoi.data import CheckIn
 
@@ -478,6 +480,36 @@ class TestGrid:
         # lstm contributes one row (ablations don't apply), st-clstm three
         assert len(rows) == 4
 
+    def test_each_leg_is_a_train_run_directory(self, synth_cache, tmp_path):
+        shared = ("--embed-size", "4", "--epochs", "2", "--lr", "0.01",
+                  "--clip-norm", "1.5", "--constraint-target", "input")
+        assert run("grid", "--corpus", str(synth_cache),
+                   "--variants", "lstm,st-lstm", "--ablations", "none,short-only",
+                   "--cell-sizes", "4", "--batch-sizes", "3", "--seeds", "0,2",
+                   *shared, "--out-dir", str(tmp_path / "g")) == 0
+        sha = hashlib.sha256(synth_cache.read_bytes()).hexdigest()
+        legs = [(v, a, s) for v, a in (("lstm", "none"), ("st-lstm", "none"),
+                                       ("st-lstm", "short-only"))
+                for s in (0, 2)]
+        for variant, ablation, seed in legs:
+            leg = tmp_path / "g" / f"{variant}-{ablation}-c4-b3-s{seed}"
+            cfg = json.loads((leg / "config.json").read_text())
+            assert cfg["command"] == "grid" and cfg["corpus_sha256"] == sha
+            assert (cfg["variant"], cfg["cell_size"], cfg["batch_size"],
+                    cfg["seed"]) == (variant, 4, 3, seed)
+            assert cfg["ablation"] == GateAblation.from_name(ablation).to_dict()
+            assert len((leg / "losses.tsv").read_text().splitlines()) == 2
+            assert sorted(p.name for p in leg.glob("*.bin")) == [
+                "checkpoint.bin", "epoch-0001.bin", "epoch-0002.bin"]
+        # train given a leg's values reruns that leg bit for bit
+        assert run("train", "--corpus", str(synth_cache), "--variant", "st-lstm",
+                   "--ablation", "short-only", "--cell-size", "4",
+                   "--batch-size", "3", "--seed", "2", *shared,
+                   "--out-dir", str(tmp_path / "run")) == 0
+        for name in ("checkpoint.bin", "losses.tsv"):
+            assert ((tmp_path / "run" / name).read_bytes() == (
+                tmp_path / "g" / "st-lstm-short-only-c4-b3-s2" / name).read_bytes())
+
     def test_unknown_variant_rejected(self, synth_cache, tmp_path, capsys):
         for flag, name in (("--variants", "gru"), ("--ablations", "all-off")):
             rc = status("grid", "--corpus", str(synth_cache), flag, name,
@@ -630,6 +662,13 @@ class TestExitStatus:
         ("grid --corpus {corpus} --out-dir {tmp}/g --batch-sizes=",
          "--batch-sizes"),
         ("eval --corpus {corpus} --checkpoint {ck} --topk=", "--topk"),
+        ("grid --corpus {corpus} --out-dir {tmp}/g --variants lstm --seeds 0,0",
+         "--seeds"),
+        ("grid --corpus {corpus} --out-dir {tmp}/g --cell-sizes 4,04",
+         "--cell-sizes"),
+        ("eval --corpus {corpus} --checkpoint {ck} --topk 1,5,1", "--topk"),
+        ("grid --corpus {corpus} --out-dir {tmp}/g --variants lstm "
+         "--ablations time-only,long-only", "no legs"),
     ], ids=["train-seed-negative", "gradcheck-seed-negative",
             "grid-seeds-negative", "prepare-seed-negative",
             "train-empty-corpus", "grid-empty-corpus", "train-out-dir-file",
@@ -637,7 +676,9 @@ class TestExitStatus:
             "prepare-synth-and-input", "prepare-empty-file",
             "prepare-every-user-cleaned", "grid-seeds-empty",
             "grid-variants-empty", "grid-ablations-empty",
-            "grid-cell-sizes-empty", "grid-batch-sizes-empty", "eval-topk-empty"])
+            "grid-cell-sizes-empty", "grid-batch-sizes-empty", "eval-topk-empty",
+            "grid-seeds-repeated", "grid-cell-sizes-repeated",
+            "eval-topk-repeated", "grid-no-legs"])
     def test_exits_2_with_one_line_and_writes_nothing(self, inputs, capsys,
                                                       argv, message):
         before = sorted(inputs["tmp"].rglob("*"))

@@ -104,6 +104,23 @@ class TestFit:
         assert dump.exists()
         assert '"epoch": 1' in dump.read_text()
 
+    def test_loss_log_keeps_the_epochs_before_divergence(self, tmp_path):
+        corpus = small_corpus()
+        seqs, names = T.train_sequences(corpus)
+        params, cfg = fresh("st-lstm", corpus)
+
+        def corrupt(epoch, batch, p):
+            if epoch == 2 and batch == 0:
+                p.w_out[3, 1] = np.nan
+
+        with pytest.raises(T.TrainingDiverged, match="epoch 2"):
+            T.fit(params, cfg, seqs, epochs=3, batch_size=4, seed=1,
+                  names=names, out_dir=tmp_path, on_step=corrupt)
+        (loss,) = json.loads((tmp_path / "divergence.json").read_text())[
+            "epoch_losses"]
+        assert (tmp_path / "losses.tsv").read_text() == f"1\t{loss:.10f}\n"
+        assert [p.name for p in tmp_path.glob("*.bin")] == ["epoch-0001.bin"]
+
     @pytest.mark.parametrize("with_dir", [False, True])
     def test_nonfinite_parameters_after_the_last_step_abort(self, tmp_path,
                                                             with_dir):
