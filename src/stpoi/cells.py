@@ -88,8 +88,8 @@ VARIANTS = ("lstm", "st-lstm", "st-clstm")
 # below the float64 maximum (1.8e308) that rounding cannot cross it
 BOUND = 1e300
 
-# bytes of stacked w_z and w_x gradient products per step group of
-# input_backward: many toy-shape steps, one paper-shape step
+# bytes of stacked weight-gradient products per step group of add_step_sums
+# (w_out's, or w_z's and w_x's): many toy-shape steps, one paper-shape step
 STEP_GROUP_BYTES = 1 << 20
 
 # ablation presets: which interval gates get pinned to the all-ones vector
@@ -662,6 +662,31 @@ def _add_last_first(total, parts) -> None:
     np.add.reduce(parts, axis=0, out=total)
 
 
+def add_step_sums(gw, gb, runs, group: int) -> None:
+    """Add each step's ``d.T @ x`` into the weight gradient ``gw`` (O, K)
+    and the row sum of its ``d`` into the bias gradient ``gb`` (O,), the
+    last step first.  ``runs`` are (d, x) pairs in step order, d (S, R, O)
+    and x (S, R, K): S steps of R rows each.
+
+    The steps run in groups of at most ``group`` (``step_groups``), the
+    caller's share of ``STEP_GROUP_BYTES``, and ``gw`` in blocks of as many
+    rows as ``numkit.BLOCK_BYTES`` holds (one at least), so that a block
+    stays in cache while every group adds into it.  Per group there is one
+    stacked row sum, and per group and row block one stacked product; one
+    reduce per gradient then adds the group's steps in order
+    (``_add_last_first``).  These are the bits of one ``+=`` per step.
+    """
+    groups = [(d[g], x[g]) for d, x in reversed(runs)
+              for g in step_groups(len(d), group)]
+    for d, _ in groups:
+        _add_last_first(gb, d.sum(axis=1))
+    rows = max(1, numkit.BLOCK_BYTES // gw[0].nbytes)
+    for v in range(0, len(gw), rows):
+        for d, x in groups:
+            _add_last_first(gw[v:v + rows],
+                            np.matmul(d[:, :, v:v + rows].transpose(0, 2, 1), x))
+
+
 def input_backward(p, z, terms, i, da, dw, grads):
     """The part of the backward that feeds no earlier step, for S steps of
     B rows of ``step_backward`` output: every cell parameter gradient, the
@@ -673,48 +698,40 @@ def input_backward(p, z, terms, i, da, dw, grads):
     n_c) and ``dw`` (S, 2, B, n_c) the steps' ``step_backward`` output.
     Adds each step's rank-B sums into the cell's gradients in ``grads`` (a
     ``p.zeros_like()``), the last step first, each gate group's block in
-    place; a pinned gate is exactly 1, so its gradients stay exactly 0.  The
-    sums run on groups of steps, as many as ``STEP_GROUP_BYTES`` holds of
-    the stacked ``w_z`` and ``w_x`` products (one step at least): one
-    stacked product per gate group, one stacked reduction per sum, then one
-    reduce per gradient that adds the group's steps in order.  Returns the
-    input gradient (S * B, n_i).  As in the forward, one product over all
-    S * B rows gives each row the bits of a per-step one.
+    place: ``add_step_sums`` for ``w_z``/``b_z`` and ``w_x``/``b_x``, and
+    one stacked reduction per sum for ``w_to``, ``w_do`` and ``w_u``, all on
+    groups of as many steps as ``STEP_GROUP_BYTES`` holds of the stacked
+    ``w_z`` and ``w_x`` products (one step at least).  A pinned gate is
+    exactly 1, so its gradients stay exactly 0.  Returns the input gradient
+    (S * B, n_i).  As in the forward, one product over all S * B rows gives
+    each row the bits of a per-step one.
     """
     u, inner, iv, _ = terms
     steps, b, _ = z.shape
     n = p.n_c
-    x = z[:, :, n:]
     # the rows' gate pre-activation gradients in the column order of w_z
     da = da[:, :, :b].transpose(0, 2, 1, 3).reshape(steps, b, -1)
     dx = numkit.matmul_rows(da.reshape(steps * b, -1), p.blocks["w_z"][:, n:])
-    step_bytes = p.blocks["w_z"].nbytes
-    if iv is not None:
-        # d/d(t1, t2, d1, d2) = (dw1 * i * d1, dw2 * i * d2, dw1 * i * t1, dw2 * i * t2)
-        dwi = (dw * i[:, None]).transpose(1, 0, 2, 3).reshape(2, -1, n)
-        dpre = np.concatenate([dwi * iv[2:], dwi * iv[:2]]) * iv * (1.0 - iv)
-        dw_u = dpre * inner
-        dw_u *= 1.0 - inner
-        dw_u *= u
-        dw_u = dw_u.reshape(4, steps, b, n).sum(axis=2).transpose(1, 0, 2)
-        dpre = dpre.transpose(1, 0, 2).reshape(steps * b, -1)
-        dx += numkit.matmul_rows(dpre, p.blocks["w_x"])
-        dpre = dpre.reshape(steps, b, -1)
-        u = u.reshape(4, steps, b, 1)
-        step_bytes += p.blocks["w_x"].nbytes
-    for last_first in step_groups(steps, max(1, STEP_GROUP_BYTES // step_bytes)):
-        d = da[last_first]
-        _add_last_first(grads.blocks["w_z"],
-                        np.matmul(d.transpose(0, 2, 1), z[last_first]))
-        _add_last_first(grads.blocks["b_z"], d.sum(axis=1))
-        if iv is None:
-            continue
-        d_o = d[:, :, -2 * n:-n]
+    group = max(1, STEP_GROUP_BYTES // sum(
+        p.blocks[w].nbytes for w in ("w_z", "w_x") if w in p.blocks))
+    add_step_sums(grads.blocks["w_z"], grads.blocks["b_z"], [(da, z)], group)
+    if iv is None:
+        return dx
+    # d/d(t1, t2, d1, d2) = (dw1 * i * d1, dw2 * i * d2, dw1 * i * t1, dw2 * i * t2)
+    dwi = (dw * i[:, None]).transpose(1, 0, 2, 3).reshape(2, -1, n)
+    dpre = np.concatenate([dwi * iv[2:], dwi * iv[:2]]) * iv * (1.0 - iv)
+    dw_u = dpre * inner
+    dw_u *= 1.0 - inner
+    dw_u *= u
+    dw_u = dw_u.reshape(4, steps, b, n).sum(axis=2).transpose(1, 0, 2)
+    dpre = dpre.transpose(1, 0, 2).reshape(steps * b, -1)
+    dx += numkit.matmul_rows(dpre, p.blocks["w_x"])
+    add_step_sums(grads.blocks["w_x"], grads.blocks["b_x"],
+                  [(dpre.reshape(steps, b, -1), z[:, :, n:])], group)
+    u = u.reshape(4, steps, b, 1)
+    for last_first in step_groups(steps, group):
+        d_o = da[last_first, :, -2 * n:-n]
         _add_last_first(grads["w_to"], (u[0, last_first] * d_o).sum(axis=1))
         _add_last_first(grads["w_do"], (u[2, last_first] * d_o).sum(axis=1))
         _add_last_first(grads.blocks["w_u"], dw_u[last_first].reshape(-1, 4 * n))
-        dp = dpre[last_first]
-        _add_last_first(grads.blocks["w_x"],
-                        np.matmul(dp.transpose(0, 2, 1), x[last_first]))
-        _add_last_first(grads.blocks["b_x"], dp.sum(axis=1))
     return dx

@@ -99,6 +99,7 @@ def haversine(lat1, lon1, lat2, lon2) -> float:
     dp = p2 - p1
     dl = math.radians(lon2 - lon1)
     a = math.sin(dp / 2.0) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2.0) ** 2
+    a = min(a, 1.0)     # rounding lifts a past 1 at (near-)antipodal points
     return EARTH_RADIUS_KM * 2.0 * math.atan2(math.sqrt(a), math.sqrt(1.0 - a))
 
 

@@ -19,10 +19,9 @@ gates go into one ``cells.Gates`` per batch.  Past training's cell loop
 only the real (b, t) rows are kept, and the readout streams them through
 one buffer of ``READOUT_ROWS`` x vocab floats, a block of whole steps at a
 time from the last step backwards: it writes the block's logits there,
-turns them into gradients in place and runs the ``w_out``/``b_out`` sums
-on groups of steps with equal real-row counts, as ``cells.input_backward``
-does for the cell's, before the next block.  No (real rows, vocab) array
-is made.
+turns them into gradients in place and adds their ``w_out``/``b_out`` sums
+through ``cells.add_step_sums``, which forms the cell's weight sums too,
+before the next block.  No (real rows, vocab) array is made.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import container
-from . import cells
+from . import cells, container, numkit
 from .cells import (
     CellParams,
     GateAblation,
@@ -47,11 +45,9 @@ from .cells import (
     count_params,
     draw_tensors,
     formula_param_count,
-    _add_last_first,
     input_backward,
     interval_terms,
     step_backward,
-    step_groups,
 )
 from .numkit import TILE_ROWS, affine, matmul_rows, softmax_xent_rows
 from .optim import AdamState
@@ -60,13 +56,6 @@ CHECKPOINT_KIND = "stpoi-checkpoint"
 
 # real (b, t) rows per training readout block (whole tiles)
 READOUT_ROWS = 64
-# w_out rows per block of the w_out/b_out gradient sum
-VOCAB_ROWS = 256
-# bytes of one (4, rows, n_c) block of interval terms, computed ahead of the
-# steps and backpropagated after them (one step at least): 64 rows at n_c
-# 128, so a block stays in a core's L2 next to the steps that read it, and
-# 512 at n_c 16
-TERM_BYTES = 256 * 1024
 
 
 @dataclass
@@ -236,8 +225,8 @@ def _term_blocks(params: ModelParams, cfg: ModelConfig, z, dts, dds, live):
 
 def term_rows(n_c: int) -> int:
     """Rows per block of interval terms at cell width ``n_c``: as many as
-    fit a (4, rows, n_c) float array in ``TERM_BYTES``, one at least."""
-    return max(1, TERM_BYTES // (32 * n_c))
+    fit a (4, rows, n_c) float array in ``numkit.BLOCK_BYTES``, one at least."""
+    return max(1, numkit.BLOCK_BYTES // (32 * n_c))
 
 
 def _step_blocks(counts, most: int):
@@ -283,8 +272,8 @@ def forward_batch(params: ModelParams, cfg: ModelConfig, seqs):
     Gates are kept for the last step only.  Parameters are not checked
     here: callers run ``cells.check_bounded`` once per call.  The interval
     terms of a block of steps are computed just ahead of the steps that
-    read them, at most ``TERM_BYTES`` a block (``term_rows``), so that at
-    the paper's n_c they are still in a core's L2 cache when read.
+    read them, at most ``numkit.BLOCK_BYTES`` a block (``term_rows``), so
+    that at the paper's n_c they are still in a core's L2 cache when read.
     """
     pois, dts, dds, lengths = _pad(seqs, cfg, "forward_batch")
     order = np.argsort(-lengths, kind="stable")
@@ -318,17 +307,15 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs, out=None):
     one reused buffer of ``READOUT_ROWS`` (or the batch's width, if
     larger) x vocab floats and turned into their gradients there, so the
     readout's memory does not grow with the batch's real rows.  The loss
-    is summed per step in ascending t.  Before the next block, the
-    ``w_out``/``b_out`` gradient adds each of the block's steps in
-    descending t: within each run of steps with equal real-row counts, per
-    group of steps (``cells.step_groups``, as many steps as
-    ``STEP_GROUP_BYTES`` holds of ``w_out``, one at least), one stacked sum
-    over whole vocabulary rows and, per ``VOCAB_ROWS``-row vocabulary
-    block, one stacked product, then one reduce per gradient that adds the
-    group's steps in order (``cells._add_last_first``).  The backward
-    mirrors the forward: the time loop runs only ``cells.step_backward``,
-    then ``cells.input_backward`` runs once per block of interval terms,
-    the last first, and adds every cell parameter gradient.  The embedding
+    is summed per step in ascending t.  Before the next block,
+    ``cells.add_step_sums`` adds each of the block's steps into the
+    ``w_out``/``b_out`` gradient in descending t, over its runs of steps
+    with equal real-row counts, in groups of as many steps as
+    ``STEP_GROUP_BYTES`` holds of ``w_out``.  The backward mirrors the
+    forward: it walks the blocks of interval terms once, the last first,
+    running ``cells.step_backward`` over a block's steps in descending t
+    and then ``cells.input_backward`` on the block, which adds every cell
+    parameter gradient.  The embedding
     gradient gets each step's per-POI sums of the real rows' input
     gradients, added in descending t.
     """
@@ -370,24 +357,15 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs, out=None):
             # a process's first products at a height run numkit's BLAS
             # probes, whose memory then does not add to the gradients'
             grads = params.zeros_like()
-        # the block's w_out/b_out sums over its runs of steps with equal
-        # real-row counts (a run ends where a sequence does), the last run
-        # first, in step groups as in cells.input_backward
+        # the block's runs of steps with equal real-row counts (a run ends
+        # where a sequence does)
         cuts = [s0, *(t for t in range(s0 + 1, s1)
                       if counts[t] < counts[t - 1]), s1]
-        groups = []
-        for t0, t1 in reversed(list(zip(cuts, cuts[1:]))):
-            shape = (t1 - t0, counts[t0], -1)
-            dr = d[at[t0] - r0:at[t1] - r0].reshape(shape)
-            hr = h[at[t0]:at[t1]].reshape(shape)
-            groups += [(dr[g], hr[g]) for g in step_groups(t1 - t0, group)]
-        for dg, _ in groups:
-            _add_last_first(grads["b_out"], dg.sum(axis=1))
-        for v in range(0, cfg.vocab, VOCAB_ROWS):
-            for dg, hg in groups:
-                _add_last_first(grads["w_out"][v:v + VOCAB_ROWS], np.matmul(
-                    dg[:, :, v:v + VOCAB_ROWS].transpose(0, 2, 1), hg))
-    del buf, d, dr, dg, groups  # the views too, or they keep the buffer alive
+        runs = [(d[at[t0] - r0:at[t1] - r0].reshape(t1 - t0, counts[t0], -1),
+                 h[at[t0]:at[t1]].reshape(t1 - t0, counts[t0], -1))
+                for t0, t1 in zip(cuts, cuts[1:])]
+        cells.add_step_sums(grads["w_out"], grads["b_out"], runs, group)
+    del buf, d, runs  # the views too, or they keep the buffer alive
     # the strided mask column, not a dense vector, fixes the order in which
     # BLAS adds a step's losses; per-step oracles sum the same way.  One
     # stacked product makes the same dot call for every step.
@@ -396,32 +374,29 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs, out=None):
     for loss in dots[:, 0, 0].tolist():
         total_loss += loss
 
-    # per step: the gate pre-activation gradients, zero-padded to the
-    # workspace's rows, and the write-gate gradients (see
-    # cells.step_backward)
+    # per step of a block: the gate pre-activation gradients, zero-padded to
+    # the workspace's rows (step_backward writes only the first B, so the
+    # padding stays zero from block to block), and the write-gate gradients
     gates.hoist()
-    das = np.zeros((T, params.blocks["w_z"].shape[0] // n, z.shape[1], n))
-    dws = np.empty((T, 2, B, n))
+    most = max(t1 - t0 for t0, t1, _ in blocks)
+    das = np.zeros((most, params.blocks["w_z"].shape[0] // n, z.shape[1], n))
+    dws = np.empty((most, 2, B, n))
+    dxs = np.empty((T, B, cfg.n_i))
     dh_next = np.zeros((B, n))
     dc = np.zeros((2, B, n))    # [c_hat, c] gradients of the step running
-    for t0, t1, (_, _, iv, _) in reversed(blocks):
+    for t0, t1, terms in reversed(blocks):
         # each step's four interval gates as one contiguous block
-        ivs = [None] * (t1 - t0) if iv is None else list(
-            iv.reshape(4, -1, B, n).transpose(1, 0, 2, 3).copy())
+        ivs = [None] * (t1 - t0) if terms[2] is None else list(
+            terms[2].reshape(4, -1, B, n).transpose(1, 0, 2, 3).copy())
+        da, dw = das[:t1 - t0], dws[:t1 - t0]
         for t in reversed(range(t0, t1)):
             dh_next = step_backward(params, gates, t, ivs[t - t0],
-                                    dhs[t] + dh_next, dc, das[t], dws[t])
+                                    dhs[t] + dh_next, dc, da[t - t0], dw[t - t0])
             if cfg.bptt_cap is not None and t % cfg.bptt_cap == 0:
                 dh_next = np.zeros((B, n))
                 dc[1] = 0.0
-    # of the gates only i feeds the input part
-    i = gates.s[:, 0]
-    del gates
-    dxs = np.empty((T, B, cfg.n_i))
-    for t0, t1, terms in reversed(blocks):
-        dxs[t0:t1] = input_backward(
-            params, z[t0:t1, :B], terms, i[t0:t1], das[t0:t1], dws[t0:t1],
-            grads).reshape(t1 - t0, B, -1)
+        dxs[t0:t1] = input_backward(params, z[t0:t1, :B], terms, gates.s[t0:t1, 0],
+                                    da, dw, grads).reshape(t1 - t0, B, -1)
     # reduce duplicate POIs within each step first, rows in batch order:
     # each embedding row then receives one delta per step, added in
     # descending t, which keeps a duplicated batch exactly twice the single

@@ -55,6 +55,10 @@ TAIL_COLS = 8
 # every height: 4x and 6.8x the limits of OpenBLAS's small-product kernel
 PROBE_SIZE = 1 << 22
 PROBE_OUTPUTS = 1 << 13
+# bytes per cache-sized block, so that a block stays in a core's L2: of the
+# model's interval terms, of a weight gradient's rows in ``cells.add_step_sums``
+# and of the Adam update's slices
+BLOCK_BYTES = 256 * 1024
 
 # (K, O, strides, dtype) of a matrix -> the most rows one call is known to
 # take exactly: inf for any number, 0 for none past TILE_ROWS.  A property

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import CellParams, _view_plan
+from .numkit import BLOCK_BYTES
 
-# floats of ``flat`` per slice of the Adam update
-ADAM_SLICE = 1 << 15
+# floats of ``flat`` per slice of the Adam update, one cache-sized block
+ADAM_SLICE = BLOCK_BYTES // 8
 # gradient magnitude below which fd_check's error is absolute, not relative
 FD_FLOOR = 1e-3
 
@@ -43,10 +44,10 @@ def adam_step(tensors: CellParams, grads: CellParams, state: AdamState) -> AdamS
     """One Adam update, in place, over the whole ``flat`` buffer.  Requires
     ``grads`` and the moments in the layout of ``tensors``.
 
-    The update runs over consecutive ``ADAM_SLICE``-float slices of ``flat``,
-    so its temporaries stay small and in cache; each element sees the same
-    operations in the same order as in one pass, so the bits are those of
-    one pass.
+    The update runs over consecutive ``ADAM_SLICE``-float slices of ``flat``
+    (``numkit.BLOCK_BYTES`` each), so its temporaries stay small and in
+    cache; each element sees the same operations in the same order as in
+    one pass, so the bits are those of one pass.
     """
     for other in (grads, state.m, state.v):
         if other.layout != tensors.layout:

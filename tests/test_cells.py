@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from stpoi import cells, optim
+from stpoi import cells, numkit, optim
 from stpoi.cells import CellState, GateAblation, StepInput
 from stpoi.numkit import NonFiniteError
 
@@ -395,9 +395,33 @@ class TestStepGroupedSums:
         monkeypatch.setattr(cells, "STEP_GROUP_BYTES", 1)
         self.check(variant, 16, 4, 40, "time-only")
 
+    @pytest.mark.parametrize("steps_per_group", [3, 0])
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_toy_shape_row_blocks(self, variant, steps_per_group, monkeypatch):
+        # a budget of 5 rows of w_z (32 columns) a row block and 10 of w_x
+        # (16 columns): each weight gradient in several blocks, the last
+        # one short, in groups of three steps or of one
+        p = cells.init_params(variant, 16, 16, np.random.default_rng(0))
+        monkeypatch.setattr(cells, "STEP_GROUP_BYTES",
+                            steps_per_group * self.step_bytes(p) + 1)
+        monkeypatch.setattr(numkit, "BLOCK_BYTES", 5 * 32 * 8)
+        heights, add = [], cells._add_last_first
+
+        def recording(total, parts):
+            if total.ndim == 2:
+                heights.append(len(total))
+            add(total, parts)
+        monkeypatch.setattr(cells, "_add_last_first", recording)
+        self.check(variant, 16, 4, 40, "short-only")
+        assert 5 in heights and max(heights) <= 10
+
     def test_paper_shape_one_step_groups(self):
+        # w_z (384 rows of 256 floats) in three row blocks, w_x (512 rows
+        # of 128) in two
         p = self.check("st-clstm", 128, 10, 3)
         assert cells.STEP_GROUP_BYTES // self.step_bytes(p) == 0
+        assert numkit.BLOCK_BYTES // p.blocks["w_z"][0].nbytes == 128
+        assert numkit.BLOCK_BYTES // p.blocks["w_x"][0].nbytes == 256
 
     def test_paper_shape_groups_of_two(self, monkeypatch):
         p = cells.init_params("st-lstm", 128, 128, np.random.default_rng(0))

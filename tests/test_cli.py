@@ -510,6 +510,25 @@ class TestGrid:
             assert ((tmp_path / "run" / name).read_bytes() == (
                 tmp_path / "g" / "st-lstm-short-only-c4-b3-s2" / name).read_bytes())
 
+    def test_failed_legs_exit_1_with_nan_rows(self, synth_cache, tmp_path,
+                                              capsys):
+        # a step of 1e300 takes the parameters past the overflow bound in
+        # epoch 1, so both legs diverge; the grid still writes its table
+        out = tmp_path / "g"
+        assert run("grid", "--corpus", str(synth_cache),
+                   "--variants", "lstm,st-clstm", "--cell-sizes", "4",
+                   "--batch-sizes", "4", "--seeds", "0", "--embed-size", "4",
+                   "--epochs", "2", "--lr", "1e300", "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "grid: 2 leg(s) failed"
+        rows = [r.split("\t") for r in (out / "grid.tsv").read_text().splitlines()[1:]]
+        assert sorted(r[0] for r in rows) == ["lstm-none-c4-b4-s0",
+                                              "st-clstm-none-c4-b4-s0"]
+        for r in rows:
+            assert r[6:10] == ["nan"] * 4 and r[10].startswith("failed: ")
+            leg = out / r[0]
+            assert sorted(p.name for p in leg.iterdir()) == ["config.json",
+                                                             "divergence.json"]
+
     def test_unknown_variant_rejected(self, synth_cache, tmp_path, capsys):
         for flag, name in (("--variants", "gru"), ("--ablations", "all-off")):
             rc = status("grid", "--corpus", str(synth_cache), flag, name,

@@ -157,6 +157,27 @@ class TestHaversine:
             assert abs(d1 - d2) < 1e-9
             assert d1 >= 0.0
 
+    # rounding lifts the haversine term just past 1 for some exact
+    # antipodal pairs (72 of these 2000, and this named one), which raised
+    # "math domain error"; each pair is half a great circle apart
+    ANTIPODES = (3.309661790284011, -89.77779913133884,
+                 -3.309661790284011, 90.22220086866116)
+
+    def test_antipodal_points(self):
+        half = math.pi * data.EARTH_RADIUS_KM
+        assert data.haversine(*self.ANTIPODES) == pytest.approx(half)
+        rng = np.random.default_rng(3)
+        for lat, lon in zip(rng.uniform(-90, 90, 2000), rng.uniform(-180, 0, 2000)):
+            assert data.haversine(lat, lon, -lat, lon + 180.0) == pytest.approx(half)
+
+    def test_antipodal_move_builds_a_corpus(self):
+        lat1, lon1, lat2, lon2 = self.ANTIPODES
+        corpus = data.build_corpus([make_checkin("u", 0, "a", lat1, lon1),
+                                    make_checkin("u", 3600, "b", lat2, lon2),
+                                    make_checkin("u", 7200, "a", lat1, lon1)])
+        np.testing.assert_allclose(corpus.users[0].dds,
+                                   math.pi * data.EARTH_RADIUS_KM)
+
 
 class TestBuildCorpus:
     def test_ten_records_split_seven_three(self):

@@ -8,6 +8,7 @@ from stpoi import cells
 from stpoi import data
 from stpoi import eval as E
 from stpoi import model as M
+from stpoi import numkit
 from stpoi import train as T
 from stpoi.cells import GateAblation, zero_state
 from stpoi.numkit import NonFiniteError
@@ -41,8 +42,9 @@ def last_ranks(params, cfg, pois, dts, dds, keep=None):
 
 
 def cap_term_rows(monkeypatch, n_c, rows):
-    """Set the byte cap on interval-term blocks to ``rows`` rows at ``n_c``."""
-    monkeypatch.setattr(M, "TERM_BYTES", 32 * n_c * rows)
+    """Set the byte budget of cache-sized blocks so that interval-term
+    blocks hold ``rows`` rows at ``n_c``."""
+    monkeypatch.setattr(numkit, "BLOCK_BYTES", 32 * n_c * rows)
     assert M.term_rows(n_c) == rows
 
 
@@ -185,7 +187,7 @@ class TestForward:
         # to the steps that read it; at the toy's n_c 16 a whole toy batch
         # (108 rows) is one block; a cell too wide for one row takes one
         assert (M.term_rows(128), M.term_rows(16)) == (64, 512)
-        assert M.term_rows(M.TERM_BYTES) == 1
+        assert M.term_rows(numkit.BLOCK_BYTES) == 1
 
     def test_id_out_of_vocab(self):
         cfg = tiny_cfg("lstm")
@@ -329,13 +331,25 @@ class TestGradients:
 
 
     # lengths 5, 9, 5, 2, 9, 9, 1 give runs of steps with 7, 6, 5 and 3
-    # real rows, one, one, three and four steps long; vocab 601 spans three
-    # VOCAB_ROWS blocks.  The budget gives whole runs (default), groups of
-    # two steps with a short last one, or one-step groups.
+    # real rows, one, one, three and four steps long; the w_out gradient's
+    # 601 rows are one row block.  The budget gives whole runs (default),
+    # groups of two steps with a short last one, or one-step groups.
     @pytest.mark.parametrize("steps_per_group", [None, 2, 0])
     def test_step_grouped_readout_sums_match_per_step_oracle(
             self, steps_per_group, monkeypatch):
         self.check_readout_sums("st-clstm", steps_per_group, monkeypatch)
+
+    # the same batch with the w_out gradient in three row blocks of 256
+    # rows, the last short, or in 86 of 7 rows; at 7 rows the w_z and w_x
+    # sums are cut into row blocks too, and each block of interval terms
+    # holds one step
+    @pytest.mark.parametrize("w_out_rows", [256, 7])
+    @pytest.mark.parametrize("steps_per_group", [None, 2, 0])
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_row_blocked_weight_sums_match_per_step_oracle(
+            self, variant, steps_per_group, w_out_rows, monkeypatch):
+        self.check_readout_sums(variant, steps_per_group, monkeypatch,
+                                w_out_rows)
 
     # readout blocks of one step each, every step taller than the block
     # height; or of at most 6 rows: steps 0-4 one block each (step 0's 7
@@ -349,7 +363,8 @@ class TestGradients:
         monkeypatch.setattr(M, "READOUT_ROWS", readout_rows)
         self.check_readout_sums(variant, steps_per_group, monkeypatch)
 
-    def check_readout_sums(self, variant, steps_per_group, monkeypatch):
+    def check_readout_sums(self, variant, steps_per_group, monkeypatch,
+                           w_out_rows=None):
         cfg = tiny_cfg(variant, vocab=601, n_i=5, n_c=6)
         rng = np.random.default_rng(55)
         params = M.init_model(cfg, rng)
@@ -358,6 +373,11 @@ class TestGradients:
         else:
             monkeypatch.setattr(cells, "STEP_GROUP_BYTES",
                                 steps_per_group * params.w_out.nbytes)
+        if w_out_rows is None:
+            assert numkit.BLOCK_BYTES // params.w_out[0].nbytes >= cfg.vocab
+        else:
+            monkeypatch.setattr(numkit, "BLOCK_BYTES",
+                                w_out_rows * params.w_out[0].nbytes)
         seqs = [random_seq(rng, cfg.vocab, n) for n in (5, 9, 5, 2, 9, 9, 1)]
         loss, grads = M.batch_loss_and_grads(params, cfg, seqs)
         want_loss, want = per_step_loss_and_grads(params, cfg, seqs)

@@ -26,6 +26,21 @@ def fresh(variant, corpus, seed=0, n_c=8, n_i=8, **cfg_kw):
     return params, cfg
 
 
+class TestTrainSequences:
+    def test_user_with_no_training_transition_is_skipped(self):
+        # a 2-record user has n_train 1: its one transition evaluates
+        corpus = small_corpus(n_users=3)
+        short = data.UserSeq(user="short", pois=np.array([1, 2]),
+                             dts=np.array([1.0]), dds=np.array([2.0]), n_train=1)
+        corpus.users.insert(1, short)
+        seqs, names = T.train_sequences(corpus)
+        assert names == [corpus.users[k].user for k in (0, 2, 3)]
+        assert len(seqs) == len(names)
+        for seq, k in zip(seqs, (0, 2, 3)):
+            for got, want in zip(seq, corpus.users[k].train_steps()):
+                np.testing.assert_array_equal(got, want)
+
+
 class TestFit:
     def test_loss_decreases_on_learnable_pattern(self):
         corpus = small_corpus()
