@@ -107,13 +107,14 @@ def load(path):
             raise ContainerError(f"{path}: payload size does not match the header")
         arrays = {}
         for entry in entries:
-            dt = np.dtype(entry["dtype"]).newbyteorder("<")
-            try:
-                arr = np.frombuffer(fh.read(entry["nbytes"]), dtype=dt).reshape(
-                    entry["shape"])
+            name, dt = entry["name"], np.dtype(entry["dtype"])
+            try:      # the payload's little-endian layout, read in place
+                arr = np.empty(entry["shape"], dtype=dt.newbyteorder("<"))
             except ValueError as exc:     # numpy's own limits on rank and size
-                raise ContainerError(f"{path}: tensor {entry['name']!r}: {exc}") from None
-            arrays[entry["name"]] = arr.astype(entry["dtype"])
+                raise ContainerError(f"{path}: tensor {name!r}: {exc}") from None
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != entry["nbytes"]:
+                raise ContainerError(f"{path}: tensor {name!r} is cut short")
+            arrays[name] = arr.astype(dt, copy=False)    # a copy on big-endian hosts only
     return header["meta"], arrays
 
 

@@ -93,40 +93,27 @@ class Corpus:
         }
 
 
+def _hop_km(lats, lons) -> list:
+    """Great-circle km between consecutive (lat, lon) points in degrees.
+
+    One haversine per pair through ``math``, with the terms in the order of
+    the scalar formula, so each distance has the bits of a scalar
+    evaluation; each point's radians and cosine are taken once.
+    """
+    sin, radians, sqrt, atan2 = math.sin, math.radians, math.sqrt, math.atan2
+    rad = [radians(x) for x in lats]
+    cos = [math.cos(x) for x in rad]
+    # min: rounding lifts the term past 1 at (near-)antipodal points
+    terms = (
+        min(sin((p2 - p1) / 2.0) ** 2 + c1 * c2 * sin(radians(l2 - l1) / 2.0) ** 2, 1.0)
+        for p1, p2, c1, c2, l1, l2 in zip(rad, rad[1:], cos, cos[1:], lons, lons[1:])
+    )
+    return [EARTH_RADIUS_KM * 2.0 * atan2(sqrt(a), sqrt(1.0 - a)) for a in terms]
+
+
 def haversine(lat1, lon1, lat2, lon2) -> float:
     """Great-circle distance in km between two (lat, lon) points in degrees."""
-    p1, p2 = math.radians(lat1), math.radians(lat2)
-    dp = p2 - p1
-    dl = math.radians(lon2 - lon1)
-    a = math.sin(dp / 2.0) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2.0) ** 2
-    a = min(a, 1.0)     # rounding lifts a past 1 at (near-)antipodal points
-    return EARTH_RADIUS_KM * 2.0 * math.atan2(math.sqrt(a), math.sqrt(1.0 - a))
-
-
-def _parse_time(text: str) -> float:
-    text = text.strip()
-    try:
-        stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
-        if stamp.tzinfo is None:
-            stamp = stamp.replace(tzinfo=timezone.utc)
-        return stamp.timestamp()
-    except ValueError:
-        return float(text)   # plain unix seconds; ValueError propagates
-
-
-def _parse_line(parts) -> CheckIn:
-    if len(parts) != 5:
-        raise ValueError(f"expected 5 fields, got {len(parts)}")
-    user, when, lat_s, lon_s, poi = (p.strip() for p in parts)
-    if not user or not poi:
-        raise ValueError("empty user or poi id")
-    ts = _parse_time(when)
-    lat, lon = float(lat_s), float(lon_s)
-    if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
-        raise ValueError(f"coordinates out of range: {lat}, {lon}")
-    if not math.isfinite(ts):
-        raise ValueError("non-finite timestamp")
-    return CheckIn(user=user, ts=ts, lat=lat, lon=lon, poi=poi)
+    return _hop_km((lat1, lat2), (lon1, lon2))[0]
 
 
 def load_checkins(path, fmt: str = "snap"):
@@ -134,30 +121,51 @@ def load_checkins(path, fmt: str = "snap"):
 
     Malformed lines are skipped with a warning tally; if more than half of
     the non-blank lines fail to parse the file is rejected as being in the
-    wrong format, as is a file that is not UTF-8 text.  An empty file is
-    legal and yields an empty list.
+    wrong format, as is a file that is not UTF-8 text.  A leading byte-order
+    mark is not part of the first user id.  An empty file is legal and
+    yields an empty list.
     """
     if fmt not in ("snap", "csv"):
         raise ValueError(f"unknown format {fmt!r}; expected 'snap' or 'csv'")
     sep = "\t" if fmt == "snap" else ","
+    fromisoformat, utc, isfinite = datetime.fromisoformat, timezone.utc, math.isfinite
     out = []
     seen = 0
     bad = 0
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
                 if not line.strip():
                     continue
-                parts = line.split(sep)
+                parts = line.rstrip("\n").split(sep)
                 try:
-                    out.append(_parse_line(parts))
-                    seen += 1
+                    if len(parts) != 5:
+                        raise ValueError(f"expected 5 fields, got {len(parts)}")
+                    user, when, lat, lon, poi = parts
+                    user, poi = user.strip(), poi.strip()
+                    if not user or not poi:
+                        raise ValueError("empty user or poi id")
+                    when = when.strip()
+                    try:    # ISO-8601, naive meaning UTC
+                        stamp = fromisoformat(when.replace("Z", "+00:00"))
+                        if stamp.tzinfo is None:
+                            stamp = stamp.replace(tzinfo=utc)
+                        ts = stamp.timestamp()
+                    except ValueError:
+                        ts = float(when)    # plain unix seconds, or malformed
+                    lat, lon = float(lat), float(lon)
+                    if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
+                        raise ValueError(f"coordinates out of range: {lat}, {lon}")
+                    if not isfinite(ts):
+                        raise ValueError("non-finite timestamp")
                 except (ValueError, OverflowError):
                     if fmt == "csv" and lineno == 1:
                         continue   # header line, not data
                     seen += 1
                     bad += 1
+                    continue
+                out.append(CheckIn(user, ts, lat, lon, poi))
+                seen += 1
     except UnicodeDecodeError:
         with open(path, "rb") as fh:    # offsets of the whole file, not of
             raw = fh.read()             # the decoder's read chunk
@@ -178,26 +186,39 @@ def load_checkins(path, fmt: str = "snap"):
     return out
 
 
+def _codes(values):
+    """Dense int64 codes of ``values`` in order of first appearance, and the
+    distinct values in code order."""
+    index = {}
+    codes = np.array([index.setdefault(v, len(index)) for v in values], dtype=np.int64)
+    return codes, list(index)
+
+
 def clean(checkins, min_user_checkins: int = 10, min_poi_users: int = 10):
     """Iteratively drop users with too few check-ins and POIs visited by too
     few distinct users, until neither rule removes anything.
 
     Removing a POI shrinks user histories which can push a user under the
-    threshold on the next sweep, hence the fixed-point loop.
+    threshold on the next sweep, hence the fixed-point loop.  The sweeps
+    count over integer user and POI codes; the kept check-ins are returned
+    in input order.
     """
-    current = list(checkins)
+    checkins = list(checkins)
+    users, names = _codes([c.user for c in checkins])
+    pois, poi_names = _codes([c.poi for c in checkins])
+    n_users = len(names)
+    # the distinct (POI, user) pairs, and each check-in's pair
+    pairs, pair_of = np.unique(pois * n_users + users, return_inverse=True)
+    pair_poi = pairs // max(n_users, 1)
+    alive = np.ones(len(checkins), dtype=bool)
     while True:
-        by_user = {}
-        for c in current:
-            by_user[c.user] = by_user.get(c.user, 0) + 1
-        kept = [c for c in current if by_user[c.user] >= min_user_checkins]
-        poi_users = {}
-        for c in kept:
-            poi_users.setdefault(c.poi, set()).add(c.user)
-        kept2 = [c for c in kept if len(poi_users[c.poi]) >= min_poi_users]
-        if len(kept2) == len(current):
-            return kept2
-        current = kept2
+        kept = alive & (np.bincount(users[alive], minlength=n_users)[users]
+                        >= min_user_checkins)
+        visited = np.bincount(pair_of[kept], minlength=pairs.size) > 0
+        kept &= np.bincount(pair_poi[visited], minlength=len(poi_names))[pois] >= min_poi_users
+        if np.count_nonzero(kept) == np.count_nonzero(alive):
+            return [checkins[i] for i in np.flatnonzero(kept).tolist()]
+        alive = kept
 
 
 def _split_point(n: int, train_frac: float) -> int:
@@ -214,57 +235,60 @@ def build_corpus(checkins, train_frac: float = 0.7, clip_dt=None, clip_dd=None,
     records are sorted by timestamp with input order breaking ties.  Dense
     POI ids are assigned by first appearance along that traversal.  Users
     with fewer than two records cannot form a transition and are dropped
-    with a warning.
+    with a warning.  A time or coordinate that is NaN or infinite raises
+    ValueError naming its user.
 
     Intervals are raw hours/km by default.  ``clip_dt``/``clip_dd`` cap them
     first; ``log_scale`` then maps u -> log1p(u).
     """
     if not 0.0 < train_frac < 1.0:
         raise ValueError(f"train_frac must be in (0, 1), got {train_frac}")
-    order = []
-    grouped = {}
-    for idx, c in enumerate(checkins):
-        if c.user not in grouped:
-            grouped[c.user] = []
-            order.append(c.user)
-        grouped[c.user].append((c.ts, idx, c))
+    checkins = list(checkins)
+    users, names = _codes([c.user for c in checkins])
+    ts = np.array([c.ts for c in checkins], dtype=np.float64)
+    lat = np.array([c.lat for c in checkins], dtype=np.float64)
+    lon = np.array([c.lon for c in checkins], dtype=np.float64)
+    finite = np.isfinite(ts) & np.isfinite(lat) & np.isfinite(lon)
+    if not finite.all():
+        user = checkins[int(np.argmin(finite))].user
+        raise ValueError(f"user {user!r}: non-finite time or coordinates")
 
-    vocab: list = []
-    index: dict = {}
-    users = []
-    dropped = 0
-    for user in order:
-        recs = [c for _, _, c in sorted(grouped[user], key=lambda t: (t[0], t[1]))]
-        if len(recs) < 2:
-            dropped += 1
-            continue
-        pois = np.empty(len(recs), dtype=np.int64)
-        for j, c in enumerate(recs):
-            if c.poi not in index:
-                index[c.poi] = len(vocab)
-                vocab.append(c.poi)
-            pois[j] = index[c.poi]
-        dts = np.empty(len(recs) - 1)
-        dds = np.empty(len(recs) - 1)
-        for j in range(len(recs) - 1):
-            a, b = recs[j], recs[j + 1]
-            dts[j] = (b.ts - a.ts) / 3600.0
-            dds[j] = haversine(a.lat, a.lon, b.lat, b.lon)
-        if np.any(dts < 0):
-            raise ValueError(f"user {user!r}: negative interval after sorting")
-        if clip_dt is not None:
-            np.minimum(dts, clip_dt, out=dts)
-        if clip_dd is not None:
-            np.minimum(dds, clip_dd, out=dds)
-        if log_scale:
-            dts = np.log1p(dts)
-            dds = np.log1p(dds)
-        users.append(
-            UserSeq(
-                user=user, pois=pois, dts=dts, dds=dds,
-                n_train=_split_point(len(recs), train_frac),
-            )
-        )
+    # users by first appearance, then time; the sort is stable, so input
+    # order breaks ties
+    sizes = np.bincount(users, minlength=len(names))
+    order = np.lexsort((ts, users))
+    order = order[sizes[users[order]] >= 2]
+    kept = np.flatnonzero(sizes >= 2)
+    dropped = len(names) - kept.size
+    ends = np.cumsum(sizes[kept])
+    recs = [checkins[i] for i in order.tolist()]
+    pois, vocab = _codes([c.poi for c in recs])
+
+    # hops between consecutive records, less the ones between two users
+    inner = np.ones(max(order.size - 1, 0), dtype=bool)
+    inner[ends[:-1] - 1] = False
+    ts = ts[order]
+    with np.errstate(over="ignore"):
+        dts = ((ts[1:] - ts[:-1]) / 3600.0)[inner]
+    if not np.isfinite(dts).all():
+        owner = np.repeat(kept, sizes[kept] - 1)[np.argmin(np.isfinite(dts))]
+        raise ValueError(f"user {names[owner]!r}: time span overflows")
+    dds = np.array(_hop_km([c.lat for c in recs], [c.lon for c in recs]))[inner]
+    if clip_dt is not None:
+        np.minimum(dts, clip_dt, out=dts)
+    if clip_dd is not None:
+        np.minimum(dds, clip_dd, out=dds)
+    if log_scale:
+        dts = np.log1p(dts)
+        dds = np.log1p(dds)
+
+    seqs = []
+    start = 0
+    for k, (code, end) in enumerate(zip(kept.tolist(), ends.tolist())):
+        iv = slice(start - k, end - k - 1)
+        seqs.append(UserSeq(user=names[code], pois=pois[start:end], dts=dts[iv],
+                            dds=dds[iv], n_train=_split_point(end - start, train_frac)))
+        start = end
     if dropped:
         log.warning("dropped %d users with fewer than 2 check-ins", dropped)
     meta = {
@@ -273,7 +297,7 @@ def build_corpus(checkins, train_frac: float = 0.7, clip_dt=None, clip_dd=None,
             "clip_dt": clip_dt, "clip_dd": clip_dd, "log_scale": log_scale,
         },
     }
-    return Corpus(users=users, vocab=vocab, meta=meta)
+    return Corpus(users=seqs, vocab=vocab, meta=meta)
 
 
 def checkin_stats(checkins) -> dict:

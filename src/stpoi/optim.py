@@ -89,10 +89,13 @@ def clip_global_norm(grads: CellParams, max_norm: float) -> float:
     ``max_norm <= 0`` disables clipping; a norm that is not finite leaves
     the gradients as they are, for the caller to reject.
     """
-    squares = grads.flat * grads.flat
+    spans = [(start, stop) for _, start, stop, _ in _view_plan(grads.layout)[0]]
+    # each span's squares in turn, in one buffer the size of the largest
+    squares = np.empty(max((stop - start for start, stop in spans), default=0))
     sq = 0.0
-    for _, start, stop, _ in _view_plan(grads.layout)[0]:
-        sq += float(np.add.reduce(squares[start:stop]))
+    for start, stop in spans:
+        g = grads.flat[start:stop]
+        sq += float(np.add.reduce(np.multiply(g, g, out=squares[:stop - start])))
     norm = float(np.sqrt(sq))
     if max_norm > 0 and max_norm < norm < np.inf:
         grads.flat *= max_norm / norm

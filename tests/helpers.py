@@ -10,14 +10,18 @@ of ``cells.input_backward``, a per-step training readout and embedding
 scatter, a one-logit-vector rank and a rank by sorting every candidate, a
 one-row softmax cross-entropy, the two-branch sigmoid, a one-user-at-a-time
 evaluation, a per-tensor Adam step and gradient clipping, and the product
-in fixed 16-row tiles.  Also a
+in fixed 16-row tiles, and per-object check-in cleaning and corpus
+building with a scalar haversine.  Also a
 model whose finite parameters overflow the readout, the largest
 pre-activation or logit in plain numpy, a user's test transitions and a
 corpus's raw-id index, which only tests read."""
 
+import math
+
 import numpy as np
 
 from stpoi import cells
+from stpoi import data
 from stpoi import model
 from stpoi import numkit
 
@@ -525,3 +529,73 @@ def matmul_in_tiles(a, m):
         np.matmul(tiles[r:r + 16], m[:, :main], out=out[r:r + 16, :main])
         out[r:r + 16, main:] = (tiles[r:r + 16] @ pad)[:, :width - main]
     return out[:n]
+
+
+def clean_per_object(checkins, min_user_checkins=10, min_poi_users=10):
+    """Oracle of data.clean: each sweep counts with a dict of users and a
+    dict of per-POI visitor sets, one check-in object at a time."""
+    current = list(checkins)
+    while True:
+        by_user = {}
+        for c in current:
+            by_user[c.user] = by_user.get(c.user, 0) + 1
+        kept = [c for c in current if by_user[c.user] >= min_user_checkins]
+        poi_users = {}
+        for c in kept:
+            poi_users.setdefault(c.poi, set()).add(c.user)
+        kept2 = [c for c in kept if len(poi_users[c.poi]) >= min_poi_users]
+        if len(kept2) == len(current):
+            return kept2
+        current = kept2
+
+
+def haversine_scalar(lat1, lon1, lat2, lon2):
+    """Great-circle km between two points in degrees, one pair at a time."""
+    p1, p2 = math.radians(lat1), math.radians(lat2)
+    dp = p2 - p1
+    dl = math.radians(lon2 - lon1)
+    a = math.sin(dp / 2.0) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2.0) ** 2
+    a = min(a, 1.0)
+    return 6371.0 * 2.0 * math.atan2(math.sqrt(a), math.sqrt(1.0 - a))
+
+
+def build_corpus_per_object(checkins, train_frac=0.7, clip_dt=None, clip_dd=None,
+                            log_scale=False):
+    """Oracle of data.build_corpus on finite input: each user's records
+    sorted by (ts, input index) as objects, POI ids handed out along that
+    walk, and every interval computed on its own pair."""
+    order, grouped = [], {}
+    for idx, c in enumerate(checkins):
+        if c.user not in grouped:
+            grouped[c.user] = []
+            order.append(c.user)
+        grouped[c.user].append((c.ts, idx, c))
+    vocab, index, users = [], {}, []
+    for user in order:
+        recs = [c for _, _, c in sorted(grouped[user], key=lambda t: (t[0], t[1]))]
+        if len(recs) < 2:
+            continue
+        pois = np.empty(len(recs), dtype=np.int64)
+        for j, c in enumerate(recs):
+            if c.poi not in index:
+                index[c.poi] = len(vocab)
+                vocab.append(c.poi)
+            pois[j] = index[c.poi]
+        dts = np.empty(len(recs) - 1)
+        dds = np.empty(len(recs) - 1)
+        for j in range(len(recs) - 1):
+            a, b = recs[j], recs[j + 1]
+            dts[j] = (b.ts - a.ts) / 3600.0
+            dds[j] = haversine_scalar(a.lat, a.lon, b.lat, b.lon)
+        if clip_dt is not None:
+            np.minimum(dts, clip_dt, out=dts)
+        if clip_dd is not None:
+            np.minimum(dds, clip_dd, out=dds)
+        if log_scale:
+            dts = np.log1p(dts)
+            dds = np.log1p(dds)
+        n_train = max(1, min(len(recs) - 1, int(math.floor(train_frac * len(recs) + 0.5))))
+        users.append(data.UserSeq(user=user, pois=pois, dts=dts, dds=dds, n_train=n_train))
+    meta = {"train_frac": train_frac, "interval_transform": {
+        "clip_dt": clip_dt, "clip_dd": clip_dd, "log_scale": log_scale}}
+    return data.Corpus(users=users, vocab=vocab, meta=meta)

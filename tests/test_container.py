@@ -3,6 +3,7 @@ import io
 import json
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -96,6 +97,33 @@ def test_at_most_one_tensor_copy_while_saving(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 65536 * 8
+
+
+def test_one_copy_of_a_tensor_while_loading(tmp_path):
+    # each payload is read straight into the array that load returns
+    path = tmp_path / "x.bin"
+    container.save(path, {}, {"a": np.arange(65536.0), "b": np.arange(65536)})
+    tracemalloc.start()
+    try:
+        _, arrays = container.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(arrays["b"], np.arange(65536))
+    assert arrays["a"].dtype == np.float64 and arrays["b"].dtype == np.int64
+    assert peak < 3 * 65536 * 8
+
+
+def test_payload_cut_short_while_reading_rejected(tmp_path, monkeypatch):
+    # a file that shrinks after load took its size
+    path = tmp_path / "x.bin"
+    container.save(path, {}, {"a": np.arange(8.0)})
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])
+    monkeypatch.setattr(container, "os", types.SimpleNamespace(
+        fstat=lambda fd: types.SimpleNamespace(st_size=full)))
+    with pytest.raises(container.ContainerError, match="'a' is cut short"):
+        container.load(path)
 
 
 def test_rejects_unsupported_dtype(tmp_path):

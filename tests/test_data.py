@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from stpoi import container, data
 from stpoi.data import CheckIn
 
-from helpers import poi_index, user_test_steps
+from helpers import (build_corpus_per_object, clean_per_object, poi_index,
+                     user_test_steps)
 
 
 def write(path, text):
@@ -95,6 +96,20 @@ class TestLoad:
         path = write(tmp_path / "a.txt", self.SNAP_LINE)
         with pytest.raises(ValueError):
             data.load_checkins(path, "parquet")
+
+    @pytest.mark.parametrize("fmt, header", [("snap", ""), ("csv", "user,time,lat,lon,poi\n")])
+    def test_byte_order_mark_is_not_part_of_the_first_user(self, tmp_path, fmt, header,
+                                                           caplog):
+        sep = "\t" if fmt == "snap" else ","
+        lines = [sep.join(["u1", str(1500000000 + 60 * t), "1.0", "2.0", f"p{t}"])
+                 for t in range(3)]
+        path = tmp_path / "a.txt"
+        path.write_bytes(("\ufeff" + header + "\n".join(lines) + "\n").encode("utf-8"))
+        recs = data.load_checkins(str(path), fmt)
+        assert [r.user for r in recs] == ["u1"] * 3
+        with caplog.at_level(logging.WARNING, logger="stpoi.data"):
+            corpus = data.build_corpus(recs)
+        assert [len(u.pois) for u in corpus.users] == [3] and not caplog.messages
 
 
 class TestClean:
@@ -266,6 +281,29 @@ class TestBuildCorpus:
         with pytest.raises(ValueError):
             data.build_corpus([], train_frac=1.0)
 
+    @pytest.mark.parametrize("field", ["ts", "lat", "lon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_names_the_user(self, field, value):
+        recs = [make_checkin("a", t, "x") for t in range(3)]
+        recs += [make_checkin("b", t, "y", lat=1.0, lon=2.0) for t in range(3)]
+        setattr(recs[4], field, value)
+        with pytest.raises(ValueError, match="user 'b': non-finite"):
+            data.build_corpus(recs)
+
+    def test_time_span_overflow_names_the_user(self):
+        recs = [make_checkin("a", 0, "x"), make_checkin("a", 1, "y"),
+                make_checkin("b", 1e308, "x"), make_checkin("b", -1e308, "y")]
+        with pytest.raises(ValueError, match="user 'b': time span overflows"):
+            data.build_corpus(recs)
+
+    def test_times_far_apart_across_users_build(self):
+        # the hop from one user's last record to the next user's first is
+        # never an interval, however far apart the two times are
+        recs = [make_checkin("a", 1e308, "x"), make_checkin("a", 1e308, "y"),
+                make_checkin("b", -1e308, "x"), make_checkin("b", -1e308, "y")]
+        corpus = data.build_corpus(recs, log_scale=True)
+        assert [u.dts.tolist() for u in corpus.users] == [[0.0], [0.0]]
+
     def test_stats(self):
         recs = [make_checkin("a", 3600 * t, f"p{t % 4}") for t in range(10)]
         corpus = data.build_corpus(recs)
@@ -274,6 +312,73 @@ class TestBuildCorpus:
             "users": 1, "pois": 4, "records": 10,
             "train_transitions": 6, "test_transitions": 3,
         }
+
+
+# check-in lists for the oracle comparison: few users and POIs so that
+# cleaning cascades and single-record users are common, times from a small
+# set so that ties are too (-0.0 ties 0.0), and some records repeated, as
+# the same object or as an equal one
+_TIMES = st.sampled_from([0.0, -0.0, 1800.0, 3600.0, 5400.0, 86400.0, 1.3e9])
+_RECORD = st.builds(
+    CheckIn, user=st.sampled_from(["u0", "u1", "u2", "u3", "u4", "u5"]),
+    ts=_TIMES | st.floats(-1e10, 1e10),
+    lat=st.sampled_from([0.0, 45.0, -45.0, 90.0]) | st.floats(-90.0, 90.0),
+    lon=st.sampled_from([0.0, 180.0, -180.0, 135.0]) | st.floats(-180.0, 180.0),
+    poi=st.sampled_from([f"p{j}" for j in range(8)]))
+
+
+@st.composite
+def _checkins(draw):
+    recs = draw(st.lists(_RECORD, max_size=40))
+    for j in draw(st.lists(st.integers(0, max(len(recs) - 1, 0)), max_size=6)):
+        if recs:
+            twin = recs[j] if draw(st.booleans()) else CheckIn(**vars(recs[j]))
+            recs.insert(draw(st.integers(0, len(recs))), twin)
+    return recs
+
+
+@pytest.fixture(scope="module")
+def cache_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle")
+
+
+class TestPipelineOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(recs=_checkins(), min_user=st.integers(0, 4), min_poi=st.integers(0, 3),
+           train_frac=st.floats(0.01, 0.99),
+           clip_dt=st.none() | st.floats(0.0, 50.0),
+           clip_dd=st.none() | st.floats(0.0, 5000.0), log_scale=st.booleans())
+    def test_clean_and_cache_match_the_per_object_oracle(self, cache_dir, recs, min_user,
+                                                         min_poi, train_frac, clip_dt,
+                                                         clip_dd, log_scale):
+        kept = data.clean(recs, min_user, min_poi)
+        want = clean_per_object(recs, min_user, min_poi)
+        assert [id(c) for c in kept] == [id(c) for c in want]
+        kw = dict(train_frac=train_frac, clip_dt=clip_dt, clip_dd=clip_dd,
+                  log_scale=log_scale)
+        data.save_corpus(data.build_corpus(kept, **kw), cache_dir / "got.bin")
+        data.save_corpus(build_corpus_per_object(kept, **kw), cache_dir / "want.bin")
+        assert (cache_dir / "got.bin").read_bytes() == (cache_dir / "want.bin").read_bytes()
+
+    def test_generated_dump_matches_the_per_object_oracle(self, tmp_path):
+        # ragged histories in file order newest first, several users per
+        # POI; at thresholds 10/5 a second sweep removes what the first
+        # one's removals pushed under a threshold
+        rng = np.random.default_rng(61)
+        lines = []
+        for u in range(30):
+            n = int(rng.integers(1, 25))
+            for t in sorted(rng.integers(0, 10**6, size=n), reverse=True):
+                lines.append(f"user{u}\t{1.3e9 + t}\t{rng.uniform(-60, 60):.6f}\t"
+                             f"{rng.uniform(-170, 170):.6f}\tvenue{rng.integers(40)}\n")
+        path = write(tmp_path / "a.txt", "".join(lines))
+        recs = data.load_checkins(path, "snap")
+        kept = data.clean(recs, 10, 5)
+        assert [id(c) for c in kept] == [id(c) for c in clean_per_object(recs, 10, 5)]
+        assert 0 < len(kept) < len(recs)
+        data.save_corpus(data.build_corpus(kept), tmp_path / "got.bin")
+        data.save_corpus(build_corpus_per_object(kept), tmp_path / "want.bin")
+        assert (tmp_path / "got.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
 
 
 class TestCorpusRoundTrip:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,22 @@ class TestClip:
         assert grads.embedding.size > 8192 and grads.w_out.size > 8192
         ref = {k: a.copy() for k, a in grads.items()}
         assert optim.clip_global_norm(grads, 0.0) == clip_per_tensor(ref, 0.0)
+
+    def test_squares_take_at_most_the_largest_tensor(self):
+        # the squares are summed span by span out of one buffer the size of
+        # the largest tensor, not out of a copy of the whole flat buffer
+        cfg = M.ModelConfig(variant="st-clstm", vocab=600, n_i=16, n_c=16)
+        grads = M.init_model(cfg, np.random.default_rng(53)).zeros_like()
+        grads.flat[:] = np.random.default_rng(54).normal(size=grads.flat.size)
+        largest = max(a.nbytes for a in grads.values())
+        assert largest < grads.flat.nbytes / 2
+        tracemalloc.start()
+        try:
+            optim.clip_global_norm(grads, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < largest + 4096
 
 
 class TestFdCheck:
