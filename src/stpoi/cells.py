@@ -526,11 +526,11 @@ def interval_terms(p: CellParams, x, dt, dd, ablation: Optional[GateAblation] = 
 def cell_step(p: CellParams, h, z, ow, iv, gates: Gates, t: int):
     """Step t of the first k = len(h) rows of a batch: writes their h into
     the (k, n_c) array ``h`` and their gates into ``gates``.  ``z`` holds
-    the rows' [h_prev | x] in its first k rows and has at least
-    ``numkit.TILE_ROWS`` rows, so that the gate product is one BLAS call on
-    it; its other rows may hold anything finite.  ``ow``/``iv`` are the k
-    rows' gate-major ``interval_terms``.  Expects finite inputs that pass
-    ``check_bounded``; checks nothing.
+    the rows' [h_prev | x] in its first k rows, any k <= len(z); its other
+    rows may hold anything finite.  A z of at least ``numkit.TILE_ROWS`` rows
+    makes the gate product one BLAS call on it, with no copy.  ``ow``/``iv``
+    are the k rows' gate-major ``interval_terms``.  Expects finite inputs
+    that pass ``check_bounded``; checks nothing.
     """
     k, n = h.shape
     s, g, tch, w, keep = gates.slot[t % len(gates.slot)]
@@ -568,13 +568,10 @@ def cell_forward(variant, p: CellParams, step: StepInput, prev: CellState,
         raise ValueError(f"cell_forward: params hold the {p.variant} tensors, "
                          f"not those of {variant!r}")
     x, dt, dd, c_prev, h_prev = _promote(p, step, prev, "w_to" in p)
-    n, b = p.n_c, len(x)
-    z = np.zeros((max(b, numkit.TILE_ROWS), n + p.n_i))
-    z[:b, :n] = h_prev
-    z[:b, n:] = x
+    z = np.concatenate((h_prev, x), axis=1)
     check_bounded(p, np.abs(z).max(initial=0.0), dt, dd, "cell forward")
     terms = interval_terms(p, x, dt, dd, ablation)
-    gates = Gates(p, 1, b)
+    gates = Gates(p, 1, len(x))
     gates.c[0, 1] = c_prev
     h = np.empty_like(c_prev)
     cell_step(p, h, z, terms[3], terms[2], gates, 0)
@@ -582,7 +579,7 @@ def cell_forward(variant, p: CellParams, step: StepInput, prev: CellState,
     # the cache holds the interval terms row-major, (B, 4, ·)
     u, inner, iv = (None if a is None else a.transpose(1, 0, 2) for a in terms[:3])
     cache = StepCache(
-        z=z[:b], i=s[0], f=s[1] if "w_f" in p else None, g=gates.g[0],
+        z=z, i=s[0], f=s[1] if "w_f" in p else None, g=gates.g[0],
         o=s[-1], c_prev=gates.c[0, 1], w1=gates.w[0, 0], w2=gates.w[0, 1],
         k1=gates.k[0, 0], k2=gates.k[0, 1], tanh_c_hat=gates.tch[0], u=u,
         iv=iv, inner=inner, buffers=gates)

@@ -333,8 +333,9 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 def _check_corpus(meta: dict, arrays: dict, path) -> None:
     """Raise FormatError unless the corpus header describes the payload:
-    well-formed user entries with ``1 <= n_train <= n``, lengths that sum to
-    the payload's, POI ids inside the vocabulary, and finite non-negative
+    well-formed user entries with distinct ids (eval selects and reports
+    users by id) and ``1 <= n_train <= n``, lengths that sum to the
+    payload's, POI ids inside the vocabulary, and finite non-negative
     intervals."""
     users, vocab = meta.get("users"), meta.get("vocab")
     if not isinstance(users, list) or not isinstance(vocab, list):
@@ -344,10 +345,15 @@ def _check_corpus(meta: dict, arrays: dict, path) -> None:
         if arr is None or arr.ndim != 1 or arr.dtype.kind not in kinds:
             raise FormatError(f"{path}: corpus payload needs a 1-D "
                               f"{'integer' if kinds == 'iu' else 'float'} {name!r}")
+    seen = set()
     for i, e in enumerate(users):
         if not (type(e) is dict and type(e.get("user")) is str
                 and type(e.get("n")) is int and type(e.get("n_train")) is int):
             raise FormatError(f"{path}: corpus user entry {i} is malformed")
+        if e["user"] in seen:
+            raise FormatError(f"{path}: corpus user id {e['user']!r} repeats "
+                              f"(entry {i})")
+        seen.add(e["user"])
         if not 1 <= e["n_train"] <= e["n"]:
             raise FormatError(f"{path}: corpus user {i} has n_train "
                               f"{e['n_train']} outside [1, n = {e['n']}]")

@@ -349,7 +349,7 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs, out=None):
         r0, r1 = at[s0], at[s1]
         ts, bs = real_t[r0:r1], real_b[r0:r1]
         # logits, then their gradients, in place in the buffer
-        d = affine(params.w_out, h[r0:r1], params.b_out, out=buf[:r1 - r0])
+        d = readout(params, h[r0:r1], out=buf[:r1 - r0])
         losses[ts, bs] = softmax_xent_rows(d, targets[bs, ts], out=d)[0]
         dhs[ts, bs] = matmul_rows(d, params.w_out)
         if grads is None:

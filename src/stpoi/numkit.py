@@ -10,20 +10,21 @@ row's place in it, and make as few calls as that allows: exactly
 ``TILE_ROWS`` rows at a width that is a multiple of ``TAIL_COLS`` are one
 ``np.matmul`` with no padding, probe or tail.  The products and
 ``softmax_xent_rows`` write into ``out=`` when given, so that the model's
-readout turns its logits into gradients in place.  A batch of fewer
-than ``TILE_ROWS`` rows is one call, zero-padded to ``TILE_ROWS``; below 16
-rows the bits can differ from a 16-row call's, which is why 16 is the least
-call height.  The model's step products need no padding here: they run on
+readout turns its logits into gradients in place.  Any other batch takes
+one decision, for all its column blocks: one call over all its rows, or
+``TILE_ROWS``-row tiles, the last one zero-padded, in one batched call.  A
+batch of fewer than ``TILE_ROWS`` rows is the one-tile case (below 16 rows
+the bits can differ from a 16-row call's, which is why 16 is the least call
+height).  The model's step products need no padding here: they run on
 views of at least ``TILE_ROWS`` rows of its workspaces, whose rows past the
 live ones are zero or finite (a row's bits do not depend on the others).  A
-taller batch is one call over all its rows where that gives the same bits,
-and ``TILE_ROWS``-row tiles, the last one zero-padded, in one batched call
-elsewhere.  Where it does not: OpenBLAS computes small
-products with a second kernel (with the SkylakeX kernels: up to 10^6
-multiply-adds and, for a transposed matrix, 1200 outputs from K >= 32),
-whose bits can differ from the large kernel's, so one call over B rows
-matches 16-row calls for every B only if both kernels round alike or the
-16-row call already runs the large one.  ``_one_call_exact`` probes this
+taller batch is one call where that gives the same bits.  Where it does
+not: OpenBLAS computes small products with a second kernel (with the
+SkylakeX kernels: up to 10^6 multiply-adds and, for a transposed matrix,
+1200 outputs from K >= 32), whose bits can differ from the large kernel's,
+so one call over B rows matches 16-row calls for every B only if both
+kernels round alike or the 16-row call already runs the large one.  That
+decides between one call and tiles, and ``_one_call_exact`` probes this
 per matrix shape and layout.  A fixed call shape alone does not give the
 property when the output width is not a multiple of ``TAIL_COLS``: OpenBLAS
 then computes the last ``width % TAIL_COLS`` columns with bits that depend
@@ -102,7 +103,7 @@ def _in_tiles(rows: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
     tiles = np.zeros((-(-n // TILE_ROWS) * TILE_ROWS, k))
     tiles[:n] = rows
     out[...] = np.matmul(tiles.reshape(-1, TILE_ROWS, k), m).reshape(
-        len(tiles), -1)[:n]
+        len(tiles), m.shape[1])[:n]
 
 
 def _one_call_exact(m: np.ndarray, n: int) -> bool:
@@ -154,45 +155,35 @@ def matmul_rows(a, m, out=None) -> np.ndarray:
     Same contract as ``a @ m`` for 2-D arrays; the backward passes use it
     wherever a per-row product feeds gradient accumulation.  Exactly
     TILE_ROWS rows and an output width that is a multiple of TAIL_COLS are
-    one ``np.matmul`` on the contiguous rows.  B < TILE_ROWS is one call on
-    the rows zero-padded to TILE_ROWS.  A taller batch is one call over all
-    its rows where ``_one_call_exact`` holds for both column blocks, and
-    TILE_ROWS-row tiles otherwise.  The first ``O - O % TAIL_COLS`` columns
-    are one product against a view of ``m``; the last ``O % TAIL_COLS``
-    columns are one product against those columns of ``m`` zero-padded to
-    ``TAIL_COLS``, so no column falls in the BLAS's width remainder, whose
-    bits vary with the row's slot.
+    one ``np.matmul`` on the contiguous rows.  Otherwise the first
+    ``O - O % TAIL_COLS`` columns are one column block, a view of ``m``, and
+    the last ``O % TAIL_COLS`` columns another, those columns of ``m``
+    zero-padded to ``TAIL_COLS``, so no column falls in the BLAS's width
+    remainder, whose bits vary with the row's slot.  One decision serves
+    both blocks: one call over all the rows if B is TILE_ROWS, or taller
+    and ``_one_call_exact`` holds for every block; TILE_ROWS-row tiles
+    otherwise, which for B < TILE_ROWS is one zero-padded tile.
     """
     n, k = a.shape
     width = m.shape[1]
     main = width - width % TAIL_COLS
     if n == TILE_ROWS and main == width:
         return np.matmul(np.ascontiguousarray(a), m, out=out)
-    pad = None
+    rows = np.ascontiguousarray(a, dtype=np.float64)
+    if out is None:
+        out = np.empty((n, width))
+    blocks = [(m[:, :main], out[:, :main])]
     if main < width:
         pad = np.zeros((k, TAIL_COLS))
         pad[:, :width - main] = m[:, main:]
-    if n < TILE_ROWS:
-        rows = np.zeros((TILE_ROWS, k))
-        rows[:n] = a
-        product = np.matmul
-    else:
-        rows = np.ascontiguousarray(a, dtype=np.float64)
-        exact = n == TILE_ROWS or _one_call_exact(m[:, :main], n) and (
-            pad is None or _one_call_exact(pad, n))
-        product = np.matmul if exact else _in_tiles
-    full = out
-    if out is None or n < TILE_ROWS:
-        full = np.empty((len(rows), width))
-    product(rows, m[:, :main], full[:, :main])
-    if pad is not None:
-        tail = np.empty((len(rows), TAIL_COLS))
-        product(rows, pad, tail)
-        full[:, main:] = tail[:, :width - main]
-    if out is None:
-        return full[:n]
-    if full is not out:
-        out[...] = full[:n]
+        tail = np.empty((n, TAIL_COLS))
+        blocks.append((pad, tail))
+    one_call = n == TILE_ROWS or n > TILE_ROWS and all(
+        _one_call_exact(block, n) for block, _ in blocks)
+    for block, dest in blocks:
+        (np.matmul if one_call else _in_tiles)(rows, block, dest)
+    if main < width:
+        out[:, main:] = tail[:, :width - main]
     return out
 
 

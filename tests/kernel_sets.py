@@ -9,6 +9,8 @@ set: the core asked for, the core numpy's bundled OpenBLAS reports, the
 passed and failed counts and the failed test ids.  A child that dies or
 ends without results is reported as crashed.  It changes nothing and is
 not collected by pytest (the file name does not start with ``test_``).
+It exits 1 if a set or a core probe crashed, and 0 otherwise: failing
+tests are part of the report.
 
 Run from the repository root::
 
@@ -56,12 +58,14 @@ def _env(core: str) -> dict:
     return env
 
 
-def reported_core(core: str) -> str:
+def reported_core(core: str) -> tuple[str, bool]:
+    """The core name OpenBLAS reports under ``core``, and whether the probe
+    ran."""
     probe = subprocess.run([sys.executable, "-c", PROBE], env=_env(core),
                            capture_output=True, text=True)
     if probe.returncode != 0:
-        return f"probe crashed (status {probe.returncode})"
-    return probe.stdout.strip()
+        return f"probe crashed (status {probe.returncode})", False
+    return probe.stdout.strip(), True
 
 
 def run_set(core: str, pytest_args) -> dict:
@@ -92,16 +96,20 @@ def main(argv) -> int:
     cores = [a for a in argv if a in CORE_TYPES] or list(CORE_TYPES)
     pytest_args = [a for a in argv if a not in CORE_TYPES]
     print("requested\treported\tpassed\tfailed")
+    status = 0
     for core in cores:
         result = run_set(core, pytest_args)
-        head = f"{core}\t{reported_core(core)}"
+        name, probed = reported_core(core)
+        head = f"{core}\t{name}"
+        if not probed or "crashed" in result:
+            status = 1
         if "crashed" in result:
             print(f"{head}\tcrashed (status {result['crashed']})", flush=True)
             continue
         print(f"{head}\t{result['passed']}\t{len(result['failed'])}", flush=True)
         for test_id in result["failed"]:
             print(f"    {test_id}", flush=True)
-    return 0
+    return status
 
 
 if __name__ == "__main__":

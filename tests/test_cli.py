@@ -255,6 +255,27 @@ class TestEval:
                    str(ck)) == 0
         assert "n_instances 0" in capsys.readouterr().out
 
+    def test_repeated_user_id_exits_2(self, tmp_path, capsys):
+        # renaming warm u2 to cold u0 would put u2's instances in the cold
+        # cohort and make ranks.tsv rows ambiguous
+        from stpoi import container
+
+        corpus = data.synth_corpus(0, n_users=8, n_pois=40, length=12, n_short=2)
+        corpus_path = tmp_path / "c.bin"
+        data.save_corpus(corpus, corpus_path)
+        meta, arrays = container.load(corpus_path)
+        meta["users"][2]["user"] = "u0"
+        container.save(corpus_path, meta, arrays)
+        cfg = M.ModelConfig(variant="lstm", vocab=corpus.n_pois, n_i=3, n_c=3)
+        ck = tmp_path / "ck.bin"
+        M.save_checkpoint(ck, M.init_model(cfg, np.random.default_rng(0)), cfg)
+        rc = run("eval", "--corpus", str(corpus_path), "--checkpoint", str(ck))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "'u0' repeats" in err[0]
+
     def test_overflowing_logits_exit_2(self, tmp_path, capsys):
         corpus = data.synth_corpus(5, n_users=6, n_pois=36, pattern="interval",
                                    length=12)

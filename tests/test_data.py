@@ -462,9 +462,10 @@ class TestCorpusHeaderChecks:
         (_poke("dts", -1.0), "dts"),
         (_poke("dts", np.nan), "dts"),
         (_poke("dds", np.inf), "dds"),
+        (_set("user", "u0"), "'u0' repeats"),
     ], ids=["users0-n-raised", "n_train-99", "n_train-0", "n-string",
             "n_train-bool", "no-users", "no-dds", "float-pois", "short-vocab",
-            "negative-id", "negative-dt", "nan-dt", "inf-dd"])
+            "negative-id", "negative-dt", "nan-dt", "inf-dd", "repeated-user"])
     def test_rejected(self, saved, edit, message):
         path = self.rewrite(saved, edit)
         with pytest.raises(data.FormatError, match=message):

@@ -81,6 +81,15 @@ class TestAffine:
             np.testing.assert_allclose(batch[r], numkit.affine(w, xb[r:r + 1], b)[0],
                                        atol=1e-14)
 
+    @pytest.mark.parametrize("width", [48, 601])
+    def test_zero_rows_give_zero_rows(self, width):
+        w = np.ones((width, 32))
+        x = np.ones((0, 32))
+        assert numkit.matmul_rows(x, w.T).shape == (0, width)
+        assert numkit.affine(w, x, np.zeros(width)).shape == (0, width)
+        out = np.empty((0, width))
+        assert numkit.matmul_rows(x, w.T, out=out) is out
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             numkit.affine(np.ones((2, 3)), np.ones((1, 4)), np.ones(2))
