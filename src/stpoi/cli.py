@@ -132,8 +132,7 @@ def cmd_prepare(args) -> int:
             pattern=args.pattern, length=args.length, n_short=args.short,
             train_frac=args.train_frac, jump_every=args.jump_every,
         )
-        raw = {"users": len(corpus.users), "pois": corpus.n_pois,
-               "records": sum(len(u.pois) for u in corpus.users)}
+        raw = corpus.stats()
     else:
         checkins = data.load_checkins(args.input, args.format)
         raw = data.checkin_stats(checkins)
@@ -148,12 +147,12 @@ def cmd_prepare(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     data.save_corpus(corpus, out)
     stats = corpus.stats()
-    denom = stats["users"] * stats["pois"]
     lines = [f"raw_users {raw['users']}", f"raw_pois {raw['pois']}",
              f"raw_checkins {raw['records']}"]
     lines += [f"{k} {v}" for k, v in stats.items()]
-    lines.append(f"density {stats['records'] / denom:.6g}" if denom
-                 else "density 0")
+    # the corpus has a user, so it has a POI too
+    density = stats["records"] / (stats["users"] * stats["pois"])
+    lines.append(f"density {density:.6g}")
     report = "\n".join(lines) + "\n"
     Path(str(out) + ".stats.txt").write_text(report, encoding="utf-8")
     print(report, end="")

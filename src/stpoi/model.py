@@ -6,22 +6,25 @@ and projects the hidden state onto logits over the whole vocabulary.  Loss is
 the mean per-step cross-entropy against the next POI; gradients come from
 hand-rolled backpropagation through the unrolled sequence.
 
-Mini-batches are lists of independent user sequences.  The time loop runs
-step t on a prefix of live rows.  Evaluation (``forward_batch``) runs packed:
-rows in length-descending order, step t only on the sequences longer than
-t.  Training's cell loop alone runs every padded row: padded positions
-provably contribute exactly zero gradient, so the batched path and the
-per-sequence path agree.  Every step's z = [h_prev | x] lives in one
-(T + 1, max(B, 16), n_c + n_i) array, its x half filled once from the
-embedding gather of the live rows, the rows past B zero, so that each step's
-gate product runs on a view of at least 16 rows (see ``numkit``); a step's
-gates go into one ``cells.Gates`` per batch.  Past training's cell loop
-only the real (b, t) rows are kept, and the readout streams them through
-one buffer of ``READOUT_ROWS`` x vocab floats, a block of whole steps at a
-time from the last step backwards: it writes the block's logits there,
-turns them into gradients in place and adds their ``w_out``/``b_out`` sums
-through ``cells.add_step_sums``, which forms the cell's weight sums too,
-before the next block.  No (real rows, vocab) array is made.
+Mini-batches are lists of independent user sequences.  One function,
+``_forward``, runs the cell loop of every batch: step t on a prefix of live
+rows, in blocks of steps whose interval terms (the gates that read no h)
+are computed just before the block's steps.  Evaluation (``forward_batch``)
+runs packed: rows in length-descending order, step t only on the sequences
+longer than t.  Training's cell loop alone runs every padded row: padded
+positions provably contribute exactly zero gradient, so the batched path
+and the per-sequence path agree bit for bit within one OpenBLAS kernel set
+(see the README's determinism scope).  Every step's z = [h_prev | x] lives
+in one (T + 1, max(B, 16), n_c + n_i) array, its x half filled once from
+the embedding gather of the live rows, the rows past B zero, so that each
+step's gate product runs on a view of at least 16 rows (see ``numkit``); a
+step's gates go into one ``cells.Gates`` per batch.  Past training's cell
+loop only the real (b, t) rows are kept, and the readout streams them
+through one buffer of ``READOUT_ROWS`` x vocab floats, a block of whole
+steps at a time from the last step backwards: it writes the block's logits
+there, turns them into gradients in place and adds their ``w_out``/``b_out``
+sums through ``cells.add_step_sums``, which forms the cell's weight sums
+too, before the next block.  No (real rows, vocab) array is made.
 """
 
 from __future__ import annotations
@@ -196,33 +199,6 @@ def _pad(seqs, cfg: ModelConfig, who: str, columns: int = 3):
     return (*padded, lengths)
 
 
-def _workspace(params: ModelParams, cfg: ModelConfig, pois, live):
-    """The (T + 1, max(B, TILE_ROWS), n_c + n_i) z of (B, T) ``pois``: z[t]
-    is step t's [h_prev | x], its x half gathered here for the first
-    ``live[t]`` rows, everything else zero until a step writes h.  The rows
-    past B are zero, so that every step's product is one BLAS call on a
-    view of at least ``TILE_ROWS`` rows."""
-    B, T = pois.shape
-    z = np.zeros((T + 1, max(B, TILE_ROWS), cfg.n_c + cfg.n_i))
-    ts, bs = np.nonzero(np.arange(B) < np.asarray(live)[:, None])
-    z[ts, bs, cfg.n_c:] = params.embedding[pois[bs, ts]]
-    return z
-
-
-def _term_blocks(params: ModelParams, cfg: ModelConfig, z, dts, dds, live):
-    """Yield ``(t0, t1, terms)``: the ``interval_terms`` of the live rows of
-    steps t0..t1-1 of the ``_workspace`` z and (B, T) intervals, step-major,
-    for blocks of at most ``term_rows(cfg.n_c)`` rows (one step at least).
-    Step t's live rows are its first ``live[t]`` batch rows."""
-    B = dts.shape[0]
-    rows = np.arange(B) < np.asarray(live)[:, None]
-    for t0, t1 in _step_blocks(live, term_rows(cfg.n_c)):
-        r = rows[t0:t1]
-        yield t0, t1, interval_terms(params, z[t0:t1, :B, cfg.n_c:][r],
-                                     dts.T[t0:t1][r], dds.T[t0:t1][r],
-                                     cfg.ablation)
-
-
 def term_rows(n_c: int) -> int:
     """Rows per block of interval terms at cell width ``n_c``: as many as
     fit a (4, rows, n_c) float array in ``numkit.BLOCK_BYTES``, one at least."""
@@ -243,44 +219,60 @@ def _step_blocks(counts, most: int):
         t0 = t1
 
 
-def _unroll(params: ModelParams, cfg: ModelConfig, z, live, blocks, gates):
-    """Run ``cells.cell_step`` over the ``_workspace`` z from the zero
-    state: step t runs on its first ``live[t]`` rows (a non-increasing
-    count), reads z[t] and writes its h into z[t + 1, :, :n_c] and its
-    gates into ``gates``; the other rows of z are left as they are.
-    ``blocks`` are the ``_term_blocks`` of z with the same ``live`` (the
-    caller's ``_pad`` checked the inputs)."""
-    for t0, t1, (_, _, iv, ow) in blocks:
+def _forward(params: ModelParams, cfg: ModelConfig, pois, dts, dds, live,
+             gates, kept=None):
+    """The cell over (B, T) ``pois`` and intervals from the zero state, step
+    t on its first ``live[t]`` rows (a non-increasing count).  Returns the
+    (T + 1, max(B, TILE_ROWS), n_c + n_i) z: z[t] is step t's [h_prev | x],
+    its x half the embedding rows of the live rows, and step t writes its h
+    into z[t + 1, :, :n_c] and its gates into ``gates``; every other row is
+    zero, so that each step's product is one BLAS call on a view of at
+    least ``TILE_ROWS`` rows.  The steps run in blocks of at most
+    ``term_rows(cfg.n_c)`` live rows (one step at least); a block's
+    ``interval_terms`` (step-major rows) are computed just before its
+    steps, so that at the paper's n_c they are still in a core's L2 cache
+    when read, and ``(t0, t1, terms)`` is appended to ``kept`` if given.
+    The caller's ``_pad`` checked the inputs."""
+    B, T = pois.shape
+    n = cfg.n_c
+    z = np.zeros((T + 1, max(B, TILE_ROWS), n + cfg.n_i))
+    rows = np.arange(B) < np.asarray(live)[:, None]
+    ts, bs = np.nonzero(rows)
+    z[ts, bs, n:] = params.embedding[pois[bs, ts]]
+    for t0, t1 in _step_blocks(live, term_rows(n)):
+        m = rows[t0:t1]
+        terms = interval_terms(params, z[t0:t1, :B, n:][m], dts.T[t0:t1][m],
+                               dds.T[t0:t1][m], cfg.ablation)
+        if kept is not None:
+            kept.append((t0, t1, terms))
+        _, _, iv, ow = terms
         r = 0
         for t in range(t0, t1):
             k = live[t]
-            cell_step(params, z[t + 1, :k, :cfg.n_c], z[t, :max(k, TILE_ROWS)],
+            cell_step(params, z[t + 1, :k, :n], z[t, :max(k, TILE_ROWS)],
                       None if iv is None else ow[:, r:r + k],
                       None if iv is None else iv[:, r:r + k], gates, t)
             r += k
+    return z
 
 
 def forward_batch(params: ModelParams, cfg: ModelConfig, seqs):
     """Cache-free forward of a batch of ``(pois, dts, dds, ...)`` sequences.
 
     Returns hs (B, T, n_c), row b the hidden state of ``seqs[b]`` after
-    every step, zero past its length.  The batch runs packed: its rows in
-    stable length-descending order, step t only on the sequences longer
-    than t, and the workspace holds the embedding rows of those steps
-    alone.  For a batch already in that order hs is a view of the
-    ``_workspace``; otherwise it is a copy put back in the caller's order.
+    every step, zero past its length.  The batch runs packed through
+    ``_forward``: its rows in stable length-descending order, step t only
+    on the sequences longer than t, each block's interval terms just
+    before its steps.  For a batch already in that order hs is a view of
+    the workspace; otherwise it is a copy put back in the caller's order.
     Gates are kept for the last step only.  Parameters are not checked
-    here: callers run ``cells.check_bounded`` once per call.  The interval
-    terms of a block of steps are computed just ahead of the steps that
-    read them, at most ``numkit.BLOCK_BYTES`` a block (``term_rows``), so
-    that at the paper's n_c they are still in a core's L2 cache when read.
+    here: callers run ``cells.check_bounded`` once per call.
     """
     pois, dts, dds, lengths = _pad(seqs, cfg, "forward_batch")
     order = np.argsort(-lengths, kind="stable")
     live = (lengths[:, None] > np.arange(pois.shape[1])).sum(axis=0).tolist()
-    z = _workspace(params, cfg, pois[order], live)
-    blocks = _term_blocks(params, cfg, z, dts[order], dds[order], live)
-    _unroll(params, cfg, z, live, blocks, Gates(params, 1, len(seqs)))
+    z = _forward(params, cfg, pois[order], dts[order], dds[order], live,
+                 Gates(params, 1, len(seqs)))
     hs = z[1:, :len(seqs), :cfg.n_c].transpose(1, 0, 2)
     if (order == np.arange(len(order))).all():
         return hs
@@ -299,7 +291,10 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs, out=None):
     parameters, are checked once, up front.  The gradients are written into
     ``out`` (a ``params.zeros_like()`` mapping, zeroed here) if given.
 
-    Only the cell loop runs padded rows.  After it, the readout, softmax
+    The forward is ``_forward`` on every row of every step, with one gate
+    slot per step, keeping each block's interval terms (computed just
+    before its steps, as in evaluation) for the backward.  Only this cell
+    loop runs padded rows.  After it, the readout, softmax
     and ``dlogits @ w_out`` run over the real (b, t) rows, step-major, in
     blocks of whole steps of at most ``READOUT_ROWS`` rows (one step at
     least), taken from the last step backwards; tile invariance gives each
@@ -312,12 +307,11 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs, out=None):
     ``w_out``/``b_out`` gradient in descending t, over its runs of steps
     with equal real-row counts, in groups of as many steps as
     ``STEP_GROUP_BYTES`` holds of ``w_out``.  The backward mirrors the
-    forward: it walks the blocks of interval terms once, the last first,
-    running ``cells.step_backward`` over a block's steps in descending t
-    and then ``cells.input_backward`` on the block, which adds every cell
-    parameter gradient.  The embedding
-    gradient gets each step's per-POI sums of the real rows' input
-    gradients, added in descending t.
+    forward: it walks the kept blocks once, the last first, running
+    ``cells.step_backward`` over a block's steps in descending t and then
+    ``cells.input_backward`` on the block, which adds every cell parameter
+    gradient.  The embedding gradient gets each step's per-POI sums of the
+    real rows' input gradients, added in descending t.
     """
     pois, dts, dds, targets, lengths = _pad(seqs, cfg, "batch_loss_and_grads", 4)
     check_bounded(params, 1.0, dts, dds, "batch_loss_and_grads")
@@ -326,11 +320,8 @@ def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs, out=None):
     mask = (np.arange(T) < lengths[:, None]).astype(float)
 
     # every step runs all B rows: padded rows contribute exactly zero
-    live = [B] * T
-    z = _workspace(params, cfg, pois, live)
-    blocks = list(_term_blocks(params, cfg, z, dts, dds, live))
-    gates = Gates(params, T, B)
-    _unroll(params, cfg, z, live, blocks, gates)
+    gates, blocks = Gates(params, T, B), []
+    z = _forward(params, cfg, pois, dts, dds, [B] * T, gates, blocks)
 
     # real rows step-major, step t's at[t]:at[t + 1]; padded rows keep 0 loss, dh
     real_t, real_b = np.nonzero(mask.T)

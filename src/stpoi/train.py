@@ -99,6 +99,7 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
     constrained = constrained_names(cfg.variant, cfg.constraint_target)
     rng = np.random.default_rng(seed)
     steps_per_seq = [len(s[0]) for s in sequences]
+    total_steps = sum(steps_per_seq)    # every epoch covers every sequence
     dt_max = max(np.max(s[1], initial=0.0) for s in sequences)
     dd_max = max(np.max(s[2], initial=0.0) for s in sequences)
     if out_dir is not None:
@@ -112,7 +113,6 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(sequences))
         total_loss = 0.0
-        total_steps = 0
         for b0 in range(0, len(order), batch_size):
             idx = order[b0:b0 + batch_size]
             batch = [sequences[j] for j in idx]
@@ -132,7 +132,6 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
             if on_step is not None:
                 on_step(epoch, b0 // batch_size, params)
             total_loss += loss * n_steps
-            total_steps += n_steps
         epoch_loss = total_loss / total_steps
         if epoch_loss < best * (1.0 - REL_TOL):
             best = epoch_loss

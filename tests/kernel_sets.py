@@ -1,16 +1,16 @@
-"""Kernel-set report: the numeric test modules under each OpenBLAS core type.
+"""Kernel-set report: the test modules under each OpenBLAS core type.
 
 The bitwise promises (a row's bits do not depend on batch width; seed plus
 config gives a bitwise-identical checkpoint) rest on how the installed
 OpenBLAS rounds, and OpenBLAS picks its kernels by CPU at load time.  This
 script forces each kernel set in turn through ``OPENBLAS_CORETYPE``, runs
-the numeric test modules in a fresh interpreter, and prints one block per
-set: the core asked for, the core numpy's bundled OpenBLAS reports, the
-passed and failed counts and the failed test ids.  A child that dies or
-ends without results is reported as crashed.  It changes nothing and is
-not collected by pytest (the file name does not start with ``test_``).
-It exits 1 if a set or a core probe crashed, and 0 otherwise: failing
-tests are part of the report.
+every test module but ``test_acceptance.py`` in a fresh interpreter, and
+prints one block per set: the core asked for, the core numpy's bundled
+OpenBLAS reports, the passed and failed counts and the failed test ids.  A
+child that dies or ends without results is reported as crashed.  It changes
+nothing and is not collected by pytest (the file name does not start with
+``test_``).  It exits 1 if a set or a core probe crashed, and 0 otherwise:
+failing tests are part of the report.
 
 Run from the repository root::
 
@@ -32,8 +32,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORE_TYPES = ("SkylakeX", "Haswell", "Zen", "SandyBridge", "Prescott")
-MODULES = ("test_model.py", "test_train.py", "test_numkit.py", "test_eval.py",
-           "test_cells.py")
+# every test module but the acceptance one, whose fits take most of the
+# suite's time
+MODULES = sorted(p.name for p in (ROOT / "tests").glob("test_*.py")
+                 if p.name != "test_acceptance.py")
 
 # Prints the core name that numpy's bundled OpenBLAS chose.  The symbol
 # returns a C string; ctypes' default int restype would truncate the

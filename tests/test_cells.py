@@ -239,6 +239,13 @@ class TestForwardContract:
                 cells.cell_forward(variant, p, StepInput(x, 1.0, 2.0),
                                    cells.zero_state(4))
 
+    @pytest.mark.parametrize("variant", ["st-lstm", "st-clstm"])
+    def test_interval_shapes_must_match_the_batch(self, variant):
+        p = cells.init_params(variant, 3, 4, np.random.default_rng(7))
+        step = StepInput(np.zeros((2, 3)), [1.0, 2.0, 3.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match=r"dt/dd shapes \(3,\)/\(2,\)"):
+            cells.cell_forward(variant, p, step, cells.zero_state(4, 2))
+
     @pytest.mark.parametrize("variant", cells.VARIANTS)
     def test_parameters_past_the_bound_rejected(self, variant):
         rng = np.random.default_rng(6)
@@ -494,6 +501,14 @@ class TestParamCounting:
             p = cells.init_params(variant, 5, 7, rng)
             live = sum(a.size for a in p.values())
             assert cells.count_params(variant, 5, 7) == live
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant 'gru'; expected"):
+            cells.count_params("gru", 3, 4)
+
+    def test_formula_of_an_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant 'gru'"):
+            cells.formula_param_count("gru", 3, 4)
 
     def test_formula_counts_are_reported_not_reconciled(self):
         n_i, n_c, n_o = 128, 128, 5000

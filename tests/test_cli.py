@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from stpoi import data
+from stpoi import container, data
 from stpoi import model as M
 from stpoi.cells import GateAblation
 from stpoi.cli import build_parser, main
@@ -165,8 +165,6 @@ class TestTrain:
 
     def test_corpus_header_mismatch_rejected(self, synth_cache, tmp_path,
                                              capsys):
-        from stpoi import container
-
         meta, arrays = container.load(synth_cache)
         meta["users"][0]["n"] += 5
         container.save(synth_cache, meta, arrays)
@@ -258,8 +256,6 @@ class TestEval:
     def test_repeated_user_id_exits_2(self, tmp_path, capsys):
         # renaming warm u2 to cold u0 would put u2's instances in the cold
         # cohort and make ranks.tsv rows ambiguous
-        from stpoi import container
-
         corpus = data.synth_corpus(0, n_users=8, n_pois=40, length=12, n_short=2)
         corpus_path = tmp_path / "c.bin"
         data.save_corpus(corpus, corpus_path)
@@ -310,8 +306,6 @@ class TestEval:
     ], ids=["missing-cell-tensor", "w_out-shape", "b_out-shape"])
     def test_malformed_checkpoint_rejected(self, synth_cache, tmp_path, capsys,
                                            name, bad, message):
-        from stpoi import container
-
         vocab = data.load_corpus(synth_cache).n_pois
         cfg = M.ModelConfig(variant="st-lstm", vocab=vocab, n_i=3, n_c=3)
         ck = tmp_path / "ck.bin"
@@ -339,7 +333,6 @@ class TestEval:
             "no-config", "adam-missing-lr"])
     def test_malformed_config_rejected(self, synth_cache, tmp_path, capsys,
                                        edit, message):
-        from stpoi import container
         from stpoi.optim import AdamState
 
         vocab = data.load_corpus(synth_cache).n_pois
@@ -358,8 +351,6 @@ class TestEval:
 
     def test_unknown_constraint_target_exits_2(self, synth_cache, tmp_path,
                                                 capsys):
-        from stpoi import container
-
         vocab = data.load_corpus(synth_cache).n_pois
         cfg = M.ModelConfig(variant="lstm", vocab=vocab, n_i=3, n_c=3)
         ck = tmp_path / "ck.bin"
@@ -671,12 +662,21 @@ class TestExitStatus:
                             n_i=3, n_c=3)
         ck = tmp_path / "ck.bin"
         M.save_checkpoint(ck, M.init_model(cfg, np.random.default_rng(0)), cfg)
+        # checkpoints that hold no valid model: one more tensor, or a
+        # config that ModelConfig rejects
+        meta, arrays = container.load(ck)
+        bad = {"ck_extra": (meta, {**arrays, "param.extra": np.zeros(1)})}
+        for name, value in (("n_c", 0), ("bptt_cap", 0), ("variant", "gru")):
+            bad[f"ck_{name}"] = ({**meta, "config": {**meta["config"],
+                                                     name: value}}, arrays)
+        for name, (m, a) in bad.items():
+            container.save(tmp_path / f"{name}.bin", m, a)
         file = tmp_path / "file"
         file.write_text("")
         capsys.readouterr()
         return {"tmp": tmp_path, "corpus": synth_cache, "empty": empty,
                 "checkins": checkins, "one_user": one_user, "ck": ck,
-                "file": file}
+                "file": file, **{name: tmp_path / f"{name}.bin" for name in bad}}
 
     @pytest.mark.parametrize("argv, message", [
         ("train --corpus {corpus} --out-dir {tmp}/run --seed -1", "--seed"),
@@ -709,6 +709,14 @@ class TestExitStatus:
         ("eval --corpus {corpus} --checkpoint {ck} --topk 1,5,1", "--topk"),
         ("grid --corpus {corpus} --out-dir {tmp}/g --variants lstm "
          "--ablations time-only,long-only", "no legs"),
+        ("eval --corpus {corpus} --checkpoint {ck_extra}",
+         "unexpected tensors extra"),
+        ("eval --corpus {corpus} --checkpoint {ck_n_c}",
+         "n_c must all be positive"),
+        ("eval --corpus {corpus} --checkpoint {ck_bptt_cap}",
+         "bptt_cap must be None or >= 1"),
+        ("eval --corpus {corpus} --checkpoint {ck_variant}",
+         "unknown variant 'gru'"),
     ], ids=["train-seed-negative", "gradcheck-seed-negative",
             "grid-seeds-negative", "prepare-seed-negative",
             "train-empty-corpus", "grid-empty-corpus", "train-out-dir-file",
@@ -718,7 +726,8 @@ class TestExitStatus:
             "grid-variants-empty", "grid-ablations-empty",
             "grid-cell-sizes-empty", "grid-batch-sizes-empty", "eval-topk-empty",
             "grid-seeds-repeated", "grid-cell-sizes-repeated",
-            "eval-topk-repeated", "grid-no-legs"])
+            "eval-topk-repeated", "grid-no-legs", "eval-extra-tensor",
+            "eval-n_c-zero", "eval-bptt_cap-zero", "eval-unknown-variant"])
     def test_exits_2_with_one_line_and_writes_nothing(self, inputs, capsys,
                                                       argv, message):
         before = sorted(inputs["tmp"].rglob("*"))

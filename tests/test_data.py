@@ -1,5 +1,6 @@
 import logging
 import math
+import time
 from datetime import datetime, timezone
 
 import numpy as np
@@ -65,6 +66,43 @@ class TestLoad:
         path = write(tmp_path / "a.txt", self.SNAP_LINE * 3 + bad_lat + bad_lon)
         recs = data.load_checkins(path, "snap")
         assert len(recs) == 3
+
+    def test_blank_lines_are_not_counted(self, tmp_path, caplog):
+        path = write(tmp_path / "a.txt", "\n  \n" + self.SNAP_LINE + "\t\n\n")
+        with caplog.at_level(logging.WARNING, logger="stpoi.data"):
+            recs = data.load_checkins(path, "snap")
+        assert len(recs) == 1 and not caplog.messages
+
+    @pytest.mark.parametrize("line", [
+        " \t2010-10-19T23:55:27Z\t0.0\t0.0\t5\n",
+        "0\t2010-10-19T23:55:27Z\t0.0\t0.0\t \n",
+    ], ids=["user", "poi"])
+    def test_empty_id_is_malformed(self, tmp_path, line, caplog):
+        path = write(tmp_path / "a.txt", self.SNAP_LINE * 3 + line)
+        with caplog.at_level(logging.WARNING, logger="stpoi.data"):
+            recs = data.load_checkins(path, "snap")
+        assert len(recs) == 3
+        assert any("skipped 1 of 4" in m for m in caplog.messages)
+
+    @pytest.mark.parametrize("when", ["inf", "-inf", "nan"])
+    def test_non_finite_unix_time_is_malformed(self, tmp_path, when):
+        path = write(tmp_path / "a.txt",
+                     self.SNAP_LINE * 3 + f"0\t{when}\t0.0\t0.0\t5\n")
+        recs = data.load_checkins(path, "snap")
+        assert len(recs) == 3
+
+    def test_naive_iso_time_is_utc(self, tmp_path, monkeypatch):
+        # under a zone five hours off UTC, which a local reading would add
+        monkeypatch.setenv("TZ", "EST5")
+        time.tzset()
+        try:
+            path = write(tmp_path / "a.txt", self.SNAP_LINE.replace("Z", ""))
+            (rec,) = data.load_checkins(path, "snap")
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        assert rec.ts == datetime(
+            2010, 10, 19, 23, 55, 27, tzinfo=timezone.utc).timestamp()
 
     def test_mostly_malformed_rejected(self, tmp_path):
         path = write(tmp_path / "a.txt", self.SNAP_LINE + "x\n" * 5)

@@ -203,6 +203,17 @@ class TestForward:
         with pytest.raises(ValueError):
             M.forward_batch(params, cfg, [([], [], [])])
 
+    def test_empty_batch_rejected(self):
+        cfg = tiny_cfg("lstm")
+        with pytest.raises(ValueError, match="forward_batch: empty batch"):
+            M.forward_batch(zero_model(cfg), cfg, [])
+
+    def test_ragged_sequence_tuple_rejected(self):
+        cfg = tiny_cfg("lstm")
+        seq = ([0, 1], [0.0, 0.0], [0.0], [1, 2])     # one distance short
+        with pytest.raises(ValueError, match="ragged sequence tuple"):
+            M.batch_loss_and_grads(zero_model(cfg), cfg, [seq])
+
 
 class TestGradients:
     @pytest.mark.parametrize("variant", ["lstm", "st-lstm", "st-clstm"])
@@ -461,6 +472,45 @@ class TestHoistedTerms:
     @pytest.mark.parametrize("variant", cells.VARIANTS)
     def test_capped_backward(self, variant):
         self.check_against_oracle(variant, "time-only", bptt_cap=7)
+
+    @pytest.mark.parametrize("training", [False, True],
+                             ids=["evaluation", "training"])
+    def test_each_blocks_terms_come_just_before_its_steps(self, training,
+                                                          monkeypatch):
+        # blocks of at most 10 rows: packed, from one to several steps;
+        # training's nine rows a step, one step each
+        cfg = tiny_cfg("st-lstm", vocab=20, n_i=5, n_c=6)
+        cap_term_rows(monkeypatch, cfg.n_c, 10)
+        rng = np.random.default_rng(58)
+        params = M.init_model(cfg, rng)
+        lengths = (3, 11, 1, 7, 20, 11, 4, 20, 2)
+        seqs = [random_seq(rng, cfg.vocab, n) for n in lengths]
+        calls = []
+
+        def recording(name, kernel):
+            def run(params, rows, *args):
+                calls.append((name, len(rows)))     # x or h rows
+                return kernel(params, rows, *args)
+            return run
+
+        monkeypatch.setattr(M, "interval_terms",
+                            recording("terms", M.interval_terms))
+        monkeypatch.setattr(M, "cell_step", recording("step", M.cell_step))
+        if training:
+            M.batch_loss_and_grads(params, cfg, seqs)
+        else:
+            M.forward_batch(params, cfg, [s[:3] for s in seqs])
+        assert calls[0][0] == "terms"
+        blocks = []     # (term rows, [rows of each step that follows])
+        for name, rows in calls:
+            if name == "terms":
+                blocks.append((rows, []))
+            else:
+                blocks[-1][1].append(rows)
+        for rows, steps in blocks:
+            assert rows == sum(steps)
+            assert rows <= 10 or len(steps) == 1
+        assert sum(len(steps) for _, steps in blocks) == max(lengths)
 
 
 class TestFiniteBoundaries:

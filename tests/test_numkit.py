@@ -253,6 +253,12 @@ class TestSoftmaxXent:
                 fd = (lp - lm) / (2 * eps)
                 assert abs(fd - g[j]) <= 1e-6 * max(1.0, abs(fd), abs(g[j]))
 
+    def test_row_batch_shapes_checked(self):
+        with pytest.raises(ValueError, match="bad shapes"):
+            numkit.softmax_xent_rows(np.zeros(3), np.zeros(1, dtype=int))
+        with pytest.raises(ValueError, match="bad shapes"):
+            numkit.softmax_xent_rows(np.zeros((2, 3)), np.zeros(3, dtype=int))
+
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
             xent_row(np.zeros(3), 3)

@@ -250,3 +250,8 @@ class TestFdCheck:
         tensors = {"p": np.zeros(2)}
         with pytest.raises(KeyError):
             optim.fd_check(lambda: 0.0, tensors, {})
+
+    def test_gradient_shape_mismatch_raises(self):
+        tensors = {"p": np.zeros(2)}
+        with pytest.raises(ValueError, match="shape mismatch for 'p'"):
+            optim.fd_check(lambda: 0.0, tensors, {"p": np.zeros(3)})
