@@ -25,9 +25,15 @@ from .model import ModelConfig, ModelParams, forward_batch, readout
 
 ACC_KS = (1, 5, 10, 15, 20)
 COHORTS = ("all", "cold")
-# users per packed forward batch (taken in length order), and ranked
-# instances per readout block
+# ranked instances per readout block
 EVAL_CHUNK = 64
+# users per packed forward chunk (taken in length order).  The forward
+# streams through two workspace slots, so a chunk's memory grows with its
+# users, not with their histories: at n_c = n_i = 128 a 256-user chunk's two
+# slots, one-slot Gates, one block's interval terms and the chunk's test
+# states need about what one 64-user chunk's (T + 1)-slot workspace did,
+# and each step's gate product runs on up to four times the rows
+FORWARD_USERS = 256
 
 
 class EmptyCohortError(ValueError):
@@ -112,15 +118,17 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
                   exclude_visited: bool = False) -> list:
     """One RankingResult per test transition of every user of ``corpus``.
 
-    Users run ``EVAL_CHUNK`` at a time through the cache-free forward, each
-    over its training inputs then its test inputs.  Chunks are taken in
-    stable length-descending order and run packed (see
-    ``model.forward_batch``): no step runs a padded row, and the readout
-    runs only on the hidden states at test positions, ``EVAL_CHUNK``
-    instances a block.  Every block's logits go into one (``EVAL_CHUNK``,
-    vocab) buffer per call and its ranking's bool masks into two more, and
-    a chunk's instance, target and visited indices are built once per
-    chunk.
+    Users run ``FORWARD_USERS`` at a time through the cache-free forward,
+    each over its training inputs then its test inputs.  Chunks are taken
+    in stable length-descending order and run packed through a two-slot
+    stream (see ``model.forward_batch``): no step runs a padded row, and
+    only the hidden states at test positions are kept.  The readout runs
+    on those, ``EVAL_CHUNK`` instances a block.  Every block's logits go
+    into one (``EVAL_CHUNK``, vocab) buffer per call and its ranking's bool
+    masks into two more; a chunk's instance and target indices are built
+    once per chunk, and a block's visited indices for its own instances
+    alone.  So a pass's memory grows with the users of a chunk and the
+    instances of a block, not with the users' history length.
     Results come back in corpus order, each user's in step order.  The
     tiled kernels make every rank equal, bit for bit, to stepping each user
     alone (``tests/helpers.py`` keeps that oracle).  Parameters that could
@@ -143,8 +151,8 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
     logits = np.empty((EVAL_CHUNK, cfg.vocab))
     ahead = np.empty(logits.shape, dtype=bool)
     keep = np.empty(logits.shape, dtype=bool)
-    for c0 in range(0, len(order), EVAL_CHUNK):
-        slot = order[c0:c0 + EVAL_CHUNK]
+    for c0 in range(0, len(order), FORWARD_USERS):
+        slot = order[c0:c0 + FORWARD_USERS]
         chunk = [users[j] for j in slot]
         # one instance per test input position s of user row b, instances
         # user by user in step order: its test step is s - n_train + 1 and
@@ -161,23 +169,22 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
         targets = pois[starts[b_idx] + s_idx + 1]
         if targets.min() < 0 or targets.max() >= cfg.vocab:
             raise IndexError("collect_ranks: target POI out of vocabulary")
-        if exclude_visited:
-            # every instance's POI prefix, s + 1 long: instance r's are
-            # entries at[r]:at[r + 1] of vis_row and vis_poi
-            at = np.concatenate(([0], np.cumsum(s_idx + 1)))
-            vis_row = np.repeat(np.arange(len(b_idx)), s_idx + 1)
-            vis_poi = pois[np.arange(at[-1]) - np.repeat(at[:-1] - starts[b_idx],
-                                                         s_idx + 1)]
-        # gather the instances' states once, freeing the forward's workspace
+        # the instances' states alone, streamed out of the forward
         hs = forward_batch(params, cfg, [(u.pois[:-1], u.dts, u.dds)
-                                         for u in chunk])[b_idx, s_idx]
+                                         for u in chunk], at=(b_idx, s_idx))
         for r0 in range(0, len(b_idx), EVAL_CHUNK):
             r1 = min(r0 + EVAL_CHUNK, len(b_idx))
             mask = None
             if exclude_visited:
+                # the block's POI prefixes, n = s + 1 long each: instance
+                # r's are entries ends[r] - n[r]:ends[r] of the index pair
+                n = s_idx[r0:r1] + 1
+                ends = np.cumsum(n)
                 mask = keep[:r1 - r0]
                 mask.fill(True)
-                mask[vis_row[at[r0]:at[r1]] - r0, vis_poi[at[r0]:at[r1]]] = False
+                mask[np.repeat(np.arange(r1 - r0), n),
+                     pois[np.arange(ends[-1]) - np.repeat(
+                         ends - n - starts[b_idx[r0:r1]], n)]] = False
             ranks = _ranks(readout(params, hs[r0:r1], out=logits[:r1 - r0]),
                            targets[r0:r1], mask, ahead[:r1 - r0])
             for b, step, rank in zip(b_idx[r0:r1].tolist(),

@@ -14,11 +14,15 @@ runs packed: rows in length-descending order, step t only on the sequences
 longer than t.  Training's cell loop alone runs every padded row: padded
 positions provably contribute exactly zero gradient, so the batched path
 and the per-sequence path agree bit for bit within one OpenBLAS kernel set
-(see the README's determinism scope).  Every step's z = [h_prev | x] lives
-in one (T + 1, max(B, 16), n_c + n_i) array, its x half filled once from
-the embedding gather of the live rows, the rows past B zero, so that each
-step's gate product runs on a view of at least 16 rows (see ``numkit``); a
-step's gates go into one ``cells.Gates`` per batch.  Past training's cell
+(see the README's determinism scope).  Each step's z = [h_prev | x] is a
+slot of one (slots, max(B, 16), n_c + n_i) workspace whose rows past the
+live ones are finite, so that each step's gate product runs on a view of at
+least 16 rows (see ``numkit``); a step's gates go into one ``cells.Gates``
+per batch.  Training keeps every step, T + 1 slots whose x halves are
+filled once from the embedding gather of the live rows.  Evaluation
+streams through two slots, each step's x rows copied in just before it,
+and hands each step's states to a callback before their slot is reused, so
+its memory grows with the batch and not with T.  Past training's cell
 loop only the real (b, t) rows are kept, and the readout streams them
 through one buffer of ``READOUT_ROWS`` x vocab floats, a block of whole
 steps at a time from the last step backwards: it writes the block's logits
@@ -220,63 +224,97 @@ def _step_blocks(counts, most: int):
 
 
 def _forward(params: ModelParams, cfg: ModelConfig, pois, dts, dds, live,
-             gates, kept=None):
+             gates, kept=None, emit=None):
     """The cell over (B, T) ``pois`` and intervals from the zero state, step
     t on its first ``live[t]`` rows (a non-increasing count).  Returns the
-    (T + 1, max(B, TILE_ROWS), n_c + n_i) z: z[t] is step t's [h_prev | x],
-    its x half the embedding rows of the live rows, and step t writes its h
-    into z[t + 1, :, :n_c] and its gates into ``gates``; every other row is
-    zero, so that each step's product is one BLAS call on a view of at
-    least ``TILE_ROWS`` rows.  The steps run in blocks of at most
-    ``term_rows(cfg.n_c)`` live rows (one step at least); a block's
-    ``interval_terms`` (step-major rows) are computed just before its
-    steps, so that at the paper's n_c they are still in a core's L2 cache
-    when read, and ``(t0, t1, terms)`` is appended to ``kept`` if given.
-    The caller's ``_pad`` checked the inputs."""
+    workspace z of (slots, max(B, TILE_ROWS), n_c + n_i): step t reads its
+    [h_prev | x] from z[t % slots] and writes its h into
+    z[(t + 1) % slots, :, :n_c] and its gates into ``gates``; rows past the
+    live ones hold zeros or an earlier step's finite values, so that each
+    step's product is one BLAS call on a view of at least ``TILE_ROWS``
+    rows.  The steps run in blocks of at most ``term_rows(cfg.n_c)`` live
+    rows (one step at least); a block's ``interval_terms`` (step-major rows)
+    are computed just before its steps, so that at the paper's n_c they are
+    still in a core's L2 cache when read, and ``(t0, t1, terms)`` is
+    appended to ``kept`` if given.
+
+    Without ``emit`` (training) z keeps every step: T + 1 slots, their x
+    halves filled once from the embedding gather of the live rows.  With
+    ``emit`` (evaluation) z has two slots: each block's x rows come from
+    its own embedding gather, which also feeds its interval terms, a step's
+    x rows are copied into its slot just before the step, and ``emit(t,
+    h)`` gets the step's (live[t], n_c) states before their slot is reused,
+    so memory does not grow with T.  The caller's ``_pad`` checked the
+    inputs."""
     B, T = pois.shape
     n = cfg.n_c
-    z = np.zeros((T + 1, max(B, TILE_ROWS), n + cfg.n_i))
+    z = np.zeros((T + 1 if emit is None else 2, max(B, TILE_ROWS), n + cfg.n_i))
     rows = np.arange(B) < np.asarray(live)[:, None]
-    ts, bs = np.nonzero(rows)
-    z[ts, bs, n:] = params.embedding[pois[bs, ts]]
+    if emit is None:
+        ts, bs = np.nonzero(rows)
+        z[ts, bs, n:] = params.embedding[pois[bs, ts]]
     for t0, t1 in _step_blocks(live, term_rows(n)):
         m = rows[t0:t1]
-        terms = interval_terms(params, z[t0:t1, :B, n:][m], dts.T[t0:t1][m],
-                               dds.T[t0:t1][m], cfg.ablation)
+        # the block's x rows: training's from z, the stream's own gather
+        x = (z[t0:t1, :B, n:][m] if emit is None
+             else params.embedding[pois.T[t0:t1][m]])
+        terms = interval_terms(params, x, dts.T[t0:t1][m], dds.T[t0:t1][m],
+                               cfg.ablation)
         if kept is not None:
             kept.append((t0, t1, terms))
         _, _, iv, ow = terms
         r = 0
         for t in range(t0, t1):
             k = live[t]
-            cell_step(params, z[t + 1, :k, :n], z[t, :max(k, TILE_ROWS)],
+            zt, h = z[t % len(z)], z[(t + 1) % len(z), :k, :n]
+            if emit is not None:
+                zt[:k, n:] = x[r:r + k]
+            cell_step(params, h, zt[:max(k, TILE_ROWS)],
                       None if iv is None else ow[:, r:r + k],
                       None if iv is None else iv[:, r:r + k], gates, t)
+            if emit is not None:
+                emit(t, h)
             r += k
     return z
 
 
-def forward_batch(params: ModelParams, cfg: ModelConfig, seqs):
+def forward_batch(params: ModelParams, cfg: ModelConfig, seqs, at=None):
     """Cache-free forward of a batch of ``(pois, dts, dds, ...)`` sequences.
 
     Returns hs (B, T, n_c), row b the hidden state of ``seqs[b]`` after
-    every step, zero past its length.  The batch runs packed through
-    ``_forward``: its rows in stable length-descending order, step t only
-    on the sequences longer than t, each block's interval terms just
-    before its steps.  For a batch already in that order hs is a view of
-    the workspace; otherwise it is a copy put back in the caller's order.
-    Gates are kept for the last step only.  Parameters are not checked
-    here: callers run ``cells.check_bounded`` once per call.
+    every step, zero past its length; or, given ``at=(rows, steps)``, the
+    (len(rows), n_c) states of ``seqs[rows[j]]`` after step ``steps[j]``, a
+    step within that sequence, in that order: ``hs[rows, steps]``.  The
+    batch runs packed through ``_forward``'s two-slot stream: its rows in
+    stable length-descending order, step t only on the sequences longer
+    than t, each block's interval terms just before its steps, and each
+    step's wanted states copied out as it ends, so that memory grows with
+    the batch and the states asked for, not with T.  Gates are kept for
+    the last step only.  Parameters are not checked here: callers run
+    ``cells.check_bounded`` once per call.
     """
     pois, dts, dds, lengths = _pad(seqs, cfg, "forward_batch")
+    T = pois.shape[1]
+    real = np.arange(T) < lengths[:, None]
+    rows, steps = np.nonzero(real) if at is None else map(np.asarray, at)
     order = np.argsort(-lengths, kind="stable")
-    live = (lengths[:, None] > np.arange(pois.shape[1])).sum(axis=0).tolist()
-    z = _forward(params, cfg, pois[order], dts[order], dds[order], live,
-                 Gates(params, 1, len(seqs)))
-    hs = z[1:, :len(seqs), :cfg.n_c].transpose(1, 0, 2)
-    if (order == np.arange(len(order))).all():
-        return hs
-    return hs[np.argsort(order)]
+    # the positions asked for by step, and each one's row in the packed order
+    by_step = np.argsort(steps, kind="stable")
+    bounds = np.searchsorted(steps[by_step], np.arange(T + 1)).tolist()
+    packed = np.argsort(order)[rows]
+    out = np.zeros((len(rows), cfg.n_c))
+
+    def emit(t, h):
+        j = by_step[bounds[t]:bounds[t + 1]]
+        out[j] = h[packed[j]]
+
+    _forward(params, cfg, pois[order], dts[order], dds[order],
+             real.sum(axis=0).tolist(), Gates(params, 1, len(seqs)), emit=emit)
+    if at is not None:
+        return out
+    hs = np.zeros((*real.shape, cfg.n_c))
+    hs[real] = out
+    return hs
 
 
 def batch_loss_and_grads(params: ModelParams, cfg: ModelConfig, seqs, out=None):

@@ -400,9 +400,9 @@ class TestEvalCohorts:
         corpus, corpus_path, ck, _ = setup
         lengths = []
 
-        def counting(params, cfg, seqs):
+        def counting(params, cfg, seqs, at=None):
             lengths.extend(len(s[0]) for s in seqs)
-            return forward_batch(params, cfg, seqs)
+            return forward_batch(params, cfg, seqs, at=at)
 
         forward_batch = E.forward_batch
         monkeypatch.setattr(E, "forward_batch", counting)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,12 @@ class TestBatchedMatchesStreaming:
     equal the one-user-at-a-time oracle (helpers.step + rank_of) bit for
     bit, in corpus order."""
 
+    @pytest.fixture(autouse=True)
+    def forward_chunks(self, monkeypatch):
+        # forward chunks of EVAL_CHUNK users, so that every corpus below
+        # spans two or more of them
+        monkeypatch.setattr(E, "FORWARD_USERS", E.EVAL_CHUNK)
+
     @pytest.fixture(scope="class", params=["periodic", "interval", "ragged"])
     def corpus(self, request):
         # more users than one evaluation chunk, some of them cold
@@ -346,12 +353,12 @@ class TestBatchedMatchesStreaming:
 
     def test_chunks_run_in_length_order(self, corpus, monkeypatch):
         # each chunk reaches the forward already in length-descending order,
-        # so forward_batch returns a view of its workspace, not a copy
+        # so its packed order is the caller's
         lengths = []
 
-        def recording(params, cfg, seqs):
+        def recording(params, cfg, seqs, at=None):
             lengths.extend(len(s[0]) for s in seqs)
-            return forward_batch(params, cfg, seqs)
+            return forward_batch(params, cfg, seqs, at=at)
 
         forward_batch = E.forward_batch
         monkeypatch.setattr(E, "forward_batch", recording)
@@ -390,6 +397,8 @@ class TestReadoutBlocks:
     def test_blocks_equal_stepping_each_user_alone(self, n_users, n_test,
                                                    blocks, exclude_visited,
                                                    monkeypatch):
+        # forward chunks of EVAL_CHUNK users, so that the last case spans two
+        monkeypatch.setattr(E, "FORWARD_USERS", E.EVAL_CHUNK)
         corpus = self.held_out(n_users, n_test)
         cfg = M.ModelConfig(variant="st-clstm", vocab=corpus.n_pois, n_i=6,
                             n_c=8)
@@ -407,3 +416,30 @@ class TestReadoutBlocks:
         assert heights == blocks
         assert [(r.user, r.step, r.rank) for r in got] == streaming_ranks(
             params, cfg, corpus, exclude_visited=exclude_visited)
+
+
+class TestEvaluationMemory:
+    """A pass's memory grows with the users of a forward chunk and the
+    instances of a readout block, not with the users' history length: the
+    forward streams through two workspace slots, and each block builds its
+    own exclusion indices."""
+
+    @pytest.mark.parametrize("exclude_visited", [False, True])
+    def test_long_histories_trace_under_a_fixed_bound(self, exclude_visited):
+        # four users of 1000 check-ins, 300 test instances each
+        corpus = data.synth_corpus(5, n_users=4, n_pois=24, length=1000,
+                                   pattern="interval")
+        cfg = M.ModelConfig(variant="st-clstm", vocab=corpus.n_pois, n_i=32,
+                            n_c=32)
+        params = M.init_model(cfg, np.random.default_rng(4))
+        kw = dict(exclude_visited=exclude_visited)
+        E.collect_ranks(params, cfg, corpus, **kw)      # numkit's probes
+        tracemalloc.start()
+        try:
+            got = E.collect_ranks(params, cfg, corpus, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert [(r.user, r.step, r.rank) for r in got] == streaming_ranks(
+            params, cfg, corpus, **kw)

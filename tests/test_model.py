@@ -171,6 +171,24 @@ class TestForward:
         np.testing.assert_array_equal(
             M.forward_batch(params, cfg, [seqs[b] for b in order]), hs[order])
 
+    @pytest.mark.parametrize("variant", cells.VARIANTS)
+    def test_states_at_given_positions(self, variant):
+        # an unsorted ragged batch; the positions in no order, one of them
+        # twice
+        cfg = tiny_cfg(variant, vocab=20, n_i=5, n_c=6)
+        rng = np.random.default_rng(10)
+        params = M.init_model(cfg, rng)
+        lengths = (3, 11, 1, 7, 20, 11, 4, 20, 2)
+        seqs = [random_seq(rng, cfg.vocab, n)[:3] for n in lengths]
+        hs = M.forward_batch(params, cfg, seqs)
+        np.testing.assert_array_equal(hs, per_step_forward(params, cfg, seqs))
+        rows, steps = np.nonzero(np.arange(20) < np.array(lengths)[:, None])
+        pick = rng.permutation(len(rows))[:40]
+        rows, steps = rows[[*pick, pick[0]]], steps[[*pick, pick[0]]]
+        np.testing.assert_array_equal(
+            M.forward_batch(params, cfg, seqs, at=(rows, steps)),
+            hs[rows, steps])
+
     def test_readout_into_a_buffer_is_bit_equal(self):
         cfg = tiny_cfg("st-clstm", vocab=37, n_c=24)
         rng = np.random.default_rng(8)

@@ -176,9 +176,11 @@ class TestTileInvariance:
 
     @pytest.mark.parametrize("which", range(len(SHAPES)))
     def test_every_height_at_the_edges(self, pools, which):
-        # packed evaluation runs a step at every height up to EVAL_CHUNK
+        # packed evaluation runs a step at every height up to FORWARD_USERS
+        # and reads states out in blocks of up to EVAL_CHUNK
         rng = np.random.default_rng(which)
         for n in (*range(1, evalmod.EVAL_CHUNK + 2),
+                  *(evalmod.FORWARD_USERS + d for d in (-1, 0, 1)),
                   *(h + d for h in self.TERM_HEIGHTS for d in (-1, 0, 1)),
                   self.ROWS):
             self.check_rows(pools[which], rng.integers(0, self.POOL, n))
