@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data
+from . import container, data
 from . import eval as evalmod
 from . import train as trainmod
 from .cells import ABLATION_PRESETS, INTERVAL_GATES, GateAblation, VARIANTS
@@ -105,8 +105,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    container.write_text(path, json.dumps(payload, indent=2, sort_keys=True)
+                         + "\n")
 
 
 def _add_run_flags(p):
@@ -154,7 +154,7 @@ def cmd_prepare(args) -> int:
     density = stats["records"] / (stats["users"] * stats["pois"])
     lines.append(f"density {density:.6g}")
     report = "\n".join(lines) + "\n"
-    Path(str(out) + ".stats.txt").write_text(report, encoding="utf-8")
+    container.write_text(str(out) + ".stats.txt", report)
     print(report, end="")
     print(f"wrote corpus cache: {out}")
     return 0
@@ -232,15 +232,14 @@ def _emit_metrics(results_by_cohort, ks, out_dir, dump):
     text = "\n".join("\n".join(rep.lines()) + "\n" for rep in reports)
     print(text, end="")
     if out_dir is not None:
-        (out_dir / "metrics.txt").write_text(text, encoding="utf-8")
+        container.write_text(out_dir / "metrics.txt", text)
         _write_json(out_dir / "metrics.json",
                     [rep.to_dict() for rep in reports])
         if dump:
             rows = ["user\tstep\trank"]
             for results in results_by_cohort.values():
                 rows += [f"{r.user}\t{r.step}\t{r.rank}" for r in results]
-            (out_dir / "ranks.tsv").write_text("\n".join(rows) + "\n",
-                                               encoding="utf-8")
+            container.write_text(out_dir / "ranks.tsv", "\n".join(rows) + "\n")
 
 
 def cmd_eval(args) -> int:
@@ -315,7 +314,7 @@ def cmd_grid(args) -> int:
             r["status"],
         ]))
     table = "\n".join(lines) + "\n"
-    (out_dir / "grid.tsv").write_text(table, encoding="utf-8")
+    container.write_text(out_dir / "grid.tsv", table)
     print(table, end="")
     failures = sum(r["status"] != "ok" for r in rows)
     if failures:

@@ -17,6 +17,10 @@ The header is a JSON object with a caller-supplied ``meta`` object and a
 string such as "float64" or "int64"), ``shape``, and ``nbytes``.  Payloads
 are C-order, little-endian, and appear in exactly the order listed.  Writing
 the same header and arrays therefore always produces identical bytes.
+
+``save`` and ``write_text``, the writer of a run directory's text files,
+replace a file whole: the bytes go to a temporary file that is renamed over
+it, so an interrupted write leaves the earlier file.
 """
 
 from __future__ import annotations
@@ -62,16 +66,33 @@ def save(path, meta: dict, arrays: dict) -> None:
     header = json.dumps(
         {"meta": meta, "tensors": entries}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
+    with _replacing(path) as fh:
+        fh.write(_PREFIX.pack(MAGIC, VERSION, len(header)))
+        fh.write(header)
+        for arr in tensors.values():
+            # C order, little-endian: one tensor's copy at most, where it
+            # is not so already
+            fh.write(np.ascontiguousarray(arr, arr.dtype.newbyteorder("<"))
+                     .reshape(-1).view(np.uint8))
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, replacing the file whole, as
+    ``save`` does: a failed or interrupted write leaves any earlier file at
+    ``path`` as it was."""
+    with _replacing(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file for the bytes of ``path``: a temporary file in the same
+    directory that replaces ``path`` once the block ends, and is removed
+    instead if the block raises."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_PREFIX.pack(MAGIC, VERSION, len(header)))
-            fh.write(header)
-            for arr in tensors.values():
-                # C order, little-endian: one tensor's copy at most, where
-                # it is not so already
-                fh.write(np.ascontiguousarray(arr, arr.dtype.newbyteorder("<"))
-                         .reshape(-1).view(np.uint8))
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

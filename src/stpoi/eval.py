@@ -25,8 +25,14 @@ from .model import ModelConfig, ModelParams, forward_batch, readout
 
 ACC_KS = (1, 5, 10, 15, 20)
 COHORTS = ("all", "cold")
-# ranked instances per readout block
-EVAL_CHUNK = 64
+# ranked instances per readout block.  Each block's (rows, n_c) @ (n_c,
+# vocab) product makes OpenBLAS pack all of w_out (5 MB at n_c 128, vocab
+# 5000) once per call, and 256 rows spread that copy over four times the
+# work of 64: a paper-shape pass's readout took 93-97 ms against 114-122 at
+# 64 rows, 44-46 against 35-38 GFLOP/s (one SkylakeX core).  The cost is a
+# pass's (EVAL_CHUNK, vocab) float64 logit buffer and its two bool masks,
+# 10 * EVAL_CHUNK * vocab bytes: 12.6 MB at vocab 4937
+EVAL_CHUNK = 256
 # users per packed forward chunk (taken in length order).  The forward
 # streams through two workspace slots, so a chunk's memory grows with its
 # users, not with their histories: at n_c = n_i = 128 a 256-user chunk's two
@@ -124,11 +130,13 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
     stream (see ``model.forward_batch``): no step runs a padded row, and
     only the hidden states at test positions are kept.  The readout runs
     on those, ``EVAL_CHUNK`` instances a block.  Every block's logits go
-    into one (``EVAL_CHUNK``, vocab) buffer per call and its ranking's bool
-    masks into two more; a chunk's instance and target indices are built
-    once per chunk, and a block's visited indices for its own instances
-    alone.  So a pass's memory grows with the users of a chunk and the
-    instances of a block, not with the users' history length.
+    into one (``EVAL_CHUNK``, vocab) float64 buffer per call and its
+    ranking's bool masks into two more, 10 * ``EVAL_CHUNK`` * vocab bytes
+    in all; a chunk's instance and target indices are built once per
+    chunk, and a block's visited mask one instance row at a time, from a
+    slice of the chunk's POIs.  So a pass's memory grows with the users of
+    a chunk and the instances of a block, not with the users' history
+    length.
     Results come back in corpus order, each user's in step order.  The
     tiled kernels make every rank equal, bit for bit, to stepping each user
     alone (``tests/helpers.py`` keeps that oracle).  Parameters that could
@@ -176,15 +184,14 @@ def collect_ranks(params: ModelParams, cfg: ModelConfig, corpus, *,
             r1 = min(r0 + EVAL_CHUNK, len(b_idx))
             mask = None
             if exclude_visited:
-                # the block's POI prefixes, n = s + 1 long each: instance
-                # r's are entries ends[r] - n[r]:ends[r] of the index pair
-                n = s_idx[r0:r1] + 1
-                ends = np.cumsum(n)
+                # each instance's visited POIs, the first s + 1 of its
+                # user's pois, cleared in its own row
                 mask = keep[:r1 - r0]
                 mask.fill(True)
-                mask[np.repeat(np.arange(r1 - r0), n),
-                     pois[np.arange(ends[-1]) - np.repeat(
-                         ends - n - starts[b_idx[r0:r1]], n)]] = False
+                lo = starts[b_idx[r0:r1]]
+                for j, (a, b) in enumerate(zip(
+                        lo.tolist(), (lo + s_idx[r0:r1] + 1).tolist())):
+                    mask[j, pois[a:b]] = False
             ranks = _ranks(readout(params, hs[r0:r1], out=logits[:r1 - r0]),
                            targets[r0:r1], mask, ahead[:r1 - r0])
             for b, step, rank in zip(b_idx[r0:r1].tolist(),

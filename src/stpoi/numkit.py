@@ -73,16 +73,18 @@ class NonFiniteError(ValueError):
 
 def sigmoid(a: np.ndarray, out=None) -> np.ndarray:
     """Elementwise logistic function 1 / (1 + exp(-a)) of a float array,
-    overflow-safe: exp(min(a, 0)) / (1 + exp(-|a|)), into ``out`` if given.
-    Both exponents are -|a| where a < 0, so this is exactly the two-branch
-    ``where(a >= 0, 1, e) / (1 + e)``, e = exp(-|a|), with no branch.
-    -|a| is ``negative(abs(a))``, the bits of ``copysign(a, -1)`` from two
-    vectorised calls."""
-    out = np.minimum(a, 0.0, out=out)
-    np.exp(out, out=out)
+    overflow-safe, into ``out`` if given: with e = exp(-|a|), exactly the
+    two-branch ``where(a >= 0, 1, e) / (1 + e)`` with no branch and one
+    ``exp``.  The numerator is ``maximum(sign(a), e)``: 1 where a > 0 (e is
+    at most 1), e where a < 0 (e is positive, or 0 where it underflows,
+    and there e equals exp(a)), and 1 at a = +-0, where e is 1; a NaN stays
+    NaN.  -|a| is ``negative(abs(a))``, the bits of ``copysign(a, -1)``
+    from two vectorised calls."""
     e = np.abs(a)
     np.negative(e, out=e)
     np.exp(e, out=e)
+    out = np.sign(a, out=out)
+    np.maximum(out, e, out=out)
     e += 1.0
     out /= e
     return out

@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import container
 from .cells import check_bounded, constrained_names
 from .model import ModelConfig, ModelParams, batch_loss_and_grads, save_checkpoint
 from .numkit import NonFiniteError
@@ -63,8 +64,8 @@ def _diverged(out_dir, error, epoch, batch_start, idx, names, losses):
         payload = {"epoch": epoch, "batch_start": int(batch_start),
                    "sequences": [names[j] if names else str(j) for j in idx],
                    "error": error, "epoch_losses": losses}
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True),
-                        encoding="utf-8")
+        container.write_text(path, json.dumps(payload, indent=2,
+                                              sort_keys=True))
         where = f"; dump: {path}"
     return TrainingDiverged(f"{error} at epoch {epoch}{where}")
 
@@ -151,10 +152,8 @@ def fit(params: ModelParams, cfg: ModelConfig, sequences, *,
         if out_dir is not None:
             save_checkpoint(out_dir / f"epoch-{epoch:04d}.bin", params, cfg,
                             adam)
-            (out_dir / "losses.tsv").write_text(
-                "".join(f"{e}\t{loss:.10f}\n"
-                        for e, loss in enumerate(result.losses, 1)),
-                encoding="utf-8")
+            container.write_text(out_dir / "losses.tsv", "".join(
+                f"{e}\t{loss:.10f}\n" for e, loss in enumerate(result.losses, 1)))
         if stop:
             result.stopped_early = True
             log.info("early stop after epoch %d (no improvement for %d "

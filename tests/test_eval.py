@@ -116,9 +116,10 @@ class TestRankOf:
 
 
 class TestRanksOracle:
-    """eval._ranks on readout blocks of 1, EVAL_CHUNK - 1 and EVAL_CHUNK
-    rows against sorting every candidate (helpers.brute_force_rank), in a
-    reused scratch array, with and without a mask of kept candidates."""
+    """eval._ranks on readout blocks of 1, 63, 64, EVAL_CHUNK - 1 and
+    EVAL_CHUNK rows against sorting every candidate
+    (helpers.brute_force_rank), in a reused scratch array, with and without
+    a mask of kept candidates."""
 
     VOCAB = 23
 
@@ -143,7 +144,8 @@ class TestRanksOracle:
         return logits, targets, visited
 
     @pytest.mark.parametrize("first", ["ties", "constant"])
-    @pytest.mark.parametrize("rows", [1, E.EVAL_CHUNK - 1, E.EVAL_CHUNK])
+    @pytest.mark.parametrize("rows", [1, 63, 64, E.EVAL_CHUNK - 1,
+                                      E.EVAL_CHUNK])
     def test_ranks_equal_sorting_every_candidate(self, rows, first):
         logits, targets, visited = self.block(rows, first)
         keep = ~visited
@@ -319,18 +321,21 @@ class TestBatchedMatchesStreaming:
     equal the one-user-at-a-time oracle (helpers.step + rank_of) bit for
     bit, in corpus order."""
 
+    # readout blocks and forward chunks of this many, so that the corpora
+    # below, sized from it, span several of each at a test's cost
+    CHUNK = 64
+
     @pytest.fixture(autouse=True)
-    def forward_chunks(self, monkeypatch):
-        # forward chunks of EVAL_CHUNK users, so that every corpus below
-        # spans two or more of them
-        monkeypatch.setattr(E, "FORWARD_USERS", E.EVAL_CHUNK)
+    def chunks(self, monkeypatch):
+        monkeypatch.setattr(E, "EVAL_CHUNK", self.CHUNK)
+        monkeypatch.setattr(E, "FORWARD_USERS", self.CHUNK)
 
     @pytest.fixture(scope="class", params=["periodic", "interval", "ragged"])
     def corpus(self, request):
-        # more users than one evaluation chunk, some of them cold
-        n_users = E.EVAL_CHUNK + 6
+        # more users than one chunk, some of them cold
+        n_users = self.CHUNK + 6
         if request.param == "ragged":
-            return ragged_corpus(2 * E.EVAL_CHUNK + 9, seed=4)
+            return ragged_corpus(2 * self.CHUNK + 9, seed=4)
         return data.synth_corpus(3, n_users=n_users, n_pois=6 * n_users,
                                  length=12, pattern=request.param, n_short=4)
 
@@ -377,9 +382,10 @@ class TestReadoutBlocks:
     @staticmethod
     def held_out(n_users, n_test):
         """An interval corpus of ``n_users`` users, user j with its last
-        ``n_test[j % len(n_test)]`` transitions held out for testing."""
+        ``n_test[j % len(n_test)]`` transitions held out for testing and at
+        least ten records for training."""
         corpus = data.synth_corpus(6, n_users=n_users, n_pois=6 * n_users,
-                                   length=14, pattern="interval")
+                                   length=max(n_test) + 11, pattern="interval")
         users = [dataclasses.replace(u, n_train=len(u.pois)
                                      - n_test[j % len(n_test)])
                  for j, u in enumerate(corpus.users)]
@@ -388,17 +394,21 @@ class TestReadoutBlocks:
     @pytest.mark.parametrize("exclude_visited", [False, True])
     @pytest.mark.parametrize("n_users, n_test, blocks", [
         # one chunk of exactly EVAL_CHUNK instances: one full block
-        (16, (4,), [E.EVAL_CHUNK]),
+        (16, (E.EVAL_CHUNK // 16,), [E.EVAL_CHUNK]),
         # one chunk of a full block then a partial one
-        (10, (7,), [E.EVAL_CHUNK, 6]),
-        # a full chunk of users (127 instances), then a chunk of 6
-        (E.EVAL_CHUNK + 3, (1, 2, 3), [E.EVAL_CHUNK, E.EVAL_CHUNK - 1, 6]),
+        (10, (E.EVAL_CHUNK // 10 + 1,),
+         [E.EVAL_CHUNK, 10 * (E.EVAL_CHUNK // 10 + 1) - E.EVAL_CHUNK]),
+        # a full chunk of 64 users, 22 of them with k test instances and
+        # 21 each with k + 1 and k + 2 (2 * EVAL_CHUNK - 1 instances), then
+        # a chunk of 3 users with 3k + 3
+        (67, tuple(E.EVAL_CHUNK // 32 - 1 + d for d in range(3)),
+         [E.EVAL_CHUNK, E.EVAL_CHUNK - 1, 3 * (E.EVAL_CHUNK // 32)]),
     ])
     def test_blocks_equal_stepping_each_user_alone(self, n_users, n_test,
                                                    blocks, exclude_visited,
                                                    monkeypatch):
-        # forward chunks of EVAL_CHUNK users, so that the last case spans two
-        monkeypatch.setattr(E, "FORWARD_USERS", E.EVAL_CHUNK)
+        # forward chunks of 64 users, so that the last case spans two
+        monkeypatch.setattr(E, "FORWARD_USERS", 64)
         corpus = self.held_out(n_users, n_test)
         cfg = M.ModelConfig(variant="st-clstm", vocab=corpus.n_pois, n_i=6,
                             n_c=8)
@@ -422,7 +432,7 @@ class TestEvaluationMemory:
     """A pass's memory grows with the users of a forward chunk and the
     instances of a readout block, not with the users' history length: the
     forward streams through two workspace slots, and each block builds its
-    own exclusion indices."""
+    exclusion mask one row at a time."""
 
     @pytest.mark.parametrize("exclude_visited", [False, True])
     def test_long_histories_trace_under_a_fixed_bound(self, exclude_visited):

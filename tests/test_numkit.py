@@ -41,11 +41,16 @@ class TestSigmoid:
         for _ in range(200):
             x = rng.normal(scale=20.0, size=(16, 128))
             np.testing.assert_array_equal(numkit.sigmoid(x), sigmoid_two_branch(x))
-        edges = np.array([0.0, -0.0, 800.0, -800.0, 36.7, -36.7, 745.2, -745.2])
+        # an evaluation-sized draw: four interval gates over 200 rows
+        x = rng.normal(scale=20.0, size=(4, 200, 128))
+        np.testing.assert_array_equal(numkit.sigmoid(x), sigmoid_two_branch(x))
+        edges = np.array([0.0, -0.0, 800.0, -800.0, 36.7, -36.7, 745.2, -745.2,
+                          709.8, -709.8, 5e-324, -5e-324, np.inf, -np.inf,
+                          np.nan])
         got = numkit.sigmoid(edges)
         want = sigmoid_two_branch(edges)
-        np.testing.assert_array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        # the bits, so that the signs of zeros and NaN's bits count too
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     @given(st.floats(-15, 15), st.floats(min_value=1e-3, max_value=10))
     def test_strictly_increasing(self, x, gap):
@@ -177,12 +182,15 @@ class TestTileInvariance:
     @pytest.mark.parametrize("which", range(len(SHAPES)))
     def test_every_height_at_the_edges(self, pools, which):
         # packed evaluation runs a step at every height up to FORWARD_USERS
-        # and reads states out in blocks of up to EVAL_CHUNK
+        # and reads states out in blocks of up to EVAL_CHUNK: every height
+        # to 65, then 128, 192, both sizes and the term heights, each +- 1
         rng = np.random.default_rng(which)
-        for n in (*range(1, evalmod.EVAL_CHUNK + 2),
-                  *(evalmod.FORWARD_USERS + d for d in (-1, 0, 1)),
-                  *(h + d for h in self.TERM_HEIGHTS for d in (-1, 0, 1)),
-                  self.ROWS):
+        for n in sorted({*range(1, 66),
+                         *(h + d for h in (128, 192, evalmod.EVAL_CHUNK,
+                                           evalmod.FORWARD_USERS,
+                                           *self.TERM_HEIGHTS)
+                           for d in (-1, 0, 1)),
+                         self.ROWS}):
             self.check_rows(pools[which], rng.integers(0, self.POOL, n))
 
     @settings(max_examples=20, deadline=None)

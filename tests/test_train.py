@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import weakref
 from pathlib import Path
@@ -6,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stpoi import data
+from stpoi import container, data
 from stpoi import model as M
 from stpoi import train as T
 from stpoi.cells import GateAblation
@@ -135,6 +137,40 @@ class TestFit:
             "epoch_losses"]
         assert (tmp_path / "losses.tsv").read_text() == f"1\t{loss:.10f}\n"
         assert [p.name for p in tmp_path.glob("*.bin")] == ["epoch-0001.bin"]
+
+    def test_failed_loss_log_write_keeps_the_earlier_file(self, tmp_path,
+                                                          monkeypatch):
+        # the disk fills while the second epoch's losses.tsv is written: the
+        # first epoch's file stays whole, and no temporary file is left
+        corpus = small_corpus()
+        seqs, _ = T.train_sequences(corpus)
+        params, cfg = fresh("lstm", corpus)
+        T.fit(params, cfg, seqs, epochs=1, batch_size=4, seed=1,
+              out_dir=tmp_path / "one")
+        logs = []
+
+        class DiskFull(io.BufferedWriter):
+            def write(self, data):
+                super().write(data[:5])
+                raise OSError(errno.ENOSPC, "no space left on device")
+
+        def opening(name, mode):
+            if Path(name).name.startswith("losses.tsv"):
+                logs.append(name)
+                if len(logs) == 2:
+                    return DiskFull(io.FileIO(name, mode[0]))
+            return open(name, mode)
+
+        monkeypatch.setattr(container, "open", opening, raising=False)
+        params, cfg = fresh("lstm", corpus)
+        with pytest.raises(OSError, match="no space"):
+            T.fit(params, cfg, seqs, epochs=3, batch_size=4, seed=1,
+                  out_dir=tmp_path / "two")
+        assert len(logs) == 2
+        assert ((tmp_path / "two" / "losses.tsv").read_bytes()
+                == (tmp_path / "one" / "losses.tsv").read_bytes())
+        assert sorted(p.name for p in (tmp_path / "two").iterdir()) == [
+            "epoch-0001.bin", "epoch-0002.bin", "losses.tsv"]
 
     @pytest.mark.parametrize("with_dir", [False, True])
     def test_nonfinite_parameters_after_the_last_step_abort(self, tmp_path,
